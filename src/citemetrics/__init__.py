@@ -40,6 +40,7 @@ from .ledger import (
     parse_citation_csv,
     parse_publication_csv,
     profiles_to_citation_csv,
+    read_citation_profiles,
     self_reference_rate,
     strip_self_references,
 )

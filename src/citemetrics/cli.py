@@ -184,9 +184,7 @@ def _load_aliases(config: RunConfig) -> ledger.AliasMap:
 
 def _load_profiles(config: RunConfig, aliases) -> dict[str, ledger.CitationProfile]:
     with open(config.citations, encoding="utf-8") as handle:
-        profiles = ledger.build_profiles(
-            ledger.iter_citation_records(handle, aliases, source=config.citations)
-        )
+        profiles, _ = ledger.read_citation_profiles(handle, aliases, source=config.citations)
     if config.strip_self:
         profiles = {j: ledger.strip_self_references(p) for j, p in profiles.items()}
     return profiles
@@ -343,10 +341,8 @@ def cmd_validate(citations: str | None, publications: str | None,
     if aliases_path:
         aliases = ledger.parse_alias_csv(_read_lines(aliases_path), source=aliases_path)
     if citations:
-        count = 0
         with open(citations, encoding="utf-8") as handle:
-            for _ in ledger.iter_citation_records(handle, aliases, source=citations):
-                count += 1
+            _, count = ledger.read_citation_profiles(handle, aliases, source=citations)
         print(f"{citations}: {count} records")
     if publications:
         pubs = ledger.parse_publication_csv(

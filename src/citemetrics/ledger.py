@@ -111,6 +111,40 @@ def _check_header(number: int, line: str, expected: str, source: str | None) -> 
         raise ParseError(number, f"expected header {expected!r}", source)
 
 
+def _parse_row(
+    number: int, line: str, resolved: dict[str, str], alias_map: AliasMap, source: str | None
+) -> CitationRecord:
+    """Validate and canonicalize one non-blank data row, or raise its ParseError.
+
+    `resolved` caches alias resolution by raw name text across calls.
+    """
+    parts = line.split(",")
+    if len(parts) != 5:
+        raise ParseError(number, f"expected 5 fields, got {len(parts)}", source)
+    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = parts
+    try:
+        citing_year = int(citing_year_s)
+        cited_year = int(cited_year_s)
+        count = int(count_s)
+    except ValueError:
+        raise ParseError(number, "year and count fields must be integers", source)
+    if not (YEAR_MIN <= citing_year <= YEAR_MAX and YEAR_MIN <= cited_year <= YEAR_MAX):
+        raise ParseError(number, "years must be 4-digit integers", source)
+    if count < 0:
+        raise ParseError(number, "count must be non-negative", source)
+    if citing_year < cited_year:
+        raise ParseError(number, "citing year precedes cited year", source)
+    citing = resolved.get(citing_raw)
+    if citing is None:
+        resolved[citing_raw] = citing = alias_map.resolve(citing_raw)
+    cited = resolved.get(cited_raw)
+    if cited is None:
+        resolved[cited_raw] = cited = alias_map.resolve(cited_raw)
+    if not citing or not cited:
+        raise ParseError(number, "journal identifiers must be non-empty", source)
+    return CitationRecord(citing, citing_year, cited, cited_year, count)
+
+
 def iter_citation_records(
     lines: Iterable[str],
     alias_map: AliasMap = EMPTY_ALIASES,
@@ -123,41 +157,15 @@ def iter_citation_records(
     rejected as a wrong field count).  Malformed rows raise ParseError with
     the offending line number; a header-only file yields nothing.
     """
-    resolve_cache: dict[str, str] = {}
-    resolve = alias_map.resolve
+    resolved: dict[str, str] = {}
     saw_header = False
     for number, line in _clean_lines(lines):
         if not saw_header:
             _check_header(number, line, CITATIONS_HEADER, source)
             saw_header = True
             continue
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ParseError(number, f"expected 5 fields, got {len(parts)}", source)
-        citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = parts
-        try:
-            citing_year = int(citing_year_s)
-            cited_year = int(cited_year_s)
-            count = int(count_s)
-        except ValueError:
-            raise ParseError(number, "year and count fields must be integers", source)
-        if not (YEAR_MIN <= citing_year <= YEAR_MAX and YEAR_MIN <= cited_year <= YEAR_MAX):
-            raise ParseError(number, "years must be 4-digit integers", source)
-        if count < 0:
-            raise ParseError(number, "count must be non-negative", source)
-        if citing_year < cited_year:
-            raise ParseError(number, "citing year precedes cited year", source)
-        citing = resolve_cache.get(citing_raw)
-        if citing is None:
-            resolve_cache[citing_raw] = citing = resolve(citing_raw)
-        cited = resolve_cache.get(cited_raw)
-        if cited is None:
-            resolve_cache[cited_raw] = cited = resolve(cited_raw)
-        if not citing or not cited:
-            raise ParseError(number, "journal identifiers must be non-empty", source)
-        yield CitationRecord(citing, citing_year, cited, cited_year, count)
+        if line:
+            yield _parse_row(number, line, resolved, alias_map, source)
     if not saw_header:
         raise ParseError(1, "missing header", source)
 
@@ -288,12 +296,85 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
         cell[0] += count
         if citing_id == cited_id:
             cell[1] += count
+    return _freeze_profiles(display, cells_by_journal)
+
+
+def _freeze_profiles(
+    display: dict[str, str], cells_by_journal: dict[str, dict[tuple[int, int], list[int]]]
+) -> dict[str, CitationProfile]:
     return {
         display[jid]: CitationProfile(
             display[jid], {key: CellCount(t, s) for key, (t, s) in cells.items()}
         )
         for jid, cells in cells_by_journal.items()
     }
+
+
+def read_citation_profiles(
+    lines: Iterable[str],
+    alias_map: AliasMap = EMPTY_ALIASES,
+    source: str | None = None,
+) -> tuple[dict[str, CitationProfile], int]:
+    """Parse a citation ledger and fold it into profiles in one streaming pass.
+
+    Returns what `build_profiles(iter_citation_records(...))` returns, plus
+    the number of data rows, and raises the same ParseError on the same
+    line.  Memory grows with the number of profile cells, not with the
+    number of rows.  Validation is cached by field text: a year text maps to
+    its in-range year and a name text to its non-empty canonical name and
+    identity, so a row whose four texts are all known only needs its count
+    and year order checked.  Every other row goes through the reference row
+    check, which either raises or admits the row's texts to the caches.
+    """
+    years: dict[str, int] = {}
+    names: dict[str, tuple[str, str]] = {}
+    resolved: dict[str, str] = {}
+    display: dict[str, str] = {}
+    cells_by_journal: dict[str, dict[tuple[int, int], list[int]]] = {}
+    rows = 0
+    it = iter(lines)
+    header = next(it, None)
+    if header is None:
+        raise ParseError(1, "missing header", source)
+    _check_header(1, header.rstrip("\r\n").removeprefix("\ufeff"), CITATIONS_HEADER, source)
+    for number, line in enumerate(it, start=2):
+        # int() ignores the line ending left on the count text.
+        try:
+            citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
+            citing, citing_id = names[citing_raw]
+            cited, cited_id = names[cited_raw]
+            citing_year = years[citing_year_s]
+            cited_year = years[cited_year_s]
+            count = int(count_s)
+            if count < 0 or citing_year < cited_year:
+                raise ValueError  # the reference check below raises the error
+        except (ValueError, KeyError):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            citing, citing_year, cited, cited_year, count = _parse_row(
+                number, line, resolved, alias_map, source
+            )
+            citing_raw, citing_year_s, cited_raw, cited_year_s, _ = line.split(",")
+            years[citing_year_s] = citing_year
+            years[cited_year_s] = cited_year
+            citing_id = citing.casefold()
+            cited_id = cited.casefold()
+            names[citing_raw] = (citing, citing_id)
+            names[cited_raw] = (cited, cited_id)
+        rows += 1
+        cells = cells_by_journal.get(cited_id)
+        if cells is None:
+            cells_by_journal[cited_id] = cells = {}
+            display[cited_id] = cited
+        key = (cited_year, citing_year)
+        cell = cells.get(key)
+        if cell is None:
+            cells[key] = cell = [0, 0]
+        cell[0] += count
+        if citing_id == cited_id:
+            cell[1] += count
+    return _freeze_profiles(display, cells_by_journal), rows
 
 
 def find_profile(profiles: dict[str, CitationProfile], name: str) -> CitationProfile | None:

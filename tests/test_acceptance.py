@@ -408,4 +408,5 @@ def test_criterion_8_throughput():
     assert len(reports) == 20
     assert all(r.jif is not None and r.coverage is not None for r in reports)
     assert t.seconds < 5.0
+    assert ledger.read_citation_profiles(io.StringIO(text)) == (profiles, 1_000_000)
     report_pass(8, "throughput", t.seconds)

@@ -248,6 +248,16 @@ def test_validate_ok(capsys, hare_dir):
     assert "records" in out and "entries" in out
 
 
+def test_validate_counts_records_not_lines(tmp_path, capsys):
+    ledger_file = tmp_path / "citations.csv"
+    ledger_file.write_bytes(
+        ("\ufeff" + HEADER + "\r\n\r\nA,2004,B,2003,5\r\nA,2004,B,2003,0\r\n"
+         "\r\nb,2004,B,2003,2\r\n\r\n").encode("utf-8")
+    )
+    assert main(["validate", "--citations", str(ledger_file)]) == 0
+    assert capsys.readouterr().out == f"{ledger_file}: 3 records\n"
+
+
 def test_validate_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(HEADER + "\nA,2004,B\n")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from citemetrics.ledger import (
     CellCount,
     CitationRecord,
     build_profiles,
+    iter_citation_records,
     parse_alias_csv,
     parse_citation_csv,
     parse_publication_csv,
     profiles_to_citation_csv,
+    read_citation_profiles,
     self_reference_rate,
     strip_self_references,
     volume_self_rates,
@@ -292,3 +295,115 @@ def test_profile_csv_round_trip(records):
     text = profiles_to_citation_csv(profiles)
     reparsed = build_profiles(parse_citation_csv(text.splitlines()))
     assert reparsed == profiles
+
+
+# --- single-pass loader against the reference parse + fold ---------------
+
+# Spelling variants of three journals, plus two former names that the
+# alias map folds into them.  The first spelling seen becomes the display name.
+NAME_TEXTS = ["Alpha", "alpha", " Alpha ", "ALPHA", "Beta", "beta ", "Gamma Project",
+              "gamma project", "Old Alpha", " old alpha", " Gamma"]
+LEDGER_ALIASES = AliasMap({"old alpha": "Alpha", "gamma": "Gamma Project"})
+
+BAD_ROW_KINDS = ["fields", "integer", "range", "negative", "order", "empty", "header", "missing"]
+
+
+@st.composite
+def ledger_rows(draw):
+    cited = draw(st.integers(min_value=2000, max_value=2003))
+    citing = cited + draw(st.integers(min_value=0, max_value=2))
+    year_text = st.sampled_from(["{}", " {}", "{} "])
+    return [
+        draw(st.sampled_from(NAME_TEXTS)),
+        draw(year_text).format(citing),
+        draw(st.sampled_from(NAME_TEXTS)),
+        draw(year_text).format(cited),
+        draw(st.sampled_from(["0", "1", "2", "7", " 3"])),
+    ]
+
+
+def corrupt(kind, row):
+    """A row that raises `kind`'s ParseError, built from a valid row's texts."""
+    citing, citing_year, cited, cited_year, count = row
+    if kind == "fields":
+        return [citing, citing_year, cited, cited_year, count, "9"]
+    if kind == "integer":
+        return [citing, citing_year, cited, cited_year, "x"]
+    if kind == "range":
+        return [citing, "10000", cited, cited_year, count]
+    if kind == "negative":
+        return [citing, citing_year, cited, cited_year, "-1"]
+    if kind == "order":
+        if int(citing_year) > int(cited_year):
+            return [citing, cited_year, cited, citing_year, count]
+        return [citing, citing_year, cited, str(int(cited_year) + 1), count]
+    if kind == "empty":
+        return [" ", citing_year, cited, cited_year, count]
+    raise ValueError(kind)
+
+
+@st.composite
+def ledger_texts(draw, bad_kind):
+    """Ledger text with repeated keys, CRLF/BOM/blank lines and maybe one bad row."""
+    if bad_kind == "missing":
+        return ""
+    rows = draw(st.lists(ledger_rows(), max_size=40))
+    if rows:
+        # Repeat some rows verbatim and with another count, so keys recur.
+        for row in draw(st.lists(st.sampled_from(rows), max_size=10)):
+            rows.append(row)
+            rows.append(row[:4] + [draw(st.sampled_from(["0", "5"]))])
+    rows = draw(st.permutations(rows))
+    header = HEADER
+    if bad_kind == "header":
+        header = draw(st.sampled_from(["", "citing,cited", HEADER + ",extra"]))
+    elif bad_kind is not None:
+        # Built from an earlier row when there is one, so its texts are cached.
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        base = rows[draw(st.integers(min_value=0, max_value=at - 1))] if at else None
+        rows.insert(at, corrupt(bad_kind, base or draw(ledger_rows())))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "")
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + ending.join([header, *lines]) + draw(st.sampled_from(["", ending]))
+
+
+def reference_load(text, aliases):
+    try:
+        profiles = build_profiles(iter_citation_records(io.StringIO(text), aliases))
+        rows = len(list(iter_citation_records(io.StringIO(text), aliases)))
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+    return (profiles, rows), None
+
+
+def single_pass_load(text, aliases):
+    try:
+        return read_citation_profiles(io.StringIO(text), aliases), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+@pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
+@given(data=st.data(), use_aliases=st.booleans())
+@settings(max_examples=60)
+def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
+    text = data.draw(ledger_texts(bad_kind))
+    aliases = LEDGER_ALIASES if use_aliases else AliasMap()
+    expected, expected_error = reference_load(text, aliases)
+    loaded, error = single_pass_load(text, aliases)
+    assert error == expected_error
+    if bad_kind is not None:
+        assert error is not None
+    if expected is None:
+        return
+    (profiles, rows), (expected_profiles, expected_rows) = loaded, expected
+    assert rows == expected_rows
+    assert profiles == expected_profiles
+    assert list(profiles) == list(expected_profiles)
+    for name, profile in profiles.items():
+        assert profile.journal == expected_profiles[name].journal
+        assert list(profile.cells) == list(expected_profiles[name].cells)
+
