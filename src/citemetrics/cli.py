@@ -126,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="standardized deviation flagged, in points (default 25)")
     p_curves.add_argument("--svg", help="also draw standardized curves to this file")
     p_curves.add_argument("-o", "--output", help="write here instead of stdout")
-    p_curves.set_defaults(run=lambda args: cmd_curves(_config(args), args.journal))
+    p_curves.set_defaults(
+        run=lambda args: cmd_curves(_config(args), args.journal, args.horizon)
+    )
 
     p_synth = sub.add_parser("synth", help="expand a synthetic spec to ledger files")
     p_synth.add_argument("spec", help="spec file path, or a bundled name "
@@ -146,11 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> RunConfig:
-    policy = WindowPolicy(
-        getattr(args, "window", (1, 2)),
-        args.horizon,
-        getattr(args, "quantile", Fraction(1, 2)),
-    )
+    policy = WindowPolicy()
+    if hasattr(args, "window"):  # report and adjust; curves has only a horizon
+        policy = WindowPolicy(args.window, args.horizon, args.quantile)
     return RunConfig(
         citations=args.citations,
         publications=getattr(args, "publications", None),
@@ -260,7 +260,9 @@ def cmd_adjust(config: RunConfig) -> int:
     return 0
 
 
-def cmd_curves(config: RunConfig, journal: str) -> int:
+def cmd_curves(config: RunConfig, journal: str, horizon: int) -> int:
+    if horizon < 0:
+        raise ConfigError("horizon must be >= 0")
     aliases = _load_aliases(config)
     profiles = _load_profiles(config, aliases)
     profile = ledger.find_profile(profiles, journal)
@@ -279,7 +281,7 @@ def cmd_curves(config: RunConfig, journal: str) -> int:
         out.append(curves_mod.cumulative(raw))
         if year in standardized:
             out.append(standardized[year])
-    horizon = min(config.policy.horizon, curves_mod.observable_horizon(profile))
+    horizon = min(horizon, curves_mod.observable_horizon(profile))
     out.append(curves_mod.mean_accrual_curve(list(volumes.values()), horizon))
     _emit(config, curves_mod.curves_to_csv(out))
 

@@ -8,13 +8,15 @@ characteristic accrual shape.  Averaging across volumes is "ragged": each
 age is averaged only over the volumes old enough to have observed it.
 
 Curve values are exact (ints or Fractions); rescaling and averaging never
-round.
+round.  The per-value loops stay in integers: means sum int columns, and the
+anomaly test compares cross-multiplied numerators and denominators, so only
+the values returned are built as Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateVolumeError
@@ -58,6 +60,14 @@ class AnomalyFinding:
     reason: str
 
 
+def _coerce_fractions(instance, names: tuple[str, ...]) -> None:
+    # Thresholds may arrive as ints or floats; holding them as Fractions keeps
+    # every comparison exact and gives the integer kernels a numerator and
+    # denominator to cross-multiply.
+    for name in names:
+        object.__setattr__(instance, name, Fraction(getattr(instance, name)))
+
+
 @dataclass(frozen=True)
 class AnomalyThresholds:
     """Detection thresholds: self-rate as a fraction, deviation in percentage points."""
@@ -66,6 +76,7 @@ class AnomalyThresholds:
     deviation_pp: Fraction = Fraction(25)
 
     def __post_init__(self):
+        _coerce_fractions(self, ("self_rate", "deviation_pp"))
         if not 0 < self.self_rate <= 1:
             raise ConfigError("self-rate threshold must be in (0, 1]")
         if self.deviation_pp <= 0:
@@ -80,6 +91,7 @@ class ClassificationThresholds:
     tortoise: Fraction = Fraction(3, 20)
 
     def __post_init__(self):
+        _coerce_fractions(self, ("hare", "tortoise"))
         if self.hare <= self.tortoise:
             raise ConfigError("hare threshold must exceed tortoise threshold")
 
@@ -157,14 +169,22 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
         if curve.pub_year is None or curve.pub_year in seen_years:
             raise ValueError("volume curves must carry distinct pub_years")
         seen_years.add(curve.pub_year)
+    width = max(horizon + 1, 0)
+    sums = [0] * width
+    ending = [0] * (width + 1)  # ending[n]: curves that observe ages 0..n-1 only
+    for curve in curves:
+        observed = curve.values[:width]
+        sums[: len(observed)] = map(add, sums, observed)
+        ending[len(observed)] += 1
     values = []
     observations = []
-    for age in range(horizon + 1):
-        observed = [c.values[age] for c in curves if age < len(c.values)]
-        if not observed:
+    count = len(curves)
+    for age in range(width):
+        count -= ending[age]
+        if not count:
             raise ValueError(f"no volume observes age {age}")
-        values.append(Fraction(sum(observed), len(observed)))
-        observations.append(len(observed))
+        values.append(Fraction(sums[age], count))
+        observations.append(count)
     return AccrualCurve(journal, None, KIND_RAW, tuple(values), tuple(observations))
 
 
@@ -176,15 +196,25 @@ def volume_curves(
     observation_end defaults to the last citing year present anywhere in the
     profile, so a volume published in year y gets ages 0..(end - y).
     """
-    years = profile.pub_years()
-    if not years:
+    if not profile.cells:
         return {}
+    if use not in (USE_TOTAL, USE_NONSELF):
+        raise ValueError(f"unknown counting mode {use!r}")
     if observation_end is None:
-        observation_end = max(profile.citing_years())
-    return {
-        year: accrual_curve(profile, year, observation_end - year, use)
-        for year in years
+        observation_end = max(citing for _, citing in profile.cells)
+    rows = {
+        year: [0] * (observation_end - year + 1)
+        for year in sorted({cited for cited, _ in profile.cells})
         if year <= observation_end
+    }
+    nonself = use == USE_NONSELF
+    for (cited, citing), cell in profile.cells.items():
+        row = rows.get(cited)
+        if row is not None and cited <= citing <= observation_end:
+            row[citing - cited] = cell.total - cell.self_count if nonself else cell.total
+    return {
+        year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
+        for year, row in rows.items()
     }
 
 
@@ -210,7 +240,7 @@ def observable_horizon(profile: CitationProfile) -> int:
     """Largest age any volume in the profile could have been observed at."""
     if not profile.cells:
         return 0
-    return max(profile.citing_years()) - min(profile.pub_years())
+    return max(citing for _, citing in profile.cells) - min(cited for cited, _ in profile.cells)
 
 
 def detect_anomalous_volumes(
@@ -245,22 +275,39 @@ def detect_anomalous_volumes(
                     )
                 )
 
-    max_len = max(len(c.values) for c in standardized.values())
-    medians = []
-    for age in range(max_len):
-        observed = [c.values[age] for c in standardized.values() if age < len(c.values)]
-        medians.append(median(observed) if observed else None)
-    for pub_year in sorted(standardized):
-        curve = standardized[pub_year]
-        for age, value in enumerate(curve.values):
-            reference = medians[age]
-            if reference is None:
-                continue
-            deviation = value - reference
-            if abs(deviation) >= thresholds.deviation_pp:
-                findings.append(
-                    AnomalyFinding(journal, pub_year, age, deviation, ACCRUAL_DEVIATION)
-                )
+    # Longest curves first, so the volumes observing an age are a prefix.
+    volumes = sorted(
+        ((c.values, year) for year, c in standardized.items()),
+        key=lambda item: len(item[0]),
+        reverse=True,
+    )
+    limit_num = thresholds.deviation_pp.numerator
+    limit_den = thresholds.deviation_pp.denominator
+    flagged = []
+    observing = len(volumes)
+    for age in range(len(volumes[0][0])):
+        while len(volumes[observing - 1][0]) <= age:
+            observing -= 1
+        column = sorted(values[age] for values, _ in volumes[:observing])
+        middle = observing // 2
+        if observing % 2:
+            reference = column[middle]
+        else:
+            reference = Fraction(column[middle - 1] + column[middle], 2)
+        # |a/b - p/q| >= n/d  <=>  |a*q - p*b| * d >= n * b * q, all denominators > 0.
+        p_d = reference.numerator * limit_den
+        q_d = reference.denominator * limit_den
+        n_q = limit_num * reference.denominator
+        for values, pub_year in volumes[:observing]:
+            value = values[age]
+            b = value.denominator
+            if abs(value.numerator * q_d - p_d * b) >= n_q * b:
+                flagged.append((pub_year, age, value - reference))
+    flagged.sort()
+    findings.extend(
+        AnomalyFinding(journal, pub_year, age, deviation, ACCRUAL_DEVIATION)
+        for pub_year, age, deviation in flagged
+    )
     return findings
 
 

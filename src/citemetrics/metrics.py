@@ -9,7 +9,8 @@ not mean equal impact.  The correction here measures the share directly
 the window stands in for a fixed quantile of lifetime citations.
 
 All arithmetic is exact (fractions.Fraction); rounding happens only in
-presentation helpers.
+presentation helpers.  Sums over many exact values run on integers scaled to
+a common denominator, and one Fraction is built from the result.
 """
 from __future__ import annotations
 
@@ -191,10 +192,9 @@ def immediacy_index(
 
 def received_by_age(profile: CitationProfile, eval_year: int) -> list[int]:
     """Citations received in eval_year, indexed by item age 0..oldest volume."""
-    years = profile.pub_years()
-    if not years:
+    if not profile.cells:
         return []
-    oldest = eval_year - min(years)
+    oldest = eval_year - min(cited for cited, _ in profile.cells)
     if oldest < 0:
         return []
     counts = [0] * (oldest + 1)
@@ -244,11 +244,13 @@ def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
         raise ValueError(
             f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
         )
-    total = sum(mean_curve.values[: policy.horizon + 1])
+    values = mean_curve.values[: policy.horizon + 1]
+    common = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (common // v.denominator) for v in values]
+    total = sum(scaled)
     if total == 0:
         raise ZeroWindowError(f"{mean_curve.journal!r}: no citations within the horizon")
-    window = sum(mean_curve.values[a] for a in policy.window_ages)
-    return Fraction(window, 1) / Fraction(total, 1)
+    return Fraction(sum(scaled[a] for a in policy.window_ages), total)
 
 
 def scaling_factor(coverage, target_quantile) -> Fraction:
@@ -294,10 +296,9 @@ def normalize_within_field(
 
 def journal_age(profile: CitationProfile, eval_year: int) -> int:
     """Years from the earliest volume in the ledger through eval_year, inclusive."""
-    years = profile.pub_years()
-    if not years:
+    if not profile.cells:
         raise ValueError("profile has no cells")
-    return eval_year - min(years) + 1
+    return eval_year - min(cited for cited, _ in profile.cells) + 1
 
 
 def reliability_flags(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -233,6 +234,58 @@ def test_curves_strip_self_restores_consistency(capsys, hare_dir):
     assert "AccrualDeviation" in plain_err
     assert "SelfCitationSpike" not in stripped_err
     assert "AccrualDeviation" not in stripped_err
+
+
+def test_curves_horizon_needs_no_window(capsys, hare_dir):
+    citations = str(hare_dir / "citations.csv")
+    assert main(["curves", "Hare", "--citations", citations, "--horizon", "1"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["age"] for r in rows if r["pub_year"] == ""] == ["0", "1"]
+    assert main(["curves", "Hare", "--citations", citations, "--horizon", "0"]) == 0
+    capsys.readouterr()
+    assert main(["curves", "Hare", "--citations", citations, "--horizon", "-1"]) == 3
+    assert "horizon" in capsys.readouterr().err
+
+
+# 40 volumes: one spiked cell (AccrualDeviation over the rest of 1975's
+# life), two self-citation bursts (SelfCitationSpike), two volumes too young
+# to standardize, and two rescaled volumes that standardization absorbs.
+GOLDEN_SPEC = """\
+journal = Golden
+pub_years = 1960-1999
+kernel = risedecay:2:4/5:17/20:30
+base_citations = 60
+items_per_year = 120
+observation_end = 1999
+volume_scale = 1966,3/2
+volume_scale = 1988,1/3
+self_fraction = 1971,0,3/5
+self_fraction = 1971,1,1/2
+self_fraction = 1984,2,7/10
+spike = 1975,6,200
+"""
+
+
+def test_curves_svg_golden(tmp_path, capsys):
+    spec = tmp_path / "golden.synth"
+    spec.write_text(GOLDEN_SPEC)
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    chart = tmp_path / "golden.svg"
+    code = main(["curves", "golden", "--citations", str(tmp_path / "citations.csv"),
+                 "--svg", str(chart)])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "SelfCitationSpike in volume 1971 at age 0 (+60.5 points)" in captured.err
+    assert "AccrualDeviation in volume 1975 at age 6 (+137.0 points)" in captured.err
+    digests = [
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (captured.out, captured.err, chart.read_text(encoding="utf-8"))
+    ]
+    assert digests == [
+        "44c3a72a8811f2e7c0216ee43c0a0075b2f0c1692a0d06567a0c7813d1373ee5",
+        "f9b441b42d7a62cd29d50afe397a4daf063eb20bf3551a156420cdfbaf7e43fe",
+        "27caff91993125a0e934959913653cfa1653b5d2bf6790bbd0c08c2ae81ee692",
+    ]
 
 
 # --- validate ----------------------------------------------------------------------

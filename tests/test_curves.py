@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from statistics import median
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,10 @@ from citemetrics.curves import (
     KIND_CUMULATIVE,
     KIND_RAW,
     SELF_CITATION_SPIKE,
+    USE_NONSELF,
+    USE_TOTAL,
     AccrualCurve,
+    AnomalyFinding,
     AnomalyThresholds,
     ClassificationThresholds,
     accrual_curve,
@@ -23,11 +27,13 @@ from citemetrics.curves import (
     curves_to_csv,
     detect_anomalous_volumes,
     mean_accrual_curve,
+    observable_horizon,
     standardize_to_age2,
     standardized_volume_curves,
     volume_curves,
 )
 from citemetrics.errors import ConfigError, DegenerateVolumeError
+from citemetrics.ledger import volume_self_rates
 
 from conftest import make_profile
 
@@ -284,3 +290,214 @@ def test_curves_csv_layout():
     assert lines[0] == "journal,pub_year,kind,age,value,observations"
     assert lines[1] == "J,1990,raw,0,1.0,"
     assert lines[3] == "J,,raw,0,1.0,1"
+
+
+# --- differential tests: integer kernels vs the Fraction-per-value code --
+#
+# Each reference_* function is the implementation the integer kernels
+# replaced, kept verbatim in behaviour: a Fraction (or statistics.median)
+# operation for every value.  The kernels must return equal results and
+# raise the same errors.
+
+
+def reference_detect_anomalous_volumes(standardized, self_rates, thresholds):
+    if len(standardized) < 3:
+        raise ValueError("anomaly detection needs at least 3 standardized volumes")
+    journal = next(iter(standardized.values())).journal
+    findings = []
+    for pub_year in sorted(self_rates):
+        for citing_year, rate in self_rates[pub_year].items():
+            if rate >= thresholds.self_rate:
+                findings.append(AnomalyFinding(
+                    journal, pub_year, citing_year - pub_year, rate * 100, SELF_CITATION_SPIKE
+                ))
+    max_len = max(len(c.values) for c in standardized.values())
+    medians = []
+    for age in range(max_len):
+        observed = [c.values[age] for c in standardized.values() if age < len(c.values)]
+        medians.append(median(observed) if observed else None)
+    for pub_year in sorted(standardized):
+        for age, value in enumerate(standardized[pub_year].values):
+            reference = medians[age]
+            if reference is None:
+                continue
+            deviation = value - reference
+            if abs(deviation) >= thresholds.deviation_pp:
+                findings.append(
+                    AnomalyFinding(journal, pub_year, age, deviation, ACCRUAL_DEVIATION)
+                )
+    return findings
+
+
+def reference_volume_curves(profile, use, observation_end):
+    years = profile.pub_years()
+    if not years:
+        return {}
+    if observation_end is None:
+        observation_end = max(profile.citing_years())
+    return {
+        year: accrual_curve(profile, year, observation_end - year, use)
+        for year in years
+        if year <= observation_end
+    }
+
+
+def reference_mean_accrual_curve(curves, horizon):
+    values = []
+    observations = []
+    for age in range(horizon + 1):
+        observed = [c.values[age] for c in curves if age < len(c.values)]
+        if not observed:
+            raise ValueError(f"no volume observes age {age}")
+        values.append(Fraction(sum(observed), len(observed)))
+        observations.append(len(observed))
+    return AccrualCurve(curves[0].journal, None, KIND_RAW, tuple(values), tuple(observations))
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# Small numerators over a few denominators: ties, odd and even columns and
+# deviations landing exactly on the threshold are all common.
+fraction_values = st.builds(Fraction, st.integers(-80, 480), st.sampled_from([1, 2, 3, 4, 6]))
+exact_values = st.one_of(st.integers(-40, 240), fraction_values)
+anomaly_thresholds = st.builds(
+    AnomalyThresholds,
+    self_rate=st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1)]),
+    deviation_pp=st.sampled_from(
+        [Fraction(1, 2), Fraction(1), Fraction(5, 3), Fraction(25), Fraction(51, 2)]
+    ),
+)
+
+
+@given(
+    # Standardized curves hold Fractions only.  On a column mixing ints and
+    # Fractions, statistics.median returns a float for an even count, and
+    # the reference's deviation is then a rounded float.
+    st.lists(st.lists(fraction_values, min_size=0, max_size=7), min_size=3, max_size=9),
+    st.dictionaries(
+        st.integers(1990, 1999),
+        st.dictionaries(st.integers(1990, 2005), st.fractions(0, 1), max_size=3),
+        max_size=3,
+    ),
+    anomaly_thresholds,
+)
+def test_detect_anomalous_volumes_matches_reference(rows, self_rates, thresholds):
+    standardized = {
+        1990 + i: AccrualCurve("J", 1990 + i, "standardized", tuple(values))
+        for i, values in enumerate(rows)
+    }
+    expected = outcome(reference_detect_anomalous_volumes, standardized, self_rates, thresholds)
+    assert outcome(detect_anomalous_volumes, standardized, self_rates, thresholds) == expected
+
+
+def test_detect_anomalous_volumes_threshold_is_inclusive_both_ways():
+    # Odd column 50, 100, 150 (median 100): a 50-point threshold flags both
+    # the -50 and the +50 volume.
+    curves = {1990 + i: AccrualCurve("J", 1990 + i, "standardized", (Fraction(v),))
+              for i, v in enumerate([50, 100, 150])}
+    findings = detect_anomalous_volumes(curves, {}, AnomalyThresholds(deviation_pp=50))
+    assert [(f.pub_year, f.deviation) for f in findings] == [(1990, -50), (1992, 50)]
+    # Even column adds 301/2: the median becomes the midpoint 125, and a
+    # 51/2 threshold flags -75 and exactly +51/2 but not the two at 25.
+    curves[1993] = AccrualCurve("J", 1993, "standardized", (Fraction(301, 2),))
+    findings = detect_anomalous_volumes(
+        curves, {}, AnomalyThresholds(deviation_pp=Fraction(51, 2))
+    )
+    assert [(f.pub_year, f.deviation) for f in findings] == [
+        (1990, -75), (1993, Fraction(51, 2))
+    ]
+    assert all(type(f.deviation) is Fraction for f in findings)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1990, 1996), st.integers(-1, 7)),
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        max_size=24,
+    ),
+    st.sampled_from([USE_TOTAL, USE_NONSELF]),
+    st.one_of(st.none(), st.integers(1985, 2008)),
+)
+def test_volume_curves_matches_reference(cells, use, observation_end):
+    profile = make_profile("J", {
+        (cited, cited + age): (total + self_count, self_count)
+        for (cited, age), (total, self_count) in cells.items()
+    })
+    expected = reference_volume_curves(profile, use, observation_end)
+    result = volume_curves(profile, use, observation_end)
+    assert result == expected
+    assert list(result) == list(expected)
+
+
+def test_volume_curves_empty_profile():
+    empty = make_profile("J", {})
+    assert volume_curves(empty) == {} == reference_volume_curves(empty, USE_TOTAL, None)
+    assert volume_curves(empty, USE_NONSELF, 2000) == {}
+    assert observable_horizon(empty) == 0
+
+
+@given(
+    st.lists(st.lists(exact_values, min_size=0, max_size=7), min_size=1, max_size=8),
+    st.integers(-1, 8),
+)
+def test_mean_accrual_curve_matches_reference(rows, horizon):
+    curves = [raw(values, pub_year=1990 + i) for i, values in enumerate(rows)]
+    expected = outcome(reference_mean_accrual_curve, curves, horizon)
+    result = outcome(mean_accrual_curve, curves, horizon)
+    assert result == expected
+    if isinstance(result, AccrualCurve):
+        assert all(type(v) is Fraction for v in result.values)
+
+
+# --- threshold coercion -------------------------------------------------
+
+
+def test_thresholds_coerce_to_fraction():
+    anomaly = AnomalyThresholds(self_rate=0.5, deviation_pp=25.0)
+    assert anomaly == AnomalyThresholds()
+    assert type(anomaly.self_rate) is Fraction and type(anomaly.deviation_pp) is Fraction
+    classes = ClassificationThresholds(hare=0.25, tortoise=0.15)
+    assert classes.hare == Fraction(1, 4)
+    assert classes.tortoise == 0.15  # the float's exact value, not 3/20
+    assert type(classes.tortoise) is Fraction
+
+
+@pytest.mark.parametrize("fixture", ["hare", "tortoise"])
+@pytest.mark.parametrize(
+    "floats,fractions",
+    [
+        ((0.5, 25.0), (Fraction(1, 2), Fraction(25))),
+        ((0.25, 25.5), (Fraction(1, 4), Fraction(51, 2))),
+        ((0.75, 2.5), (Fraction(3, 4), Fraction(5, 2))),
+    ],
+)
+def test_float_and_fraction_anomaly_thresholds_agree(request, fixture, floats, fractions):
+    _, profile, _ = request.getfixturevalue(fixture)
+    standardized, _ = standardized_volume_curves(volume_curves(profile))
+    rates = volume_self_rates(profile)
+    by_float = detect_anomalous_volumes(standardized, rates, AnomalyThresholds(*floats))
+    by_fraction = detect_anomalous_volumes(standardized, rates, AnomalyThresholds(*fractions))
+    assert by_float == by_fraction
+    assert by_float == reference_detect_anomalous_volumes(
+        standardized, rates, AnomalyThresholds(*fractions)
+    )
+
+
+@given(
+    st.floats(0.01, 1.0),
+    st.floats(0.0, 0.99),
+    st.fractions(min_value=0, max_value=1),
+)
+def test_float_classification_thresholds_match_float_comparison(hare, tortoise, coverage):
+    if hare <= tortoise:
+        return
+    expected = CLASS_HARE if coverage >= hare else (
+        CLASS_TORTOISE if coverage <= tortoise else CLASS_INTERMEDIATE
+    )
+    thresholds = ClassificationThresholds(hare=hare, tortoise=tortoise)
+    assert classify_journal(coverage, thresholds) == expected

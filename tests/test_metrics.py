@@ -205,6 +205,47 @@ def test_coverage_requires_horizon_length():
         window_coverage(mean_curve([1, 1, 1]), WindowPolicy())
 
 
+def reference_window_coverage(mean_curve, policy):
+    # The code the integer-sum kernel replaced: Fraction additions per value.
+    if mean_curve.max_age() < policy.horizon:
+        raise ValueError(
+            f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
+        )
+    total = sum(mean_curve.values[: policy.horizon + 1])
+    if total == 0:
+        raise ZeroWindowError(f"{mean_curve.journal!r}: no citations within the horizon")
+    window = sum(mean_curve.values[a] for a in policy.window_ages)
+    return Fraction(window, 1) / Fraction(total, 1)
+
+
+def coverage_outcome(function, curve, policy):
+    try:
+        return function(curve, policy)
+    except (ValueError, ZeroWindowError) as exc:
+        return (type(exc), str(exc))
+
+
+mean_values = st.one_of(
+    st.integers(0, 30),
+    st.builds(Fraction, st.integers(0, 90), st.integers(1, 12)),
+)
+
+
+@given(
+    st.lists(mean_values, min_size=1, max_size=12),
+    st.sets(st.integers(0, 4), min_size=1),
+    st.integers(4, 12),
+)
+def test_window_coverage_matches_reference(values, window_ages, horizon):
+    curve = mean_curve(values)
+    policy = WindowPolicy(tuple(window_ages), horizon)
+    expected = coverage_outcome(reference_window_coverage, curve, policy)
+    result = coverage_outcome(window_coverage, curve, policy)
+    assert result == expected
+    if not isinstance(result, tuple):
+        assert type(result) is Fraction
+
+
 def test_scaling_factor_values():
     assert round_half_away(scaling_factor(Fraction(38, 100), Fraction(1, 2))) == 1.3
     assert round_half_away(scaling_factor(Fraction(65, 1000), Fraction(1, 2))) == 7.7
