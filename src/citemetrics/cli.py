@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,25 +32,6 @@ REPORT_COLUMNS = (
 )
 ADJUST_COLUMNS = ("journal", "eval_year", "jif", "coverage", "scaling_factor",
                   "adjusted_jif", "class")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's inputs, policy, and output choices."""
-
-    citations: str
-    publications: str | None = None
-    aliases: str | None = None
-    eval_year: int | None = None
-    policy: WindowPolicy = WindowPolicy()
-    strip_self: bool = False
-    format: str = "csv"
-    output: str | None = None
-    svg_path: str | None = None
-    anomaly: AnomalyThresholds = field(default_factory=AnomalyThresholds)
-    classification: ClassificationThresholds = field(
-        default_factory=ClassificationThresholds
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,119 +68,85 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_policy(p):
         p.add_argument("--year", type=int, required=True, help="evaluation year")
-        p.add_argument("--window", type=_ages, default=(1, 2),
+        p.add_argument("--window", type=_ages, default=WindowPolicy.window_ages,
                        help="item ages in the citation window (default 1,2)")
-        p.add_argument("--horizon", type=int, default=20,
+        p.add_argument("--horizon", type=int, default=WindowPolicy.horizon,
                        help="age horizon for coverage (default 20)")
-        p.add_argument("--quantile", type=_fraction, default=Fraction(1, 2),
+        p.add_argument("--quantile", type=_fraction, default=WindowPolicy.target_quantile,
                        help="target quantile for scaling (default 0.5)")
         p.add_argument("--strip-self", action="store_true",
                        help="remove self-references before computing")
-        p.add_argument("--hare", type=_fraction, default=Fraction(1, 4),
+        p.add_argument("--hare", type=_fraction, default=ClassificationThresholds.hare,
                        help="coverage at or above which a journal is a Hare")
-        p.add_argument("--tortoise", type=_fraction, default=Fraction(3, 20),
+        p.add_argument("--tortoise", type=_fraction, default=ClassificationThresholds.tortoise,
                        help="coverage at or below which a journal is a Tortoise")
 
-    p_report = sub.add_parser("report", help="full indicator table")
-    add_inputs(p_report)
-    add_policy(p_report)
-    p_report.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_report.add_argument("-o", "--output", help="write here instead of stdout")
-    p_report.set_defaults(run=lambda args: cmd_report(_config(args)))
-
-    p_adjust = sub.add_parser("adjust", help="scaling columns only")
-    add_inputs(p_adjust)
-    add_policy(p_adjust)
-    p_adjust.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_adjust.add_argument("-o", "--output", help="write here instead of stdout")
-    p_adjust.set_defaults(run=lambda args: cmd_adjust(_config(args)))
+    for name, columns, summary in (("report", REPORT_COLUMNS, "full indicator table"),
+                                   ("adjust", ADJUST_COLUMNS, "scaling columns only")):
+        p_table = sub.add_parser(name, help=summary)
+        add_inputs(p_table)
+        add_policy(p_table)
+        p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_table.add_argument("-o", "--output", help="write here instead of stdout")
+        p_table.set_defaults(run=cmd_table, columns=columns)
 
     p_curves = sub.add_parser("curves", help="accrual curves for one journal")
     p_curves.add_argument("journal", help="journal name (case-insensitive)")
     add_inputs(p_curves, publications=False)
-    p_curves.add_argument("--horizon", type=int, default=20)
+    p_curves.add_argument("--horizon", type=int, default=WindowPolicy.horizon)
     p_curves.add_argument("--strip-self", action="store_true")
-    p_curves.add_argument("--self-threshold", type=_fraction, default=Fraction(1, 2),
+    p_curves.add_argument("--self-threshold", type=_fraction,
+                          default=AnomalyThresholds.self_rate,
                           help="self-rate flagged as a spike (default 0.5)")
-    p_curves.add_argument("--deviation-threshold", type=_fraction, default=Fraction(25),
+    p_curves.add_argument("--deviation-threshold", type=_fraction,
+                          default=AnomalyThresholds.deviation_pp,
                           help="standardized deviation flagged, in points (default 25)")
     p_curves.add_argument("--svg", help="also draw standardized curves to this file")
     p_curves.add_argument("-o", "--output", help="write here instead of stdout")
-    p_curves.set_defaults(
-        run=lambda args: cmd_curves(_config(args), args.journal, args.horizon)
-    )
+    p_curves.set_defaults(run=cmd_curves)
 
     p_synth = sub.add_parser("synth", help="expand a synthetic spec to ledger files")
     p_synth.add_argument("spec", help="spec file path, or a bundled name "
                                       f"({', '.join(synth.FIXTURE_NAMES)})")
     p_synth.add_argument("--outdir", required=True, help="directory for the CSV files")
-    p_synth.set_defaults(run=lambda args: cmd_synth(args.spec, args.outdir))
+    p_synth.set_defaults(run=cmd_synth)
 
     p_validate = sub.add_parser("validate", help="parse inputs, report problems")
     p_validate.add_argument("--citations")
     p_validate.add_argument("--publications")
     p_validate.add_argument("--aliases")
-    p_validate.set_defaults(
-        run=lambda args: cmd_validate(args.citations, args.publications, args.aliases)
-    )
+    p_validate.set_defaults(run=cmd_validate)
 
     return parser
-
-
-def _config(args) -> RunConfig:
-    policy = WindowPolicy()
-    if hasattr(args, "window"):  # report and adjust; curves has only a horizon
-        policy = WindowPolicy(args.window, args.horizon, args.quantile)
-    return RunConfig(
-        citations=args.citations,
-        publications=getattr(args, "publications", None),
-        aliases=args.aliases,
-        eval_year=getattr(args, "year", None),
-        policy=policy,
-        strip_self=getattr(args, "strip_self", False),
-        format=getattr(args, "format", "csv"),
-        output=getattr(args, "output", None),
-        svg_path=getattr(args, "svg", None),
-        anomaly=AnomalyThresholds(
-            getattr(args, "self_threshold", Fraction(1, 2)),
-            getattr(args, "deviation_threshold", Fraction(25)),
-        ),
-        classification=ClassificationThresholds(
-            getattr(args, "hare", Fraction(1, 4)),
-            getattr(args, "tortoise", Fraction(3, 20)),
-        ),
-    )
 
 
 def _read_lines(path: str):
     return Path(path).read_text(encoding="utf-8").splitlines()
 
 
-def _load_aliases(config: RunConfig) -> ledger.AliasMap:
-    if config.aliases:
-        return ledger.parse_alias_csv(_read_lines(config.aliases), source=config.aliases)
+def _load_aliases(path: str | None) -> ledger.AliasMap:
+    if path:
+        return ledger.parse_alias_csv(_read_lines(path), source=path)
     return ledger.EMPTY_ALIASES
 
 
-def _load_profiles(config: RunConfig, aliases) -> dict[str, ledger.CitationProfile]:
-    with open(config.citations, encoding="utf-8") as handle:
-        profiles, _ = ledger.read_citation_profiles(handle, aliases, source=config.citations)
-    if config.strip_self:
+def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
+    with open(args.citations, encoding="utf-8") as handle:
+        profiles, _ = ledger.read_citation_profiles(handle, aliases, source=args.citations)
+    if args.strip_self:
         profiles = {j: ledger.strip_self_references(p) for j, p in profiles.items()}
     return profiles
 
 
-def _load_publications(config: RunConfig, aliases) -> ledger.PublicationCounts:
-    if config.publications:
-        return ledger.parse_publication_csv(
-            _read_lines(config.publications), aliases, source=config.publications
-        )
+def _load_publications(path: str | None, aliases) -> ledger.PublicationCounts:
+    if path:
+        return ledger.parse_publication_csv(_read_lines(path), aliases, source=path)
     return ledger.PublicationCounts()
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+def _emit(output: str | None, text: str) -> None:
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -213,26 +159,6 @@ def _cell(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-def _report_rows(config: RunConfig) -> list[dict]:
-    if config.eval_year is None:
-        raise ConfigError("report needs an evaluation year")
-    aliases = _load_aliases(config)
-    profiles = _load_profiles(config, aliases)
-    pubs = _load_publications(config, aliases)
-    rows = []
-    for journal in sorted(profiles, key=str.casefold):
-        report = metrics.build_indicator_report(
-            profiles[journal], pubs, config.eval_year, config.policy
-        )
-        data = report.to_json_dict()
-        data["class"] = (
-            "" if report.coverage is None
-            else curves_mod.classify_journal(report.coverage, config.classification)
-        )
-        rows.append({key: data[key] for key in REPORT_COLUMNS})
-    return rows
 
 
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
@@ -248,26 +174,41 @@ def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_report(config: RunConfig) -> int:
-    rows = _report_rows(config)
-    _emit(config, _render_rows(rows, REPORT_COLUMNS, config.format))
+def cmd_table(args) -> int:
+    """report and adjust: one row per journal, restricted to args.columns."""
+    rows = _table_rows(args)
+    _emit(args.output, _render_rows(rows, args.columns, args.format))
     return 0
 
 
-def cmd_adjust(config: RunConfig) -> int:
-    rows = [{k: row[k] for k in ADJUST_COLUMNS} for row in _report_rows(config)]
-    _emit(config, _render_rows(rows, ADJUST_COLUMNS, config.format))
-    return 0
+def _table_rows(args) -> list[dict]:
+    # A function of its own, so the profiles are freed before rendering.
+    policy = WindowPolicy(args.window, args.horizon, args.quantile)
+    classification = ClassificationThresholds(args.hare, args.tortoise)
+    aliases = _load_aliases(args.aliases)
+    profiles = _load_profiles(args, aliases)
+    pubs = _load_publications(args.publications, aliases)
+    rows = []
+    for journal in sorted(profiles, key=str.casefold):
+        report = metrics.build_indicator_report(profiles[journal], pubs, args.year, policy)
+        data = report.to_json_dict()
+        data["class"] = (
+            "" if report.coverage is None
+            else curves_mod.classify_journal(report.coverage, classification)
+        )
+        rows.append({key: data[key] for key in args.columns})
+    return rows
 
 
-def cmd_curves(config: RunConfig, journal: str, horizon: int) -> int:
-    if horizon < 0:
+def cmd_curves(args) -> int:
+    anomaly = AnomalyThresholds(args.self_threshold, args.deviation_threshold)
+    if args.horizon < 0:
         raise ConfigError("horizon must be >= 0")
-    aliases = _load_aliases(config)
-    profiles = _load_profiles(config, aliases)
-    profile = ledger.find_profile(profiles, journal)
+    aliases = _load_aliases(args.aliases)
+    profiles = _load_profiles(args, aliases)
+    profile = ledger.find_profile(profiles, args.journal)
     if profile is None:
-        raise CitemetricsError(f"unknown journal {journal!r}")
+        raise CitemetricsError(f"unknown journal {args.journal!r}")
     volumes = curves_mod.volume_curves(profile)
     standardized, skipped = curves_mod.standardized_volume_curves(volumes)
     for year in skipped:
@@ -281,13 +222,13 @@ def cmd_curves(config: RunConfig, journal: str, horizon: int) -> int:
         out.append(curves_mod.cumulative(raw))
         if year in standardized:
             out.append(standardized[year])
-    horizon = min(horizon, curves_mod.observable_horizon(profile))
-    out.append(curves_mod.mean_accrual_curve(list(volumes.values()), horizon))
-    _emit(config, curves_mod.curves_to_csv(out))
+    raws = list(volumes.values())
+    out.append(curves_mod.mean_accrual_curve(raws, curves_mod.clamp_horizon(args.horizon, raws)))
+    _emit(args.output, curves_mod.curves_to_csv(out))
 
     if len(standardized) >= 3:
         findings = curves_mod.detect_anomalous_volumes(
-            standardized, ledger.volume_self_rates(profile), config.anomaly
+            standardized, ledger.volume_self_rates(profile), anomaly
         )
         for f in findings:
             print(
@@ -296,7 +237,7 @@ def cmd_curves(config: RunConfig, journal: str, horizon: int) -> int:
                 file=sys.stderr,
             )
 
-    if config.svg_path:
+    if args.svg:
         series = [
             (str(year), [(age, float(v)) for age, v in enumerate(standardized[year].values)])
             for year in sorted(standardized)
@@ -309,19 +250,19 @@ def cmd_curves(config: RunConfig, journal: str, horizon: int) -> int:
             y_label="cumulative citations (% of age-2 count)",
             title=f"{profile.journal}: standardized citation accrual",
         )
-        Path(config.svg_path).write_text(chart, encoding="utf-8")
+        Path(args.svg).write_text(chart, encoding="utf-8")
     return 0
 
 
-def cmd_synth(spec_ref: str, outdir: str) -> int:
-    if spec_ref in synth.FIXTURE_NAMES:
-        spec = synth.fixture_spec(spec_ref)
+def cmd_synth(args) -> int:
+    if args.spec in synth.FIXTURE_NAMES:
+        spec = synth.fixture_spec(args.spec)
     else:
         spec = synth.parse_synth_spec(
-            Path(spec_ref).read_text(encoding="utf-8"), source=spec_ref
+            Path(args.spec).read_text(encoding="utf-8"), source=args.spec
         )
     profile, _ = synth.generate_profile(spec)
-    target = Path(outdir)
+    target = Path(args.outdir)
     target.mkdir(parents=True, exist_ok=True)
     citations = ledger.profiles_to_citation_csv({profile.journal: profile})
     publications = [ledger.PUBLICATIONS_HEADER]
@@ -335,24 +276,19 @@ def cmd_synth(spec_ref: str, outdir: str) -> int:
     return 0
 
 
-def cmd_validate(citations: str | None, publications: str | None,
-                 aliases_path: str | None) -> int:
-    if not (citations or publications or aliases_path):
+def cmd_validate(args) -> int:
+    if not (args.citations or args.publications or args.aliases):
         raise ConfigError("validate needs at least one input file")
-    aliases = ledger.EMPTY_ALIASES
-    if aliases_path:
-        aliases = ledger.parse_alias_csv(_read_lines(aliases_path), source=aliases_path)
-    if citations:
-        with open(citations, encoding="utf-8") as handle:
-            _, count = ledger.read_citation_profiles(handle, aliases, source=citations)
-        print(f"{citations}: {count} records")
-    if publications:
-        pubs = ledger.parse_publication_csv(
-            _read_lines(publications), aliases, source=publications
-        )
-        print(f"{publications}: {len(pubs.entries)} entries")
-    if aliases_path:
-        print(f"{aliases_path}: {len(aliases.entries)} aliases")
+    aliases = _load_aliases(args.aliases)
+    if args.citations:
+        with open(args.citations, encoding="utf-8") as handle:
+            _, count = ledger.read_citation_profiles(handle, aliases, source=args.citations)
+        print(f"{args.citations}: {count} records")
+    if args.publications:
+        pubs = _load_publications(args.publications, aliases)
+        print(f"{args.publications}: {len(pubs.entries)} entries")
+    if args.aliases:
+        print(f"{args.aliases}: {len(aliases.entries)} aliases")
     return 0
 
 

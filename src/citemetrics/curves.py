@@ -243,6 +243,18 @@ def observable_horizon(profile: CitationProfile) -> int:
     return max(citing for _, citing in profile.cells) - min(cited for cited, _ in profile.cells)
 
 
+def clamp_horizon(horizon: int, curves: Iterable[AccrualCurve]) -> int:
+    """`horizon`, shortened to the oldest age any of `curves` reaches.
+
+    The one place a requested horizon gives way to what the ledger can
+    observe: mean curves and coverage for young journals use the shorter
+    span instead of failing.  Given a journal's volume curves, the bound is
+    observable_horizon of its profile, found without another pass over the
+    cells.
+    """
+    return min(horizon, max((curve.max_age() for curve in curves), default=horizon))
+
+
 def detect_anomalous_volumes(
     standardized: Mapping[int, AccrualCurve],
     self_rates: Mapping[int, Mapping[int, Fraction]],

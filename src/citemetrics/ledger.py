@@ -81,13 +81,6 @@ class CitationProfile:
     journal: str
     cells: dict[tuple[int, int], CellCount] = field(default_factory=dict)
 
-    def pub_years(self) -> list[int]:
-        """Publication years with at least one ledger cell, ascending."""
-        return sorted({cited for cited, _ in self.cells})
-
-    def citing_years(self) -> list[int]:
-        return sorted({citing for _, citing in self.cells})
-
     def total_citations(self) -> int:
         return sum(c.total for c in self.cells.values())
 
@@ -168,15 +161,6 @@ def iter_citation_records(
             yield _parse_row(number, line, resolved, alias_map, source)
     if not saw_header:
         raise ParseError(1, "missing header", source)
-
-
-def parse_citation_csv(
-    lines: Iterable[str],
-    alias_map: AliasMap = EMPTY_ALIASES,
-    source: str | None = None,
-) -> list[CitationRecord]:
-    """Parse a whole citation ledger into a list, preserving input order."""
-    return list(iter_citation_records(lines, alias_map, source))
 
 
 def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap:

@@ -15,12 +15,12 @@ a common denominator, and one Fraction is built from the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import curves as curves_mod
-from .curves import AccrualCurve, USE_TOTAL
+from .curves import AccrualCurve
 from .errors import (
     ConfigError,
     MissingDenominatorError,
@@ -34,8 +34,6 @@ FLAG_ZERO_WINDOW_CITATIONS = "ZeroWindowCitations"
 
 JCR_TRUNCATION_TOKEN = ">10"
 
-Rational = Fraction | int
-
 
 def as_fraction(value) -> Fraction:
     """Coerce int/float/str/Fraction to an exact Fraction."""
@@ -44,14 +42,16 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def half_away_units(value) -> int:
+    """Nearest integer to an exact value, halves rounded away from zero."""
+    if value >= 0:
+        return math.floor(value + Fraction(1, 2))
+    return math.ceil(value - Fraction(1, 2))
+
+
 def round_half_away(value, ndigits: int = 1) -> float:
     """Round with halves away from zero (0.25 -> 0.3 at 1 digit), as JCR prints."""
-    x = as_fraction(value) * Fraction(10**ndigits)
-    if x >= 0:
-        units = math.floor(x + Fraction(1, 2))
-    else:
-        units = math.ceil(x - Fraction(1, 2))
-    return units / 10**ndigits
+    return half_away_units(as_fraction(value) * 10**ndigits) / 10**ndigits
 
 
 @dataclass(frozen=True)
@@ -98,19 +98,6 @@ class IndicatorReport:
     adjusted_jif: Fraction | None
     flags: frozenset[str] = field(default_factory=frozenset)
 
-    JSON_FIELDS = (
-        "journal",
-        "eval_year",
-        "jif",
-        "immediacy",
-        "half_life_exact",
-        "half_life_jcr",
-        "coverage",
-        "scaling_factor",
-        "adjusted_jif",
-        "flags",
-    )
-
     def to_json_dict(self) -> dict:
         """Plain-JSON form; exact values become floats, ">10" stays literal."""
 
@@ -134,60 +121,32 @@ class IndicatorReport:
             "flags": sorted(self.flags),
         }
 
-    def to_csv_row(self) -> list[str]:
-        """Same values as to_json_dict, as CSV cells in the same column order."""
-        cells = []
-        for key in self.JSON_FIELDS:
-            value = self.to_json_dict()[key]
-            if value is None:
-                cells.append("")
-            elif key == "flags":
-                cells.append("|".join(value))
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        return cells
-
-
-def _window_numerator(profile: CitationProfile, eval_year: int, ages: Iterable[int]) -> int:
-    total = 0
-    for age in ages:
-        cell = profile.cells.get((eval_year - age, eval_year))
-        if cell is not None:
-            total += cell.total
-    return total
-
 
 def impact_factor(
-    profile: CitationProfile, pubs: PublicationCounts, eval_year: int
+    profile: CitationProfile,
+    pubs: PublicationCounts,
+    eval_year: int,
+    ages: Iterable[int] = (1, 2),
 ) -> Fraction:
-    """Citations in eval_year to the two preceding volumes, per citeable item.
+    """Citations in eval_year to the volumes `ages` years old, per citeable item.
 
-    Self-references are included, matching published practice; pass a
-    stripped profile to exclude them.  Both denominators must be present:
-    a guessed item count would silently skew the ratio.
+    The default ages (1, 2) give the classical two-year impact factor; ages
+    (0,) give the immediacy index.  Self-references are included, matching
+    published practice; pass a stripped profile to exclude them.  Every
+    volume's denominator must be present: a guessed item count would
+    silently skew the ratio.
     """
-    missing = [
-        y for y in (eval_year - 1, eval_year - 2) if pubs.get(profile.journal, y) is None
-    ]
+    years = [eval_year - age for age in sorted(set(ages))]
+    items = [pubs.get(profile.journal, year) for year in years]
+    missing = [year for year, count in zip(years, items) if count is None]
     if missing:
         raise MissingDenominatorError(profile.journal, tuple(missing))
-    numerator = _window_numerator(profile, eval_year, (1, 2))
-    denominator = pubs.get(profile.journal, eval_year - 1) + pubs.get(
-        profile.journal, eval_year - 2
-    )
-    return Fraction(numerator, denominator)
-
-
-def immediacy_index(
-    profile: CitationProfile, pubs: PublicationCounts, eval_year: int
-) -> Fraction:
-    """Same-year citations per same-year citeable item."""
-    items = pubs.get(profile.journal, eval_year)
-    if items is None:
-        raise MissingDenominatorError(profile.journal, (eval_year,))
-    return Fraction(_window_numerator(profile, eval_year, (0,)), items)
+    numerator = 0
+    for year in years:
+        cell = profile.cells.get((year, eval_year))
+        if cell is not None:
+            numerator += cell.total
+    return Fraction(numerator, sum(items))
 
 
 def received_by_age(profile: CitationProfile, eval_year: int) -> list[int]:
@@ -272,28 +231,6 @@ def adjusted_impact(jif, scaling) -> Fraction:
     return as_fraction(jif) * factor
 
 
-def normalize_within_field(
-    values: Mapping[str, Rational], fields: Mapping[str, str]
-) -> dict[str, Fraction]:
-    """Divide each journal's value by the mean of its field.
-
-    Every journal in `values` must have a field; a field whose mean is zero
-    is an error naming the field.
-    """
-    members: dict[str, list[Fraction]] = {}
-    for journal, value in values.items():
-        if journal not in fields:
-            raise ValueError(f"journal {journal!r} has no field membership")
-        members.setdefault(fields[journal], []).append(as_fraction(value))
-    means = {}
-    for name, vals in members.items():
-        mean = sum(vals, Fraction(0)) / len(vals)
-        if mean == 0:
-            raise ValueError(f"field {name!r} has zero mean; cannot normalize")
-        means[name] = mean
-    return {j: as_fraction(v) / means[fields[j]] for j, v in values.items()}
-
-
 def journal_age(profile: CitationProfile, eval_year: int) -> int:
     """Years from the earliest volume in the ledger through eval_year, inclusive."""
     if not profile.cells:
@@ -316,20 +253,17 @@ def reliability_flags(
     return frozenset()
 
 
-def journal_mean_curve(
-    profile: CitationProfile, horizon: int, use: str = USE_TOTAL
-) -> AccrualCurve:
+def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     """Ragged-mean accrual curve for a whole journal, clamped to the ledger span.
 
     The strict per-age observability rule lives in mean_accrual_curve; here
-    the horizon is capped at the oldest observable age so that reports for
+    the horizon is capped at the oldest observed age so that reports for
     young journals still produce a (shorter) curve rather than failing.
     """
     if not profile.cells:
         raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
-    effective = min(horizon, curves_mod.observable_horizon(profile))
-    volumes = curves_mod.volume_curves(profile, use)
-    return curves_mod.mean_accrual_curve(list(volumes.values()), effective)
+    volumes = list(curves_mod.volume_curves(profile).values())
+    return curves_mod.mean_accrual_curve(volumes, curves_mod.clamp_horizon(horizon, volumes))
 
 
 def build_indicator_report(
@@ -341,39 +275,38 @@ def build_indicator_report(
 ) -> IndicatorReport:
     """Compute the full indicator row for one journal.
 
-    Missing denominators and an empty coverage horizon are reported as
-    flags with the affected fields blank, not errors: one journal's data
-    gap should not abort a whole report run.
+    The impact factor and coverage both use the policy's window ages, so
+    adjusted_jif rescales the same window that coverage measured; the
+    target quantile sets only the scaling, and the half-life stays the
+    median.  Missing denominators and an empty coverage horizon are
+    reported as flags with the affected fields blank, not errors: one
+    journal's data gap should not abort a whole report run.
     """
     flags: set[str] = set()
 
     jif = immediacy = None
     try:
-        jif = impact_factor(profile, pubs, eval_year)
+        jif = impact_factor(profile, pubs, eval_year, policy.window_ages)
     except MissingDenominatorError:
         flags.add(FLAG_MISSING_DENOMINATOR)
     try:
-        immediacy = immediacy_index(profile, pubs, eval_year)
+        immediacy = impact_factor(profile, pubs, eval_year, (0,))
     except MissingDenominatorError:
         flags.add(FLAG_MISSING_DENOMINATOR)
 
-    half_life = cited_half_life(profile, eval_year, policy.target_quantile)
+    half_life = cited_half_life(profile, eval_year)
     half_life_jcr = None if half_life is None else jcr_truncate(half_life)
 
     coverage = scaling = adjusted = None
     try:
         if mean_curve is None:
             mean_curve = journal_mean_curve(profile, policy.horizon)
-        effective_policy = policy
-        if mean_curve.max_age() < policy.horizon:
-            if mean_curve.max_age() < max(policy.window_ages):
-                raise ZeroWindowError(
-                    f"{profile.journal!r}: ledger span shorter than the window"
-                )
-            effective_policy = WindowPolicy(
-                policy.window_ages, mean_curve.max_age(), policy.target_quantile
-            )
-        coverage = window_coverage(mean_curve, effective_policy)
+        horizon = curves_mod.clamp_horizon(policy.horizon, [mean_curve])
+        if horizon < max(policy.window_ages):
+            raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
+        if horizon < policy.horizon:
+            policy = replace(policy, horizon=horizon)
+        coverage = window_coverage(mean_curve, policy)
         if coverage > 0:
             scaling = scaling_factor(coverage, policy.target_quantile)
             if jif is not None:

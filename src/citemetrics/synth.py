@@ -15,7 +15,6 @@ per cell) is the only lossy step.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -23,15 +22,9 @@ from typing import Mapping
 
 from .errors import OracleError, ParseError
 from .ledger import CellCount, CitationProfile, PublicationCounts
-from .metrics import WindowPolicy
+from .metrics import WindowPolicy, half_away_units
 
 FIXTURE_NAMES = ("hare", "tortoise")
-
-
-def _round_half_away(x: Fraction) -> int:
-    if x >= 0:
-        return math.floor(x + Fraction(1, 2))
-    return math.ceil(x - Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -162,10 +155,10 @@ def generate_profile(spec: SynthSpec) -> tuple[CitationProfile, PublicationCount
             citing_year = year + age
             if citing_year > spec.observation_end:
                 break
-            total = _round_half_away(scale * weight) + spike_at.get((year, age), 0)
+            total = half_away_units(scale * weight) + spike_at.get((year, age), 0)
             if total == 0:
                 continue
-            self_count = _round_half_away(
+            self_count = half_away_units(
                 total * spec.self_fraction.get((year, age), Fraction(0))
             )
             cells[(year, citing_year)] = CellCount(total, self_count)
@@ -191,6 +184,9 @@ def _quantile_invert(weights: tuple[Fraction, ...], q: Fraction) -> Fraction:
 def expected_metrics(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> dict:
     """Closed-form {coverage, half_life_exact, scaling_factor} from the kernel.
 
+    half_life_exact is the median age, as in the report; the policy's target
+    quantile enters only the scaling factor.
+
     Never touches the analysis pipeline.  Refuses (OracleError) any spec
     whose expansion would not be a clean tiling of the kernel: spikes,
     non-uniform volume sizes, a newest volume short of observation_end, or
@@ -201,7 +197,7 @@ def expected_metrics(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> 
     must agree exactly.  Otherwise each generated cell differs from its
     ideal value by at most 1/2, so with A+1 ages in play the pipeline's
     coverage can drift from the closed form by about 0.5*(A+1)/total and
-    the half-life by about 0.5*(A+1)*(1+q) divided by the smallest per-age
+    the half-life by about 0.5*(A+1)*(3/2) divided by the smallest per-age
     citation rate (see rounding_bounds for the exact worst cases).
     """
     if spec.spikes:
@@ -226,7 +222,7 @@ def expected_metrics(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> 
         raise OracleError("kernel has no weight inside the window")
     return {
         "coverage": coverage,
-        "half_life_exact": _quantile_invert(weights, policy.target_quantile),
+        "half_life_exact": _quantile_invert(weights, Fraction(1, 2)),
         "scaling_factor": policy.target_quantile / coverage,
     }
 
@@ -243,7 +239,7 @@ def rounding_bounds(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> d
     """
     weights = spec.kernel.weights()
     scale = spec.base_citations * spec.scale(spec.first_year)
-    deltas = [abs(_round_half_away(scale * w) - scale * w) for w in weights]
+    deltas = [abs(half_away_units(scale * w) - scale * w) for w in weights]
     if all(d == 0 for d in deltas):
         return {"coverage": Fraction(0), "half_life_exact": Fraction(0)}
     exact_horizon = sum(weights[: policy.horizon + 1]) * scale
@@ -254,7 +250,7 @@ def rounding_bounds(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> d
     slope_min = min(scale * w for w in weights if w > 0)
     if slope_min <= Fraction(1, 2):
         raise OracleError("half-life bound needs every kernel age above 1/2 a citation")
-    hl_bound = (1 + policy.target_quantile) * sum(deltas) / (slope_min - Fraction(1, 2))
+    hl_bound = Fraction(3, 2) * sum(deltas) / (slope_min - Fraction(1, 2))
     return {"coverage": cov_bound, "half_life_exact": hl_bound}
 
 
@@ -278,14 +274,6 @@ def _parse_kernel(text: str) -> Kernel:
             int(parts[1]), _parse_fraction(parts[2]), _parse_fraction(parts[3]), int(parts[4])
         )
     raise ValueError(f"unrecognized kernel {text!r}")
-
-
-def _kernel_text(kernel: Kernel) -> str:
-    if isinstance(kernel, Flat):
-        return f"flat:{kernel.length}"
-    if isinstance(kernel, Geometric):
-        return f"geometric:{kernel.rate}:{kernel.length}"
-    return f"risedecay:{kernel.peak_age}:{kernel.rise}:{kernel.decay}:{kernel.length}"
 
 
 def parse_synth_spec(text: str, source: str | None = None) -> SynthSpec:
@@ -348,25 +336,6 @@ def parse_synth_spec(text: str, source: str | None = None) -> SynthSpec:
     except (ValueError, TypeError) as exc:
         raise ParseError(0, str(exc), source)
     return spec
-
-
-def synth_spec_to_text(spec: SynthSpec) -> str:
-    """Serialize a spec to the flat key = value format (parse round-trips)."""
-    lines = [
-        f"journal = {spec.journal}",
-        f"pub_years = {spec.first_year}-{spec.last_year}",
-        f"kernel = {_kernel_text(spec.kernel)}",
-        f"base_citations = {spec.base_citations}",
-        f"items_per_year = {spec.items_per_year}",
-        f"observation_end = {spec.observation_end}",
-    ]
-    for year in sorted(spec.volume_scale):
-        lines.append(f"volume_scale = {year},{spec.volume_scale[year]}")
-    for (year, age) in sorted(spec.self_fraction):
-        lines.append(f"self_fraction = {year},{age},{spec.self_fraction[(year, age)]}")
-    for spike in spec.spikes:
-        lines.append(f"spike = {spike.pub_year},{spike.age},{spike.extra}")
-    return "\n".join(lines) + "\n"
 
 
 def fixture_text(name: str) -> str:

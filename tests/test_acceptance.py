@@ -16,13 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from statistics import median
 
+import citemetrics
 from citemetrics import curves, ledger, metrics, synth
 from citemetrics.metrics import WindowPolicy
 
@@ -321,9 +324,12 @@ def test_criterion_6_ledger_conservation():
 
 
 def _run_cli(*args):
+    # The child imports the same citemetrics as this process, installed or not.
+    package_root = str(Path(citemetrics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "citemetrics", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +86,105 @@ def test_report_tortoise_half_life_token(capsys, tortoise_dir):
     assert json.loads(out_json)[0]["half_life_jcr"] == ">10"
 
 
+# sha256 of stdout for each fixture's ledger at --year 2004, captured before
+# the CLI lost its config layer and the report its second serializer.
+GOLDEN_REPORTS = [
+    ("hare", ["report"], "dbf0038f8f4634860adbd4244700bb53443fd605efab9f0bbfea055c85195466"),
+    ("hare", ["report", "--format", "json"],
+     "78f3d4435293f831961b6c880466faf83a505d2979e006d57d222b14237852c8"),
+    ("hare", ["adjust", "--strip-self"],
+     "69ccaa4285228748d080b59387acac433c002df16b3c75390d2bb1cfa489330d"),
+    ("tortoise", ["report"], "046945242e9f89f063c0e70a7a7adcb170289176bb558069db2ed71a003d5ada"),
+    ("tortoise", ["report", "--format", "json"],
+     "22a71ee669a5627c4d27a2646e6a6073facfc7ee69da60712fffd1ebe36d282a"),
+    ("tortoise", ["adjust", "--strip-self"],
+     "46f68c444a0797d3c6d0a93ef5631fd56dd47f84d4d01d91a9b94b7d3e172a60"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,command,digest", GOLDEN_REPORTS,
+    ids=[f"{f}-{'-'.join(a.lstrip('-') for a in c)}" for f, c, _ in GOLDEN_REPORTS],
+)
+def test_report_golden_bytes(request, capsys, fixture, command, digest):
+    dirpath = request.getfixturevalue(f"{fixture}_dir")
+    code = main([
+        command[0],
+        "--citations", str(dirpath / "citations.csv"),
+        "--publications", str(dirpath / "publications.csv"),
+        "--year", "2004",
+        *command[1:],
+    ])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_report_csv_cells_match_json(tmp_path, capsys, tortoise_dir):
+    # Tortoise has ">10" and one flag; J has blank cells and three flags.
+    citations = tmp_path / "c.csv"
+    citations.write_text(
+        (tortoise_dir / "citations.csv").read_text() + "A,2004,J,2003,5\nA,2004,J,2004,1\n"
+    )
+    publications = tortoise_dir / "publications.csv"
+    args = ["--citations", str(citations), "--publications", str(publications),
+            "--year", "2004"]
+    for command in ("report", "adjust"):
+        assert main([command, *args]) == 0
+        csv_out = capsys.readouterr().out
+        assert main([command, *args, "--format", "json"]) == 0
+        json_rows = json.loads(capsys.readouterr().out)
+        header, *lines_out = csv_out.splitlines()
+        assert len(lines_out) == len(json_rows) == 2
+        for line, json_row in zip(lines_out, json_rows):
+            assert header.split(",") == list(json_row)
+            for cell, (key, value) in zip(line.split(","), json_row.items()):
+                if key == "flags":
+                    assert cell == "|".join(value)
+                elif value is None:
+                    assert cell == ""
+                elif isinstance(value, float):
+                    assert cell == repr(value)
+                else:
+                    assert cell == str(value)
+    assert json_rows[0]["journal"] == "J" and json_rows[0]["jif"] is None
+    assert json_rows[1]["journal"] == "Tortoise"
+    assert main(["report", *args, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows[0]["flags"] == [
+        "HalfLifeUnreliable", "MissingDenominator", "ZeroWindowCitations"
+    ]
+    assert rows[1]["half_life_jcr"] == ">10"
+
+
+def test_report_window_sets_jif_and_coverage(capsys, tortoise_dir):
+    # The 5-year JIF: citations in 2004 at ages 1-5 over the items of 1999-2003.
+    with open(tortoise_dir / "citations.csv", newline="") as handle:
+        cited = sum(int(r["count"]) for r in csv.DictReader(handle)
+                    if r["citing_year"] == "2004" and 1999 <= int(r["cited_year"]) <= 2003)
+    with open(tortoise_dir / "publications.csv", newline="") as handle:
+        items = sum(int(r["citeable_items"]) for r in csv.DictReader(handle)
+                    if 1999 <= int(r["year"]) <= 2003)
+    out = run_report(capsys, tortoise_dir, "--window", "1,2,3,4,5", "--format", "json")
+    row = json.loads(out)[0]
+    assert row["jif"] == float(Fraction(cited, items))
+    assert round(row["jif"], 4) == 1.4013
+    assert row["adjusted_jif"] == pytest.approx(row["jif"] * row["scaling_factor"], rel=1e-12)
+    assert round(row["adjusted_jif"], 4) == 4.2495
+    default = json.loads(run_report(capsys, tortoise_dir, "--format", "json"))[0]
+    assert default["jif"] == 1.3
+    assert row["coverage"] > default["coverage"]
+
+
+@pytest.mark.parametrize("fixture", ["hare", "tortoise"])
+def test_report_quantile_moves_only_scaling(request, capsys, fixture):
+    dirpath = request.getfixturevalue(f"{fixture}_dir")
+    default = json.loads(run_report(capsys, dirpath, "--format", "json"))[0]
+    ninety = json.loads(run_report(capsys, dirpath, "--quantile", "0.9", "--format", "json"))[0]
+    changed = {key for key in default if default[key] != ninety[key]}
+    assert changed == {"scaling_factor", "adjusted_jif"}
+    assert ninety["scaling_factor"] == pytest.approx(default["scaling_factor"] * 9 / 5)
+
+
 def test_report_csv_json_field_equality(capsys, hare_dir):
     csv_out = run_report(capsys, hare_dir)
     json_out = run_report(capsys, hare_dir, "--format", "json")
@@ -147,6 +246,20 @@ def test_report_config_error_exit_3(tmp_path, capsys):
     assert main(args + ["--quantile", "0"]) == 3
     assert main(args + ["--hare", "0.1", "--tortoise", "0.2"]) == 3
     assert main(args + ["--nonsense"]) == 3
+
+
+def test_config_errors_precede_io(capsys):
+    # Bad flags exit 3 even though the ledger does not exist; alone, the
+    # missing file is an input error.
+    assert main(["curves", "Hare", "--citations", "missing.csv",
+                 "--deviation-threshold", "0"]) == 3
+    assert main(["report", "--citations", "missing.csv", "--year", "2004",
+                 "--hare", "0.1"]) == 3
+    assert main(["report", "--citations", "missing.csv", "--year", "2004",
+                 "--window", "3", "--horizon", "2"]) == 3
+    assert "missing.csv" not in capsys.readouterr().err
+    assert main(["report", "--citations", "missing.csv", "--year", "2004"]) == 2
+    assert main(["curves", "Hare", "--citations", "missing.csv"]) == 2
 
 
 def test_report_output_file(tmp_path, hare_dir):

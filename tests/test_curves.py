@@ -22,6 +22,7 @@ from citemetrics.curves import (
     AnomalyThresholds,
     ClassificationThresholds,
     accrual_curve,
+    clamp_horizon,
     classify_journal,
     cumulative,
     curves_to_csv,
@@ -330,11 +331,11 @@ def reference_detect_anomalous_volumes(standardized, self_rates, thresholds):
 
 
 def reference_volume_curves(profile, use, observation_end):
-    years = profile.pub_years()
+    years = sorted({cited for cited, _ in profile.cells})
     if not years:
         return {}
     if observation_end is None:
-        observation_end = max(profile.citing_years())
+        observation_end = max(citing for _, citing in profile.cells)
     return {
         year: accrual_curve(profile, year, observation_end - year, use)
         for year in years
@@ -432,6 +433,34 @@ def test_volume_curves_matches_reference(cells, use, observation_end):
     result = volume_curves(profile, use, observation_end)
     assert result == expected
     assert list(result) == list(expected)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1990, 1996), st.integers(-1, 7)),
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        min_size=1,
+        max_size=24,
+    ),
+    st.integers(-1, 20),
+)
+def test_clamp_horizon_on_volumes_is_observable_horizon(cells, horizon):
+    profile = make_profile("J", {
+        (cited, cited + age): (total, 0) for (cited, age), (total, _) in cells.items()
+    })
+    volumes = list(volume_curves(profile).values())
+    if not volumes:  # every cell cites a later year: no volume is observed
+        assert observable_horizon(profile) < 0
+        assert clamp_horizon(horizon, volumes) == horizon
+        return
+    assert clamp_horizon(horizon, volumes) == min(horizon, observable_horizon(profile))
+
+
+def test_clamp_horizon_never_lengthens():
+    curves = [raw([1, 2, 3]), raw([4], pub_year=1991)]
+    assert clamp_horizon(20, curves) == 2
+    assert clamp_horizon(1, curves) == 1
+    assert clamp_horizon(5, []) == 5
 
 
 def test_volume_curves_empty_profile():

@@ -15,7 +15,6 @@ from citemetrics.ledger import (
     build_profiles,
     iter_citation_records,
     parse_alias_csv,
-    parse_citation_csv,
     parse_publication_csv,
     profiles_to_citation_csv,
     read_citation_profiles,
@@ -37,37 +36,37 @@ def lines(*rows):
 
 
 def test_parse_single_record():
-    records = parse_citation_csv(lines("A,2004,B,2003,5"))
+    records = list(iter_citation_records(lines("A,2004,B,2003,5")))
     assert records == [CitationRecord("A", 2004, "B", 2003, 5)]
 
 
 def test_parse_preserves_order():
-    records = parse_citation_csv(lines("A,2004,B,2003,5", "A,2003,B,2003,1"))
+    records = list(iter_citation_records(lines("A,2004,B,2003,5", "A,2003,B,2003,1")))
     assert [r.citing_year for r in records] == [2004, 2003]
 
 
 def test_citing_before_cited_is_an_error_with_line():
     with pytest.raises(ParseError) as err:
-        parse_citation_csv(lines("A,2002,B,2003,5"))
+        list(iter_citation_records(lines("A,2002,B,2003,5")))
     assert err.value.line == 2
     assert "precede" in err.value.reason
 
 
 def test_alias_substitution():
     aliases = AliasMap({"oldname": "NewName"})
-    records = parse_citation_csv(lines("OldName,2004,B,2003,5"), aliases)
+    records = list(iter_citation_records(lines("OldName,2004,B,2003,5"), aliases))
     assert records[0].citing_journal == "NewName"
 
 
 def test_header_only_is_empty_not_error():
-    assert parse_citation_csv([HEADER]) == []
+    assert list(iter_citation_records([HEADER])) == []
 
 
 def test_missing_header():
     with pytest.raises(ParseError):
-        parse_citation_csv([])
+        list(iter_citation_records([]))
     with pytest.raises(ParseError):
-        parse_citation_csv(["A,2004,B,2003,5"])
+        list(iter_citation_records(["A,2004,B,2003,5"]))
 
 
 @pytest.mark.parametrize(
@@ -84,14 +83,14 @@ def test_missing_header():
 )
 def test_malformed_rows(row, fragment):
     with pytest.raises(ParseError) as err:
-        parse_citation_csv(lines(row))
+        list(iter_citation_records(lines(row)))
     assert err.value.line == 2
     assert fragment in err.value.reason
 
 
 def test_crlf_and_bom_tolerated():
     text = ["﻿" + HEADER + "\r\n", "A,2004,B,2003,5\r\n"]
-    assert len(parse_citation_csv(text)) == 1
+    assert len(list(iter_citation_records(text))) == 1
 
 
 # --- alias parsing ------------------------------------------------------
@@ -282,7 +281,7 @@ def test_alias_merge_equivalence(records):
     ]
     rows = [f"{r.citing_journal},{r.citing_year},{r.cited_journal},{r.cited_year},{r.count}"
             for r in records]
-    via_alias = build_profiles(parse_citation_csv(lines(*rows), aliases))
+    via_alias = build_profiles(iter_citation_records(lines(*rows), aliases))
     direct = build_profiles(substituted)
     assert via_alias == direct
     assert profiles_to_citation_csv(via_alias) == profiles_to_citation_csv(direct)
@@ -293,7 +292,7 @@ def test_alias_merge_equivalence(records):
 def test_profile_csv_round_trip(records):
     profiles = build_profiles(records)
     text = profiles_to_citation_csv(profiles)
-    reparsed = build_profiles(parse_citation_csv(text.splitlines()))
+    reparsed = build_profiles(iter_citation_records(text.splitlines()))
     assert reparsed == profiles
 
 

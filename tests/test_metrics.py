@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 from citemetrics.curves import AccrualCurve, KIND_RAW, classify_journal
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
 from citemetrics.ledger import CellCount, CitationProfile, PublicationCounts
+from citemetrics.cli import REPORT_COLUMNS, _render_rows
 from citemetrics.metrics import (
     FLAG_HALF_LIFE_UNRELIABLE,
     FLAG_MISSING_DENOMINATOR,
     FLAG_ZERO_WINDOW_CITATIONS,
-    IndicatorReport,
     WindowPolicy,
     adjusted_impact,
     build_indicator_report,
     cited_half_life,
-    immediacy_index,
+    half_away_units,
     impact_factor,
     jcr_truncate,
-    normalize_within_field,
     reliability_flags,
     round_half_away,
     scaling_factor,
@@ -92,20 +91,31 @@ def test_impact_factor_missing_denominator():
         impact_factor(profile, pubs_for("J", {2003: 40}), 2004)
 
 
+def test_impact_factor_window_ages():
+    # Ages 1-5: citations in 2004 to 1999-2003 over those five volumes' items.
+    profile = make_profile("J", {(2004 - a, 2004): (10 * a, 0) for a in range(8)})
+    pubs = pubs_for("J", {y: 5 for y in range(1995, 2005)})
+    assert impact_factor(profile, pubs, 2004, (1, 2, 3, 4, 5)) == Fraction(150, 25)
+    assert impact_factor(profile, pubs, 2004, (5, 3, 1, 2, 4, 4)) == Fraction(150, 25)
+    with pytest.raises(MissingDenominatorError) as err:
+        impact_factor(profile, pubs_for("J", {2002: 5, 2003: 5}), 2004, (1, 2, 3, 4))
+    assert err.value.years == (2001, 2000)
+
+
 def test_immediacy_hand_case():
     profile = make_profile("J", {(2004, 2004): (8, 0)})
-    assert immediacy_index(profile, pubs_for("J", {2004: 40}), 2004) == Fraction(1, 5)
+    assert impact_factor(profile, pubs_for("J", {2004: 40}), 2004, (0,)) == Fraction(1, 5)
 
 
 def test_immediacy_zero():
     profile = make_profile("J", {(2003, 2004): (9, 0)})
-    assert immediacy_index(profile, pubs_for("J", {2004: 40}), 2004) == 0
+    assert impact_factor(profile, pubs_for("J", {2004: 40}), 2004, (0,)) == 0
 
 
 def test_immediacy_missing_denominator():
     profile = make_profile("J", {(2004, 2004): (8, 0)})
     with pytest.raises(MissingDenominatorError):
-        immediacy_index(profile, pubs_for("J", {2003: 40}), 2004)
+        impact_factor(profile, pubs_for("J", {2003: 40}), 2004, (0,))
 
 
 # --- cited half-life ------------------------------------------------------
@@ -274,29 +284,13 @@ def test_round_half_away_breaks_ties_upward():
     assert round_half_away(Fraction(124, 100)) == 1.2
 
 
-# --- field normalization --------------------------------------------------
-
-
-def test_normalize_within_field():
-    values = {"A": Fraction(10), "B": Fraction(5), "C": Fraction(0)}
-    fields = {"A": "eco", "B": "eco", "C": "eco"}
-    assert normalize_within_field(values, fields) == {
-        "A": Fraction(2), "B": Fraction(1), "C": Fraction(0)
-    }
-
-
-def test_normalize_single_member_field():
-    assert normalize_within_field({"A": Fraction(77, 10)}, {"A": "x"}) == {"A": 1}
-
-
-def test_normalize_zero_mean_field_is_error():
-    with pytest.raises(ValueError, match="zero"):
-        normalize_within_field({"A": 0, "B": 0}, {"A": "x", "B": "x"})
-
-
-def test_normalize_requires_field_membership():
-    with pytest.raises(ValueError, match="field"):
-        normalize_within_field({"A": 1}, {})
+def test_half_away_units():
+    assert [half_away_units(Fraction(n, 2)) for n in range(-5, 6)] == [
+        -3, -2, -2, -1, -1, 0, 1, 1, 2, 2, 3
+    ]
+    assert half_away_units(Fraction(249, 100)) == 2
+    assert half_away_units(Fraction(-251, 100)) == -3
+    assert half_away_units(7) == 7
 
 
 # --- reliability flags ----------------------------------------------------
@@ -350,26 +344,26 @@ def test_report_json_fields_exact():
     profile = make_profile("J", {(2003, 2004): (3, 0), (1984, 1984): (1, 0)})
     report = build_indicator_report(profile, pubs_for("J", {y: 10 for y in range(1984, 2005)}), 2004)
     data = report.to_json_dict()
-    assert tuple(data) == IndicatorReport.JSON_FIELDS
+    assert tuple(data) == tuple(key for key in REPORT_COLUMNS if key != "class")
     assert isinstance(data["flags"], list)
 
 
 def test_report_csv_row_mirrors_json():
-    profile = make_profile("J", {(2003, 2004): (3, 0), (1984, 1984): (1, 0)})
-    report = build_indicator_report(profile, pubs_for("J", {y: 10 for y in range(1984, 2005)}), 2004)
-    row = report.to_csv_row()
-    data = report.to_json_dict()
-    assert len(row) == len(IndicatorReport.JSON_FIELDS)
-    for cell, key in zip(row, IndicatorReport.JSON_FIELDS):
-        value = data[key]
-        if value is None:
-            assert cell == ""
-        elif isinstance(value, float):
-            assert float(cell) == value
-        elif key == "flags":
-            assert sorted(filter(None, cell.split("|"))) == value
-        else:
-            assert cell == str(value)
+    # No 2004 items: immediacy is blank and the row carries two flags.
+    profile = make_profile(
+        "J", {(2003, 2004): (3, 0), (2002, 2004): (1, 0), (2002, 2002): (1, 0)}
+    )
+    report = build_indicator_report(profile, pubs_for("J", {y: 10 for y in range(1984, 2004)}), 2004)
+    data = dict(report.to_json_dict(), **{"class": "Hare"})
+    header, row = _render_rows([data], REPORT_COLUMNS, "csv").splitlines()
+    assert header.split(",") == list(REPORT_COLUMNS)
+    cells = dict(zip(REPORT_COLUMNS, row.split(",")))
+    assert cells["immediacy"] == "" and data["immediacy"] is None
+    assert cells["flags"] == "HalfLifeUnreliable|MissingDenominator" == "|".join(data["flags"])
+    for key in ("jif", "half_life_exact", "half_life_jcr", "coverage", "scaling_factor",
+                "adjusted_jif"):
+        assert cells[key] == repr(data[key])
+    assert cells["journal"] == "J" and cells["eval_year"] == "2004" and cells["class"] == "Hare"
 
 
 def test_adjusted_equals_jif_times_scaling_exactly():
@@ -403,7 +397,7 @@ def test_count_scaling_covariance(counts, k):
     scaled = scale_profile(profile, k)
 
     assert impact_factor(scaled, pubs, 2004) == k * impact_factor(profile, pubs, 2004)
-    assert immediacy_index(scaled, pubs, 2004) == k * immediacy_index(profile, pubs, 2004)
+    assert impact_factor(scaled, pubs, 2004, (0,)) == k * impact_factor(profile, pubs, 2004, (0,))
     assert cited_half_life(scaled, 2004) == cited_half_life(profile, 2004)
 
     policy = WindowPolicy(horizon=len(counts) - 1)

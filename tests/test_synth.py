@@ -19,7 +19,6 @@ from citemetrics.synth import (
     generate_profile,
     parse_synth_spec,
     rounding_bounds,
-    synth_spec_to_text,
 )
 
 
@@ -146,6 +145,18 @@ def test_oracle_refuses_out_of_form_specs(overrides):
         expected_metrics(flat_spec(**overrides), WindowPolicy())
 
 
+def test_oracle_half_life_ignores_target_quantile():
+    spec = flat_spec(kernel=RiseDecay(2, Fraction(1, 2), Fraction(9, 10), 21),
+                     base_citations=Fraction(77))
+    median = expected_metrics(spec, WindowPolicy())
+    ninety = expected_metrics(spec, WindowPolicy(target_quantile=Fraction(9, 10)))
+    assert ninety["half_life_exact"] == median["half_life_exact"]
+    assert ninety["scaling_factor"] == Fraction(9, 10) / median["coverage"]
+    bounds = rounding_bounds(spec, WindowPolicy())
+    assert bounds["half_life_exact"] > 0
+    assert rounding_bounds(spec, WindowPolicy(target_quantile=Fraction(9, 10))) == bounds
+
+
 def test_rounding_bounds_zero_for_integer_specs():
     bounds = rounding_bounds(flat_spec(), WindowPolicy())
     assert bounds["coverage"] == 0
@@ -155,14 +166,18 @@ def test_rounding_bounds_zero_for_integer_specs():
 # --- spec files ---------------------------------------------------------------
 
 
-def test_spec_text_round_trip():
-    spec = flat_spec(
+def test_parse_spec_repeatable_keys():
+    spec = parse_synth_spec(
+        "journal = Flatland\npub_years = 1984-2004\nkernel = risedecay:1:1:18/25:21\n"
+        "base_citations = 10\nitems_per_year = 40\nobservation_end = 2004\n"
+        "volume_scale = 1993,3/25\nself_fraction = 1993,0,19/22\nspike = 1993,0,38\n"
+    )
+    assert spec == flat_spec(
         kernel=RiseDecay(1, Fraction(1), Fraction(18, 25), 21),
         volume_scale={1993: Fraction(3, 25)},
         self_fraction={(1993, 0): Fraction(19, 22)},
         spikes=(Spike(1993, 0, 38),),
     )
-    assert parse_synth_spec(synth_spec_to_text(spec)) == spec
 
 
 def test_parse_spec_decimal_fractions_are_exact():
