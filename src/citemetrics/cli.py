@@ -7,9 +7,9 @@ Subcommands:
   synth     expand a synthetic-journal spec into ledger CSV files
   validate  parse inputs and report the first problem, touching nothing
 
-Exit codes: 0 success (flagged rows included), 2 input error, 3
-configuration error.  Reruns on unchanged inputs produce byte-identical
-output.
+Exit codes: 0 success (flagged rows included), 2 input error (bad data, a
+missing or unreadable file, or one not in UTF-8), 3 configuration error.
+Reruns on unchanged inputs produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from pathlib import Path
 from . import curves as curves_mod
 from . import ledger, metrics, synth
 from .curves import AnomalyThresholds, ClassificationThresholds
-from .errors import CitemetricsError, ConfigError, ParseError
+from .errors import CitemetricsError, ConfigError
 from .metrics import WindowPolicy
 from .svg import emit_svg_chart
 
@@ -120,19 +120,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_lines(path: str):
-    return Path(path).read_text(encoding="utf-8").splitlines()
+def _read(path: str, parse, *args):
+    """`parse(lines, *args, source=path)` over the input file at path.
+
+    Every input is opened here, as UTF-8 text read line by line, so all of
+    them split lines alike; a file that is not UTF-8 is an input error.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse(handle, *args, source=path)
+    except UnicodeDecodeError as exc:
+        raise CitemetricsError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _load_aliases(path: str | None) -> ledger.AliasMap:
-    if path:
-        return ledger.parse_alias_csv(_read_lines(path), source=path)
-    return ledger.EMPTY_ALIASES
+    return _read(path, ledger.parse_alias_csv) if path else ledger.EMPTY_ALIASES
 
 
 def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
-    with open(args.citations, encoding="utf-8") as handle:
-        profiles, _ = ledger.read_citation_profiles(handle, aliases, source=args.citations)
+    profiles, _ = _read(args.citations, ledger.read_citation_profiles, aliases)
     if args.strip_self:
         profiles = {j: ledger.strip_self_references(p) for j, p in profiles.items()}
     return profiles
@@ -140,7 +146,7 @@ def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
 
 def _load_publications(path: str | None, aliases) -> ledger.PublicationCounts:
     if path:
-        return ledger.parse_publication_csv(_read_lines(path), aliases, source=path)
+        return _read(path, ledger.parse_publication_csv, aliases)
     return ledger.PublicationCounts()
 
 
@@ -188,6 +194,11 @@ def _table_rows(args) -> list[dict]:
     aliases = _load_aliases(args.aliases)
     profiles = _load_profiles(args, aliases)
     pubs = _load_publications(args.publications, aliases)
+    # Journals with citeable items but no citations report a JIF of 0.
+    cited = {journal.casefold() for journal in profiles}
+    for key, journal in pubs.journals.items():
+        if key not in cited:
+            profiles[journal] = ledger.CitationProfile(journal)
     rows = []
     for journal in sorted(profiles, key=str.casefold):
         report = metrics.build_indicator_report(profiles[journal], pubs, args.year, policy)
@@ -258,9 +269,8 @@ def cmd_synth(args) -> int:
     if args.spec in synth.FIXTURE_NAMES:
         spec = synth.fixture_spec(args.spec)
     else:
-        spec = synth.parse_synth_spec(
-            Path(args.spec).read_text(encoding="utf-8"), source=args.spec
-        )
+        spec = _read(args.spec, lambda lines, source: synth.parse_synth_spec(
+            "".join(lines), source))
     profile, _ = synth.generate_profile(spec)
     target = Path(args.outdir)
     target.mkdir(parents=True, exist_ok=True)
@@ -281,8 +291,7 @@ def cmd_validate(args) -> int:
         raise ConfigError("validate needs at least one input file")
     aliases = _load_aliases(args.aliases)
     if args.citations:
-        with open(args.citations, encoding="utf-8") as handle:
-            _, count = ledger.read_citation_profiles(handle, aliases, source=args.citations)
+        _, count = _read(args.citations, ledger.read_citation_profiles, aliases)
         print(f"{args.citations}: {count} records")
     if args.publications:
         pubs = _load_publications(args.publications, aliases)
@@ -299,13 +308,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CitemetricsError as exc:
+    except (CitemetricsError, OSError) as exc:
+        # ParseError, a missing or unreadable file, or a file not in UTF-8.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

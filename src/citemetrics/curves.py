@@ -26,9 +26,6 @@ KIND_RAW = "raw"
 KIND_CUMULATIVE = "cumulative"
 KIND_STANDARDIZED = "standardized"
 
-USE_TOTAL = "total"
-USE_NONSELF = "nonself"
-
 SELF_CITATION_SPIKE = "SelfCitationSpike"
 ACCRUAL_DEVIATION = "AccrualDeviation"
 
@@ -96,23 +93,14 @@ class ClassificationThresholds:
             raise ConfigError("hare threshold must exceed tortoise threshold")
 
 
-def accrual_curve(
-    profile: CitationProfile, pub_year: int, max_age: int, use: str = USE_TOTAL
-) -> AccrualCurve:
+def accrual_curve(profile: CitationProfile, pub_year: int, max_age: int) -> AccrualCurve:
     """Raw curve for one volume over ages 0..max_age; missing cells are zeros."""
     if max_age < 0:
         raise ValueError("max_age must be >= 0")
-    if use not in (USE_TOTAL, USE_NONSELF):
-        raise ValueError(f"unknown counting mode {use!r}")
     values = []
     for age in range(max_age + 1):
         cell = profile.cells.get((pub_year, pub_year + age))
-        if cell is None:
-            values.append(0)
-        elif use == USE_TOTAL:
-            values.append(cell.total)
-        else:
-            values.append(cell.total - cell.self_count)
+        values.append(0 if cell is None else cell.total)
     return AccrualCurve(profile.journal, pub_year, KIND_RAW, tuple(values))
 
 
@@ -189,7 +177,7 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
 
 
 def volume_curves(
-    profile: CitationProfile, use: str = USE_TOTAL, observation_end: int | None = None
+    profile: CitationProfile, observation_end: int | None = None
 ) -> dict[int, AccrualCurve]:
     """Raw curve per publication year, each as long as the ledger can observe.
 
@@ -198,8 +186,6 @@ def volume_curves(
     """
     if not profile.cells:
         return {}
-    if use not in (USE_TOTAL, USE_NONSELF):
-        raise ValueError(f"unknown counting mode {use!r}")
     if observation_end is None:
         observation_end = max(citing for _, citing in profile.cells)
     rows = {
@@ -207,11 +193,10 @@ def volume_curves(
         for year in sorted({cited for cited, _ in profile.cells})
         if year <= observation_end
     }
-    nonself = use == USE_NONSELF
     for (cited, citing), cell in profile.cells.items():
         row = rows.get(cited)
         if row is not None and cited <= citing <= observation_end:
-            row[citing - cited] = cell.total - cell.self_count if nonself else cell.total
+            row[citing - cited] = cell.total
     return {
         year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
         for year, row in rows.items()

@@ -66,9 +66,11 @@ EMPTY_ALIASES = AliasMap()
 
 @dataclass(frozen=True)
 class PublicationCounts:
-    """Citeable-item counts keyed by (casefolded journal, year)."""
+    """Citeable-item counts keyed by (casefolded journal, year); `journals`
+    maps each casefolded journal to its first canonical spelling."""
 
     entries: dict[tuple[str, int], int] = field(default_factory=dict)
+    journals: dict[str, str] = field(default_factory=dict)
 
     def get(self, journal: str, year: int) -> int | None:
         return self.entries.get((journal.strip().casefold(), year))
@@ -90,30 +92,42 @@ def journal_identity(name: str) -> str:
     return name.strip().casefold()
 
 
-def _clean_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, line) with newline chars and a BOM removed."""
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if number == 1 and line.startswith("﻿"):
-            line = line[1:]
-        yield number, line
+def _data_lines(
+    lines: Iterable[str], header: str, source: str | None
+) -> Iterator[tuple[int, str]]:
+    """Check the header (a BOM and padding allowed); number the lines after it.
+
+    Every reader takes its lines from here, so all inputs share one layout.
+    """
+    it = iter(lines)
+    first = next(it, None)
+    if first is None:
+        raise ParseError(1, "missing header", source)
+    if first.removeprefix("\ufeff").strip() != header:
+        raise ParseError(1, f"expected header {header!r}", source)
+    return enumerate(it, start=2)
 
 
-def _check_header(number: int, line: str, expected: str, source: str | None) -> None:
-    if line.strip() != expected:
-        raise ParseError(number, f"expected header {expected!r}", source)
+def _rows(
+    numbered: Iterable[tuple[int, str]], width: int, source: str | None
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each non-blank line, which must have `width` fields."""
+    for number, line in numbered:
+        line = line.rstrip("\r\n")
+        if line:
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ParseError(number, f"expected {width} fields, got {len(parts)}", source)
+            yield number, parts
 
 
 def _parse_row(
-    number: int, line: str, resolved: dict[str, str], alias_map: AliasMap, source: str | None
+    number: int, parts: list[str], resolved: dict[str, str], alias_map: AliasMap, source: str | None
 ) -> CitationRecord:
-    """Validate and canonicalize one non-blank data row, or raise its ParseError.
+    """Validate and canonicalize one data row's five fields, or raise its ParseError.
 
     `resolved` caches alias resolution by raw name text across calls.
     """
-    parts = line.split(",")
-    if len(parts) != 5:
-        raise ParseError(number, f"expected 5 fields, got {len(parts)}", source)
     citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = parts
     try:
         citing_year = int(citing_year_s)
@@ -151,16 +165,8 @@ def iter_citation_records(
     the offending line number; a header-only file yields nothing.
     """
     resolved: dict[str, str] = {}
-    saw_header = False
-    for number, line in _clean_lines(lines):
-        if not saw_header:
-            _check_header(number, line, CITATIONS_HEADER, source)
-            saw_header = True
-            continue
-        if line:
-            yield _parse_row(number, line, resolved, alias_map, source)
-    if not saw_header:
-        raise ParseError(1, "missing header", source)
+    for number, parts in _rows(_data_lines(lines, CITATIONS_HEADER, source), 5, source):
+        yield _parse_row(number, parts, resolved, alias_map, source)
 
 
 def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap:
@@ -172,19 +178,10 @@ def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap
     """
     entries: dict[str, str] = {}
     canonical_keys: set[str] = set()
-    saw_header = False
-    for number, line in _clean_lines(lines):
-        if not saw_header:
-            _check_header(number, line, ALIASES_HEADER, source)
-            saw_header = True
-            continue
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(number, f"expected 2 fields, got {len(parts)}", source)
-        alias = parts[0].strip()
-        canonical = parts[1].strip()
+    numbered = _data_lines(lines, ALIASES_HEADER, source)
+    for number, (alias, canonical) in _rows(numbered, 2, source):
+        alias = alias.strip()
+        canonical = canonical.strip()
         if not alias or not canonical:
             raise ParseError(number, "alias and canonical must be non-empty", source)
         alias_key = alias.casefold()
@@ -202,8 +199,6 @@ def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap
             raise ParseError(number, f"{canonical!r} is already an alias", source)
         entries[alias_key] = canonical
         canonical_keys.add(canonical_key)
-    if not saw_header:
-        raise ParseError(1, "missing header", source)
     return AliasMap(entries)
 
 
@@ -220,23 +215,15 @@ def parse_publication_csv(
     resolve rather than silently summed.
     """
     entries: dict[tuple[str, int], int] = {}
-    saw_header = False
-    for number, line in _clean_lines(lines):
-        if not saw_header:
-            _check_header(number, line, PUBLICATIONS_HEADER, source)
-            saw_header = True
-            continue
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(number, f"expected 3 fields, got {len(parts)}", source)
-        journal = alias_map.resolve(parts[0])
+    journals: dict[str, str] = {}
+    numbered = _data_lines(lines, PUBLICATIONS_HEADER, source)
+    for number, (name, year_s, items_s) in _rows(numbered, 3, source):
+        journal = alias_map.resolve(name)
         if not journal:
             raise ParseError(number, "journal identifier must be non-empty", source)
         try:
-            year = int(parts[1])
-            items = int(parts[2])
+            year = int(year_s)
+            items = int(items_s)
         except ValueError:
             raise ParseError(number, "year and citeable_items must be integers", source)
         if not YEAR_MIN <= year <= YEAR_MAX:
@@ -247,9 +234,8 @@ def parse_publication_csv(
         if key in entries:
             raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
         entries[key] = items
-    if not saw_header:
-        raise ParseError(1, "missing header", source)
-    return PublicationCounts(entries)
+        journals.setdefault(key[0], journal)
+    return PublicationCounts(entries, journals)
 
 
 def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfile]:
@@ -316,12 +302,7 @@ def read_citation_profiles(
     display: dict[str, str] = {}
     cells_by_journal: dict[str, dict[tuple[int, int], list[int]]] = {}
     rows = 0
-    it = iter(lines)
-    header = next(it, None)
-    if header is None:
-        raise ParseError(1, "missing header", source)
-    _check_header(1, header.rstrip("\r\n").removeprefix("\ufeff"), CITATIONS_HEADER, source)
-    for number, line in enumerate(it, start=2):
+    for number, line in _data_lines(lines, CITATIONS_HEADER, source):
         # int() ignores the line ending left on the count text.
         try:
             citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
@@ -333,13 +314,14 @@ def read_citation_profiles(
             if count < 0 or citing_year < cited_year:
                 raise ValueError  # the reference check below raises the error
         except (ValueError, KeyError):
-            line = line.rstrip("\r\n")
-            if not line:
+            checked = next(_rows([(number, line)], 5, source), None)
+            if checked is None:  # a blank line
                 continue
+            parts = checked[1]
             citing, citing_year, cited, cited_year, count = _parse_row(
-                number, line, resolved, alias_map, source
+                number, parts, resolved, alias_map, source
             )
-            citing_raw, citing_year_s, cited_raw, cited_year_s, _ = line.split(",")
+            citing_raw, citing_year_s, cited_raw, cited_year_s, _ = parts
             years[citing_year_s] = citing_year
             years[cited_year_s] = cited_year
             citing_id = citing.casefold()

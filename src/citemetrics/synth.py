@@ -164,7 +164,8 @@ def generate_profile(spec: SynthSpec) -> tuple[CitationProfile, PublicationCount
             cells[(year, citing_year)] = CellCount(total, self_count)
     profile = CitationProfile(spec.journal, cells)
     pubs = PublicationCounts(
-        {(spec.journal.casefold(), year): spec.items_per_year for year in spec.pub_years()}
+        {(spec.journal.casefold(), year): spec.items_per_year for year in spec.pub_years()},
+        {spec.journal.casefold(): spec.journal},
     )
     return profile, pubs
 

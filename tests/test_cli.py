@@ -3,10 +3,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import citemetrics
 from citemetrics.cli import main
 from citemetrics.svg import emit_svg_chart
 
@@ -462,3 +467,115 @@ def test_svg_escapes_labels():
     chart = emit_svg_chart([("a<b", [(0, 0), (1, 1)])], 'x & "y"', "z")
     assert "a&lt;b" in chart
     assert "&amp;" in chart
+
+
+# --- input layer ----------------------------------------------------------------------
+
+
+def _write_inputs(directory, name, bad_row=None):
+    """Ledger, publications and aliases that all spell `name`; an optional
+    bad row goes on line 4 of each file."""
+    files = {
+        "citations": [HEADER, f"Other,2004,{name},2003,5", f"Other,2004,Old {name},2002,3"],
+        "publications": ["journal,year,citeable_items", f"{name},2002,10",
+                         f"Old {name},2003,10"],
+        "aliases": ["alias,canonical", f"Old {name},{name}", f"Older {name},{name}"],
+    }
+    paths = {}
+    for kind, lines in files.items():
+        if bad_row is not None:
+            lines.append(bad_row)
+        paths[kind] = directory / f"{kind}.csv"
+        paths[kind].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028"])
+def test_inputs_split_lines_alike(tmp_path, capsys, mark):
+    # Form feed, NEL and U+2028 are line breaks to str.splitlines but not
+    # to a file read line by line; all three inputs must agree on the name.
+    name = f"Journal{mark}One"
+    paths = _write_inputs(tmp_path, name)
+    args = [f"--{kind}={path}" for kind, path in paths.items()]
+    assert main(["validate", *args]) == 0
+    assert capsys.readouterr().out == (
+        f"{paths['citations']}: 2 records\n{paths['publications']}: 2 entries\n"
+        f"{paths['aliases']}: 2 aliases\n"
+    )
+    assert main(["report", *args, "--year", "2004"]) == 0
+    rows = capsys.readouterr().out.split("\n")
+    assert rows[1].split(",")[:3] == [name, "2004", "0.4"]
+    assert rows[2:] == [""]
+
+    bad = _write_inputs(tmp_path, name, bad_row=f"{name}" + "," * 9)
+    for kind, path in bad.items():
+        assert main(["validate", f"--{kind}={path}"]) == 2
+        width = {"citations": 5, "publications": 3, "aliases": 2}[kind]
+        assert capsys.readouterr().err == (
+            f"error: {path}:4: expected {width} fields, got 10\n"
+        )
+
+
+@pytest.mark.parametrize("kind", ["citations", "publications", "aliases"])
+@pytest.mark.parametrize("problem", ["directory", "not utf-8"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, kind, problem):
+    paths = _write_inputs(tmp_path, "J")
+    path = paths[kind]
+    if problem == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(path.read_bytes().replace(b"Old", b"\xff"))
+    for command in (["validate"], ["report", "--year", "2004"]):
+        args = [f"--{k}={p}" for k, p in paths.items()]
+        assert main([*command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert len(err.splitlines()) == 1
+
+
+def test_publication_only_journal_gets_a_row(tmp_path, capsys):
+    # The ledger cites only B; the publications file also lists Z (through
+    # an alias) and Y (with a year missing).  Every journal gets a row, under
+    # the ledger's spelling if it has one, else the publications file's.
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\nA,2004,B,2003,5\nA,2004,B,2002,1\n")
+    publications = tmp_path / "p.csv"
+    publications.write_text(
+        "journal,year,citeable_items\n"
+        "b,2002,10\nb,2003,10\nb,2004,10\n"
+        "z-old,2002,4\nZ,2003,4\nz,2004,4\n"
+        "y,2003,4\ny,2004,4\n"
+    )
+    aliases = tmp_path / "a.csv"
+    aliases.write_text("alias,canonical\nZ-Old,Z\n")
+    inputs = ["--citations", str(citations), "--publications", str(publications),
+              "--aliases", str(aliases), "--year", "2004"]
+    assert main(["report", *inputs]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "B,2004,0.3,0.0,1.6,1.6,1.0,0.5,0.15,Hare,HalfLifeUnreliable",
+        "y,2004,,0.0,,,,,,,MissingDenominator|ZeroWindowCitations",
+        "Z,2004,0.0,0.0,,,,,,,ZeroWindowCitations",
+    ]
+    assert main(["adjust", *inputs, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[1:] == [
+        {"journal": "y", "eval_year": 2004, "jif": None, "coverage": None,
+         "scaling_factor": None, "adjusted_jif": None, "class": ""},
+        {"journal": "Z", "eval_year": 2004, "jif": 0.0, "coverage": None,
+         "scaling_factor": None, "adjusted_jif": None, "class": ""},
+    ]
+
+
+def test_fixture_report_script(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fixture_report.py"
+    package_root = str(Path(citemetrics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script), "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    for name in ("hare", "tortoise"):
+        chart = (tmp_path / f"{name}_standardized.svg").read_text()
+        assert "<polyline" in chart and chart.rstrip().endswith("</svg>")
+    assert "tortoise/hare impact ratio: raw " in done.stdout

@@ -15,8 +15,6 @@ from citemetrics.curves import (
     KIND_CUMULATIVE,
     KIND_RAW,
     SELF_CITATION_SPIKE,
-    USE_NONSELF,
-    USE_TOTAL,
     AccrualCurve,
     AnomalyFinding,
     AnomalyThresholds,
@@ -34,7 +32,7 @@ from citemetrics.curves import (
     volume_curves,
 )
 from citemetrics.errors import ConfigError, DegenerateVolumeError
-from citemetrics.ledger import volume_self_rates
+from citemetrics.ledger import strip_self_references, volume_self_rates
 
 from conftest import make_profile
 
@@ -59,8 +57,10 @@ def test_accrual_curve_empty_volume_is_zeros():
 
 
 def test_accrual_curve_nonself_mode():
-    profile = make_profile("J", {(1993, 1993): (44, 38)})
-    assert accrual_curve(profile, 1993, 0, use="nonself").values == (6,)
+    # Non-self curves are the curves of a profile stripped of self-references.
+    stripped = strip_self_references(make_profile("J", {(1993, 1993): (44, 38)}))
+    assert volume_curves(stripped)[1993].values == (6,)
+    assert accrual_curve(stripped, 1993, 0).values == (6,)
 
 
 # --- cumulative ---------------------------------------------------------
@@ -330,14 +330,14 @@ def reference_detect_anomalous_volumes(standardized, self_rates, thresholds):
     return findings
 
 
-def reference_volume_curves(profile, use, observation_end):
+def reference_volume_curves(profile, observation_end):
     years = sorted({cited for cited, _ in profile.cells})
     if not years:
         return {}
     if observation_end is None:
         observation_end = max(citing for _, citing in profile.cells)
     return {
-        year: accrual_curve(profile, year, observation_end - year, use)
+        year: accrual_curve(profile, year, observation_end - year)
         for year in years
         if year <= observation_end
     }
@@ -421,18 +421,24 @@ def test_detect_anomalous_volumes_threshold_is_inclusive_both_ways():
         st.tuples(st.integers(0, 9), st.integers(0, 9)),
         max_size=24,
     ),
-    st.sampled_from([USE_TOTAL, USE_NONSELF]),
+    st.booleans(),
     st.one_of(st.none(), st.integers(1985, 2008)),
 )
-def test_volume_curves_matches_reference(cells, use, observation_end):
+def test_volume_curves_matches_reference(cells, strip, observation_end):
     profile = make_profile("J", {
         (cited, cited + age): (total + self_count, self_count)
         for (cited, age), (total, self_count) in cells.items()
     })
-    expected = reference_volume_curves(profile, use, observation_end)
-    result = volume_curves(profile, use, observation_end)
+    counted = strip_self_references(profile) if strip else profile
+    expected = reference_volume_curves(counted, observation_end)
+    result = volume_curves(counted, observation_end)
     assert result == expected
     assert list(result) == list(expected)
+    # Stripped curves count exactly the non-self citations of each cell.
+    for year, curve in result.items():
+        for age, value in enumerate(curve.values):
+            cell = profile.cells.get((year, year + age))
+            assert value == (0 if cell is None else cell.total - strip * cell.self_count)
 
 
 @given(
@@ -465,8 +471,8 @@ def test_clamp_horizon_never_lengthens():
 
 def test_volume_curves_empty_profile():
     empty = make_profile("J", {})
-    assert volume_curves(empty) == {} == reference_volume_curves(empty, USE_TOTAL, None)
-    assert volume_curves(empty, USE_NONSELF, 2000) == {}
+    assert volume_curves(empty) == {} == reference_volume_curves(empty, None)
+    assert volume_curves(strip_self_references(empty), 2000) == {}
     assert observable_horizon(empty) == 0
 
 

@@ -406,3 +406,57 @@ def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
         assert profile.journal == expected_profiles[name].journal
         assert list(profile.cells) == list(expected_profiles[name].cells)
 
+
+
+
+# --- line layout, shared by every reader ----------------------------------------
+
+# Header, one valid data row and its field count per reader; each reader is
+# called through a function returning the number of rows or entries it kept.
+LAYOUT_READERS = {
+    "iter_citation_records": (HEADER, "A,2004,B,2003,5", 5,
+                              lambda f: len(list(iter_citation_records(f)))),
+    "read_citation_profiles": (HEADER, "A,2004,B,2003,5", 5,
+                               lambda f: read_citation_profiles(f)[1]),
+    "parse_publication_csv": ("journal,year,citeable_items", "A,2003,40", 3,
+                              lambda f: len(parse_publication_csv(f).entries)),
+    "parse_alias_csv": ("alias,canonical", "Old,New", 2,
+                        lambda f: len(parse_alias_csv(f).entries)),
+}
+
+# (layout, text from header h and row r, outcome from h and field count n):
+# an int is the number of rows kept, a pair the ParseError's (line, reason).
+# Every outcome was captured from the readers before they shared one layer.
+LAYOUT_CASES = [
+    ("empty", lambda h, r: "", lambda h, n: (1, "missing header")),
+    ("wrong header", lambda h, r: f"{h},extra\n{r}\n",
+     lambda h, n: (1, f"expected header {h!r}")),
+    ("header only, no newline", lambda h, r: h, lambda h, n: 0),
+    ("bom and crlf header", lambda h, r: f"\ufeff{h}\r\n{r}\r\n", lambda h, n: 1),
+    ("padded header", lambda h, r: f"  {h} \t\n{r}\n", lambda h, n: 1),
+    ("blank and crlf data lines", lambda h, r: f"{h}\n\n\r\n{r}\r\n\n\r\n",
+     lambda h, n: 1),
+    ("too many fields", lambda h, r: f"{h}\n{r}\n{r},x\n",
+     lambda h, n: (3, f"expected {n} fields, got {n + 1}")),
+    ("too few fields after blank lines", lambda h, r: f"{h}\r\n\r\n\nA\r\n",
+     lambda h, n: (4, f"expected {n} fields, got 1")),
+    ("whitespace-only line", lambda h, r: f"{h}\n \n",
+     lambda h, n: (2, f"expected {n} fields, got 1")),
+]
+
+
+@pytest.mark.parametrize("reader", sorted(LAYOUT_READERS))
+@pytest.mark.parametrize("case", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
+def test_readers_share_line_layout(reader, case):
+    header, row, width, read = LAYOUT_READERS[reader]
+    _, make_text, outcome = case
+    text = make_text(header, row)
+    expected = outcome(header, width)
+    if isinstance(expected, int):
+        assert read(io.StringIO(text)) == expected
+        # A list of lines without their endings reads the same.
+        assert read(text.splitlines()) == expected
+        return
+    with pytest.raises(ParseError) as err:
+        read(io.StringIO(text))
+    assert (err.value.line, err.value.reason) == expected
