@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Window-bias demonstration on the bundled synthetic journals.
 
-Expands the two bundled fixtures, prints their indicator table side by
-side, and writes the standardized accrual charts.  The point of the
-exercise: two journals with very different accrual speeds end up with
-impact factors that sample incomparable shares of their lifetime
-citations, and the coverage-scaled adjustment puts them back on one scale.
+Runs the CLI's `synth`, `report` and `curves --svg` on both bundled
+fixtures, leaving their outputs in OUTDIR, and prints the indicator table
+side by side.  The point of the exercise: two journals with very different
+accrual speeds end up with impact factors that sample incomparable shares
+of their lifetime citations, and the coverage-scaled adjustment puts them
+back on one scale.  Skipped volumes and anomalies are the CLI's own
+warnings on stderr.
 
 Usage:
     python scripts/fixture_report.py [--outdir OUT] [--strip-self]
@@ -13,97 +15,63 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 from pathlib import Path
 
-from citemetrics import curves, ledger, metrics, synth
-from citemetrics.svg import emit_svg_chart
+from citemetrics import cli, synth
 
 EVAL_YEAR = 2004
+COLUMNS = ("jif", "immediacy", "half_life_jcr", "coverage", "scaling_factor",
+           "adjusted_jif", "class")
 
 
-def analyze(name, strip_self):
-    spec = synth.fixture_spec(name)
-    profile, pubs = synth.generate_profile(spec)
-    if strip_self:
-        profile = ledger.strip_self_references(profile)
-    report = metrics.build_indicator_report(profile, pubs, EVAL_YEAR)
-    classification = (
-        "" if report.coverage is None else curves.classify_journal(report.coverage)
-    )
-    std, skipped = curves.standardized_volume_curves(curves.volume_curves(profile))
-    findings = []
-    if len(std) >= 3:
-        findings = curves.detect_anomalous_volumes(
-            std, ledger.volume_self_rates(profile)
-        )
-    return report, classification, std, skipped, findings
+def run_cli(*argv) -> None:
+    code = cli.main([str(arg) for arg in argv])
+    if code:
+        raise SystemExit(code)
+
+
+def analyze(name: str, outdir: Path, strip_self: bool) -> dict:
+    """Run the CLI on one fixture; return its report row."""
+    ledger_dir = outdir / name
+    citations = ledger_dir / "citations.csv"
+    extra = ("--strip-self",) if strip_self else ()
+    run_cli("synth", name, "--outdir", ledger_dir)
+    report_path = outdir / f"{name}_report.json"
+    run_cli("report", "--citations", citations,
+            "--publications", ledger_dir / "publications.csv", "--year", EVAL_YEAR,
+            "--format", "json", "-o", report_path, *extra)
+    (row,) = json.loads(report_path.read_text(encoding="utf-8"))
+    run_cli("curves", row["journal"], "--citations", citations,
+            "--svg", outdir / f"{name}_standardized.svg",
+            "-o", outdir / f"{name}_curves.csv", *extra)
+    return row
+
+
+def cell(value) -> str:
+    if value is None:
+        return "-"
+    return value if isinstance(value, str) else f"{value:.3f}"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", default="fixture_out", help="chart directory")
+    parser.add_argument("--outdir", default="fixture_out", help="output directory")
     parser.add_argument("--strip-self", action="store_true",
                         help="remove self-references first")
     args = parser.parse_args()
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    rows = {name: analyze(name, outdir, args.strip_self) for name in synth.FIXTURE_NAMES}
 
-    columns = ("jif", "immediacy", "half_life_jcr", "coverage",
-               "scaling_factor", "adjusted_jif")
-    print(f"{'indicator':>16}", end="")
-    results = {}
-    for name in synth.FIXTURE_NAMES:
-        results[name] = analyze(name, args.strip_self)
-        print(f"{name:>14}", end="")
-    print()
-    for column in columns:
-        print(f"{column:>16}", end="")
-        for name in synth.FIXTURE_NAMES:
-            report = results[name][0]
-            value = getattr(report, column)
-            if value is None:
-                text = "-"
-            elif isinstance(value, str):
-                text = value
-            else:
-                text = f"{float(value):.3f}"
-            print(f"{text:>14}", end="")
-        print()
-    print(f"{'class':>16}", end="")
-    for name in synth.FIXTURE_NAMES:
-        print(f"{results[name][1]:>14}", end="")
-    print()
+    print(f"{'indicator':>16}" + "".join(f"{name:>14}" for name in rows))
+    for column in COLUMNS:
+        print(f"{column:>16}" + "".join(f"{cell(row[column]):>14}" for row in rows.values()))
+    print(f"\nwrote ledgers, reports, curve tables and charts to {outdir}")
 
-    for name in synth.FIXTURE_NAMES:
-        report, _, std, skipped, findings = results[name]
-        if skipped:
-            print(f"\n{name}: volumes too young to standardize: {skipped}")
-        if findings:
-            print(f"{name}: anomalies:")
-            for f in findings:
-                print(f"  {f.reason:>18} volume {f.pub_year} age {f.age} "
-                      f"({float(f.deviation):+.1f} points)")
-        series = [
-            (str(year), [(a, float(v)) for a, v in enumerate(std[year].values)])
-            for year in sorted(std)
-        ]
-        chart = emit_svg_chart(
-            series,
-            x_label="age (years since publication)",
-            y_label="cumulative citations (% of age-2 count)",
-            title=f"{report.journal}: standardized citation accrual",
-        )
-        path = outdir / f"{name}_standardized.svg"
-        path.write_text(chart, encoding="utf-8")
-        print(f"{name}: wrote {path}")
-
-    hare_report = results["hare"][0]
-    tortoise_report = results["tortoise"][0]
-    if hare_report.adjusted_jif and tortoise_report.adjusted_jif:
-        raw_ratio = tortoise_report.jif / hare_report.jif
-        adj_ratio = tortoise_report.adjusted_jif / hare_report.adjusted_jif
-        print(f"\ntortoise/hare impact ratio: raw {float(raw_ratio):.2f}, "
-              f"adjusted {float(adj_ratio):.2f}")
+    hare, tortoise = rows["hare"], rows["tortoise"]
+    if hare["adjusted_jif"] and tortoise["adjusted_jif"]:
+        print(f"\ntortoise/hare impact ratio: raw {tortoise['jif'] / hare['jif']:.2f}, "
+              f"adjusted {tortoise['adjusted_jif'] / hare['adjusted_jif']:.2f}")
 
 
 if __name__ == "__main__":

@@ -225,6 +225,8 @@ def cmd_curves(args) -> int:
     for year in skipped:
         print(f"warning: volume {year} has no citations through age 2; "
               "skipped from standardized output", file=sys.stderr)
+    if args.svg and not standardized:
+        raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
 
     out: list[curves_mod.AccrualCurve] = []
     for year in sorted(volumes):
@@ -253,8 +255,6 @@ def cmd_curves(args) -> int:
             (str(year), [(age, float(v)) for age, v in enumerate(standardized[year].values)])
             for year in sorted(standardized)
         ]
-        if not series:
-            raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
         chart = emit_svg_chart(
             series,
             x_label="age (years since publication)",
@@ -269,8 +269,7 @@ def cmd_synth(args) -> int:
     if args.spec in synth.FIXTURE_NAMES:
         spec = synth.fixture_spec(args.spec)
     else:
-        spec = _read(args.spec, lambda lines, source: synth.parse_synth_spec(
-            "".join(lines), source))
+        spec = _read(args.spec, synth.parse_synth_spec)
     profile, _ = synth.generate_profile(spec)
     target = Path(args.outdir)
     target.mkdir(parents=True, exist_ok=True)

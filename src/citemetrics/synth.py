@@ -18,10 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import OracleError, ParseError
-from .ledger import CellCount, CitationProfile, PublicationCounts
+from .ledger import (
+    EXTERNAL_SOURCE, CellCount, CitationProfile, PublicationCounts, journal_identity,
+)
 from .metrics import WindowPolicy, half_away_units
 
 FIXTURE_NAMES = ("hare", "tortoise")
@@ -109,6 +111,8 @@ class SynthSpec:
             raise ValueError("journal name must be non-empty")
         if "," in self.journal:
             raise ValueError("journal name must not contain commas")
+        if journal_identity(self.journal) == EXTERNAL_SOURCE:
+            raise ValueError(f"journal name {EXTERNAL_SOURCE!r} is reserved")
         if self.first_year > self.last_year:
             raise ValueError("pub_years range is empty")
         if self.base_citations <= 0:
@@ -277,8 +281,8 @@ def _parse_kernel(text: str) -> Kernel:
     raise ValueError(f"unrecognized kernel {text!r}")
 
 
-def parse_synth_spec(text: str, source: str | None = None) -> SynthSpec:
-    """Parse the flat key = value spec format.
+def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSpec:
+    """Parse the flat key = value spec format from lines, numbered from 1.
 
     Repeatable keys: volume_scale = year,scale; self_fraction = year,age,frac;
     spike = year,age,count.  Fractions accept both "0.12" and "38/44" (both
@@ -288,7 +292,7 @@ def parse_synth_spec(text: str, source: str | None = None) -> SynthSpec:
     volume_scale: dict[int, Fraction] = {}
     self_fraction: dict[tuple[int, int], Fraction] = {}
     spikes: list[Spike] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -339,14 +343,10 @@ def parse_synth_spec(text: str, source: str | None = None) -> SynthSpec:
     return spec
 
 
-def fixture_text(name: str) -> str:
-    """Bundled spec source for "hare" or "tortoise"."""
+def fixture_spec(name: str) -> SynthSpec:
+    """Bundled spec "hare" or "tortoise"."""
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; bundled: {FIXTURE_NAMES}")
-    return (
-        resources.files("citemetrics.fixtures").joinpath(f"{name}.synth").read_text("utf-8")
-    )
-
-
-def fixture_spec(name: str) -> SynthSpec:
-    return parse_synth_spec(fixture_text(name), source=f"{name}.synth")
+    path = resources.files("citemetrics.fixtures").joinpath(f"{name}.synth")
+    with path.open(encoding="utf-8") as handle:
+        return parse_synth_spec(handle, source=f"{name}.synth")

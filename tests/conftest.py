@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import citemetrics
 from citemetrics import synth
 from citemetrics.ledger import CellCount, CitationProfile
 
@@ -24,4 +30,15 @@ def make_profile(journal, cells):
     """Profile from {(cited_year, citing_year): (total, self)} pairs."""
     return CitationProfile(
         journal, {key: CellCount(total, self_count) for key, (total, self_count) in cells.items()}
+    )
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run `python *args` in a child that imports this process's citemetrics,
+    installed or not."""
+    package_root = str(Path(citemetrics.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )

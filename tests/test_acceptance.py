@@ -16,20 +16,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from statistics import median
 
-import citemetrics
 from citemetrics import curves, ledger, metrics, synth
 from citemetrics.metrics import WindowPolicy
 
-from conftest import make_profile
+from conftest import make_profile, run_python
 from test_metrics import halflife_oracle, profile_from_ages, pubs_for, scale_profile
 
 
@@ -324,13 +319,7 @@ def test_criterion_6_ledger_conservation():
 
 
 def _run_cli(*args):
-    # The child imports the same citemetrics as this process, installed or not.
-    package_root = str(Path(citemetrics.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "citemetrics", *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return run_python("-m", "citemetrics", *args)
 
 
 def test_criterion_7_cli_end_to_end(tmp_path):

@@ -3,17 +3,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import citemetrics
 from citemetrics.cli import main
 from citemetrics.svg import emit_svg_chart
+
+from conftest import run_python
 
 HEADER = "citing_journal,citing_year,cited_journal,cited_year,count"
 
@@ -68,6 +66,42 @@ def test_synth_accepts_spec_path(tmp_path):
 
 def test_synth_unknown_spec_is_input_error(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "nope.synth"), "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x85"])
+def test_synth_spec_splits_lines_like_csv(tmp_path, capsys, char):
+    # Only LF, CRLF and CR end a line in a spec file, as in the CSV inputs;
+    # str.splitlines() also splits on a form feed, NEL and U+2028.
+    journal = f"Mini{char}Journal"
+    lines = [
+        "# a comment\u2028that goes on",
+        f"journal = {journal}",
+        "pub_years = 2000-2004", "kernel = flat:3", "base_citations = 4",
+        "items_per_year = 2", "observation_end = 2004",
+    ]
+    spec = tmp_path / "c1.synth"
+    spec.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    assert main(["report", "--citations", str(tmp_path / "citations.csv"),
+                 "--publications", str(tmp_path / "publications.csv"),
+                 "--year", "2004", "--format", "json"]) == 0
+    assert [row["journal"] for row in json.loads(capsys.readouterr().out)] == [journal]
+    spec.write_text("\n".join([*lines, "no key here"]) + "\n", encoding="utf-8")
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {spec}:8: expected 'key = value'\n"
+
+
+def test_synth_rejects_reserved_journal_name(tmp_path, capsys):
+    # The ledger writer attributes non-self citations to "(external)", so a
+    # journal of that name would read back as citing only itself.
+    spec = tmp_path / "ext.synth"
+    spec.write_text(
+        "journal = (External)\npub_years = 2000-2004\nkernel = flat:3\n"
+        "base_citations = 4\nitems_per_year = 2\nobservation_end = 2004\n"
+    )
+    assert main(["synth", str(spec), "--outdir", str(tmp_path / "out")]) == 2
+    assert "'(external)' is reserved" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # --- report -------------------------------------------------------------------
@@ -342,6 +376,19 @@ def test_curves_svg(tmp_path, capsys, hare_dir):
     assert target.read_text() == first
 
 
+def test_curves_svg_without_standardizable_volume_writes_nothing(tmp_path, capsys):
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\nX,2004,Young,2003,1\nX,2004,Young,2004,1\n")
+    output, chart = tmp_path / "curves.csv", tmp_path / "young.svg"
+    base = ["curves", "Young", "--citations", str(citations), "--svg", str(chart)]
+    for argv in (base, [*base, "-o", str(output)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no standardizable volumes" in captured.err
+        assert not output.exists() and not chart.exists()
+
+
 def test_curves_strip_self_restores_consistency(capsys, hare_dir):
     main(["curves", "Hare", "--citations", str(hare_dir / "citations.csv")])
     plain_err = capsys.readouterr().err
@@ -568,14 +615,14 @@ def test_publication_only_journal_gets_a_row(tmp_path, capsys):
 
 def test_fixture_report_script(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "fixture_report.py"
-    package_root = str(Path(citemetrics.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(script), "--outdir", str(tmp_path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
-    assert done.returncode == 0, done.stderr
-    for name in ("hare", "tortoise"):
-        chart = (tmp_path / f"{name}_standardized.svg").read_text()
-        assert "<polyline" in chart and chart.rstrip().endswith("</svg>")
-    assert "tortoise/hare impact ratio: raw " in done.stdout
+    for extra, ratio in (((), "raw 6.50, adjusted 40.25"),
+                         (("--strip-self",), "raw 6.50, adjusted 40.13")):
+        outdir = tmp_path / ("stripped" if extra else "plain")
+        done = run_python(str(script), "--outdir", str(outdir), *extra)
+        assert done.returncode == 0, done.stderr
+        for name in ("hare", "tortoise"):
+            chart = (outdir / f"{name}_standardized.svg").read_text()
+            assert "<polyline" in chart and chart.rstrip().endswith("</svg>")
+            assert (outdir / f"{name}_report.json").exists()
+            assert (outdir / f"{name}_curves.csv").exists()
+        assert f"tortoise/hare impact ratio: {ratio}\n" in done.stdout

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,9 @@ def test_spec_validation():
         flat_spec(self_fraction={(1990, 0): Fraction(3, 2)})
     with pytest.raises(ValueError):
         flat_spec(volume_scale={1990: Fraction(0)})
+    for name in ("(external)", " (EXTERNAL) "):  # the ledger's reserved source name
+        with pytest.raises(ValueError, match="reserved"):
+            flat_spec(journal=name)
 
 
 # --- kernels ----------------------------------------------------------------
@@ -167,11 +171,11 @@ def test_rounding_bounds_zero_for_integer_specs():
 
 
 def test_parse_spec_repeatable_keys():
-    spec = parse_synth_spec(
+    spec = parse_synth_spec(io.StringIO(
         "journal = Flatland\npub_years = 1984-2004\nkernel = risedecay:1:1:18/25:21\n"
         "base_citations = 10\nitems_per_year = 40\nobservation_end = 2004\n"
         "volume_scale = 1993,3/25\nself_fraction = 1993,0,19/22\nspike = 1993,0,38\n"
-    )
+    ))
     assert spec == flat_spec(
         kernel=RiseDecay(1, Fraction(1), Fraction(18, 25), 21),
         volume_scale={1993: Fraction(3, 25)},
@@ -181,30 +185,30 @@ def test_parse_spec_repeatable_keys():
 
 
 def test_parse_spec_decimal_fractions_are_exact():
-    spec = parse_synth_spec(
+    spec = parse_synth_spec(io.StringIO(
         "journal = X\npub_years = 2000-2001\nkernel = geometric:0.5:2\n"
         "base_citations = 0.72\nitems_per_year = 3\nobservation_end = 2004\n"
-    )
+    ))
     assert spec.base_citations == Fraction(18, 25)
     assert spec.kernel == Geometric(Fraction(1, 2), 2)
 
 
 def test_parse_spec_missing_key():
     with pytest.raises(ParseError, match="kernel"):
-        parse_synth_spec("journal = X\npub_years = 2000-2001\n")
+        parse_synth_spec(io.StringIO("journal = X\npub_years = 2000-2001\n"))
 
 
 def test_parse_spec_bad_kernel():
     with pytest.raises(ParseError):
-        parse_synth_spec(
+        parse_synth_spec(io.StringIO(
             "journal = X\npub_years = 2000-2001\nkernel = wavelet:3\n"
             "base_citations = 1\nitems_per_year = 1\nobservation_end = 2004\n"
-        )
+        ))
 
 
 def test_parse_spec_duplicate_scalar_key():
     with pytest.raises(ParseError, match="duplicate"):
-        parse_synth_spec("journal = X\njournal = Y\n")
+        parse_synth_spec(io.StringIO("journal = X\njournal = Y\n"))
 
 
 def test_fixtures_load_and_generate():
