@@ -236,7 +236,8 @@ def cmd_curves(args) -> int:
         if year in standardized:
             out.append(standardized[year])
     raws = list(volumes.values())
-    out.append(curves_mod.mean_accrual_curve(raws, curves_mod.clamp_horizon(args.horizon, raws)))
+    oldest = max((raw.max_age() for raw in raws), default=args.horizon)
+    out.append(curves_mod.mean_accrual_curve(raws, curves_mod.clamp_horizon(args.horizon, oldest)))
     _emit(args.output, curves_mod.curves_to_csv(out))
 
     if len(standardized) >= 3:

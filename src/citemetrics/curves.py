@@ -228,16 +228,15 @@ def observable_horizon(profile: CitationProfile) -> int:
     return max(citing for _, citing in profile.cells) - min(cited for cited, _ in profile.cells)
 
 
-def clamp_horizon(horizon: int, curves: Iterable[AccrualCurve]) -> int:
-    """`horizon`, shortened to the oldest age any of `curves` reaches.
+def clamp_horizon(horizon: int, oldest_age: int) -> int:
+    """`horizon`, shortened to `oldest_age`, the oldest age observed.
 
     The one place a requested horizon gives way to what the ledger can
     observe: mean curves and coverage for young journals use the shorter
-    span instead of failing.  Given a journal's volume curves, the bound is
-    observable_horizon of its profile, found without another pass over the
-    cells.
+    span instead of failing.  For a journal's volume curves, the oldest age
+    is observable_horizon of its profile.
     """
-    return min(horizon, max((curve.max_age() for curve in curves), default=horizon))
+    return min(horizon, oldest_age)
 
 
 def detect_anomalous_volumes(

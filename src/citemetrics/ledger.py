@@ -152,6 +152,39 @@ def _parse_row(
     return CitationRecord(citing, citing_year, cited, cited_year, count)
 
 
+def _check_row(
+    number: int,
+    line: str,
+    years: dict[str, int],
+    names: dict[str, tuple[str, str]],
+    resolved: dict[str, str],
+    alias_map: AliasMap,
+    source: str | None,
+) -> tuple[str, str, int, str, str, int, int] | None:
+    """The reference check of one ledger line that missed the field caches.
+
+    Returns None for a blank line and raises the line's ParseError.  A valid
+    row's year texts are admitted to `years` (text -> year) and its name
+    texts to `names` (text -> canonical name and identity); the result is
+    (citing, citing_id, citing_year, cited, cited_id, cited_year, count).
+    """
+    checked = next(_rows([(number, line)], 5, source), None)
+    if checked is None:
+        return None
+    parts = checked[1]
+    citing, citing_year, cited, cited_year, count = _parse_row(
+        number, parts, resolved, alias_map, source
+    )
+    citing_raw, citing_year_s, cited_raw, cited_year_s, _ = parts
+    years[citing_year_s] = citing_year
+    years[cited_year_s] = cited_year
+    citing_id = citing.casefold()
+    cited_id = cited.casefold()
+    names[citing_raw] = (citing, citing_id)
+    names[cited_raw] = (cited, cited_id)
+    return citing, citing_id, citing_year, cited, cited_id, cited_year, count
+
+
 def iter_citation_records(
     lines: Iterable[str],
     alias_map: AliasMap = EMPTY_ALIASES,
@@ -163,10 +196,27 @@ def iter_citation_records(
     comma-separated fields, no quoting (identifiers containing commas are
     rejected as a wrong field count).  Malformed rows raise ParseError with
     the offending line number; a header-only file yields nothing.
+    Validation is cached by field text as in read_citation_profiles.
     """
+    years: dict[str, int] = {}
+    names: dict[str, tuple[str, str]] = {}
     resolved: dict[str, str] = {}
-    for number, parts in _rows(_data_lines(lines, CITATIONS_HEADER, source), 5, source):
-        yield _parse_row(number, parts, resolved, alias_map, source)
+    for number, line in _data_lines(lines, CITATIONS_HEADER, source):
+        try:
+            citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
+            citing = names[citing_raw][0]
+            cited = names[cited_raw][0]
+            citing_year = years[citing_year_s]
+            cited_year = years[cited_year_s]
+            count = int(count_s)
+            if count < 0 or citing_year < cited_year:
+                raise ValueError
+        except (ValueError, KeyError):
+            row = _check_row(number, line, years, names, resolved, alias_map, source)
+            if row is None:  # a blank line
+                continue
+            citing, _, citing_year, cited, _, cited_year, count = row
+        yield CitationRecord(citing, citing_year, cited, cited_year, count)
 
 
 def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap:
@@ -294,7 +344,8 @@ def read_citation_profiles(
     its in-range year and a name text to its non-empty canonical name and
     identity, so a row whose four texts are all known only needs its count
     and year order checked.  Every other row goes through the reference row
-    check, which either raises or admits the row's texts to the caches.
+    check (_check_row), which either raises or admits the row's texts to the
+    caches; iter_citation_records shares it.
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
@@ -314,20 +365,10 @@ def read_citation_profiles(
             if count < 0 or citing_year < cited_year:
                 raise ValueError  # the reference check below raises the error
         except (ValueError, KeyError):
-            checked = next(_rows([(number, line)], 5, source), None)
-            if checked is None:  # a blank line
+            row = _check_row(number, line, years, names, resolved, alias_map, source)
+            if row is None:  # a blank line
                 continue
-            parts = checked[1]
-            citing, citing_year, cited, cited_year, count = _parse_row(
-                number, parts, resolved, alias_map, source
-            )
-            citing_raw, citing_year_s, cited_raw, cited_year_s, _ = parts
-            years[citing_year_s] = citing_year
-            years[cited_year_s] = cited_year
-            citing_id = citing.casefold()
-            cited_id = cited.casefold()
-            names[citing_raw] = (citing, citing_id)
-            names[cited_raw] = (cited, cited_id)
+            citing, citing_id, citing_year, cited, cited_id, cited_year, count = row
         rows += 1
         cells = cells_by_journal.get(cited_id)
         if cells is None:
@@ -389,12 +430,14 @@ def volume_self_rates(profile: CitationProfile) -> dict[int, dict[int, Fraction]
 def strip_self_references(profile: CitationProfile) -> CitationProfile:
     """Return a copy with self-references removed from every cell.
 
-    Idempotent, and never increases any cell total.
+    Idempotent, and never increases any cell total.  Cells without a self
+    share are the same (immutable) CellCount objects in the copy.
     """
-    return CitationProfile(
-        profile.journal,
-        {key: CellCount(c.total - c.self_count, 0) for key, c in profile.cells.items()},
-    )
+    cells = profile.cells.copy()
+    for key, cell in profile.cells.items():
+        if cell.self_count:
+            cells[key] = CellCount(cell.total - cell.self_count, 0)
+    return CitationProfile(profile.journal, cells)
 
 
 def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:

@@ -15,7 +15,8 @@ a common denominator, and one Fraction is built from the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -197,6 +198,20 @@ def jcr_truncate(half_life_exact) -> Fraction | str:
     return JCR_TRUNCATION_TOKEN if value > 10 else value
 
 
+def _coverage(journal: str, sums, counts, window_ages) -> Fraction:
+    """Share of the horizon total that falls inside the window ages.
+
+    Age a's mean is sums[a] / counts[a].  The means are summed as integers
+    over the lcm of the counts, so the only Fraction built is the result.
+    """
+    common = math.lcm(*counts)
+    scaled = [s * (common // c) for s, c in zip(sums, counts)]
+    total = sum(scaled)
+    if total == 0:
+        raise ZeroWindowError(f"{journal!r}: no citations within the horizon")
+    return Fraction(sum(scaled[a] for a in window_ages), total)
+
+
 def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
     """Share of the horizon-total citations that fall inside the window ages."""
     if mean_curve.max_age() < policy.horizon:
@@ -204,12 +219,12 @@ def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
             f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
         )
     values = mean_curve.values[: policy.horizon + 1]
-    common = math.lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (common // v.denominator) for v in values]
-    total = sum(scaled)
-    if total == 0:
-        raise ZeroWindowError(f"{mean_curve.journal!r}: no citations within the horizon")
-    return Fraction(sum(scaled[a] for a in policy.window_ages), total)
+    return _coverage(
+        mean_curve.journal,
+        [v.numerator for v in values],
+        [v.denominator for v in values],
+        policy.window_ages,
+    )
 
 
 def scaling_factor(coverage, target_quantile) -> Fraction:
@@ -253,17 +268,45 @@ def reliability_flags(
     return frozenset()
 
 
+def _age_sums(profile: CitationProfile, horizon: int) -> tuple[list[int], list[int]]:
+    """Per-age citation sums and observing-volume counts for ages 0..h.
+
+    The integer core of the journal's ragged mean curve (age a's mean is
+    sums[a] / counts[a]); the sums take one pass over the cells.  As in
+    volume_curves, observation ends at the last citing year in the profile,
+    every cited year up to that end is a volume, and only cells with
+    cited <= citing count.  h is `horizon` clamped to the oldest volume.
+    """
+    cells = profile.cells
+    if not cells:
+        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
+    end = max(citing for _, citing in cells)
+    years = sorted({cited for cited, _ in cells if cited <= end})
+    if not years:  # the error mean_accrual_curve raises on no volume curves
+        raise ValueError("mean_accrual_curve needs at least one curve")
+    width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
+    sums = [0] * width
+    for (cited, citing), cell in cells.items():
+        age = citing - cited
+        if 0 <= age < width:
+            sums[age] += cell.total
+    # A volume published in year y observes ages 0..end - y.
+    counts = [bisect_right(years, end - age) for age in range(width)]
+    return sums, counts
+
+
 def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     """Ragged-mean accrual curve for a whole journal, clamped to the ledger span.
 
-    The strict per-age observability rule lives in mean_accrual_curve; here
-    the horizon is capped at the oldest observed age so that reports for
-    young journals still produce a (shorter) curve rather than failing.
+    Equal to mean_accrual_curve over the journal's volume curves; here the
+    horizon is capped at the oldest observed age so that reports for young
+    journals still produce a (shorter) curve rather than failing.
     """
-    if not profile.cells:
-        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
-    volumes = list(curves_mod.volume_curves(profile).values())
-    return curves_mod.mean_accrual_curve(volumes, curves_mod.clamp_horizon(horizon, volumes))
+    sums, counts = _age_sums(profile, horizon)
+    return AccrualCurve(
+        profile.journal, None, curves_mod.KIND_RAW, tuple(map(Fraction, sums, counts)),
+        tuple(counts),
+    )
 
 
 def build_indicator_report(
@@ -300,13 +343,15 @@ def build_indicator_report(
     coverage = scaling = adjusted = None
     try:
         if mean_curve is None:
-            mean_curve = journal_mean_curve(profile, policy.horizon)
-        horizon = curves_mod.clamp_horizon(policy.horizon, [mean_curve])
-        if horizon < max(policy.window_ages):
+            sums, counts = _age_sums(profile, policy.horizon)
+        else:
+            horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
+            values = mean_curve.values[: horizon + 1]
+            sums = [v.numerator for v in values]
+            counts = [v.denominator for v in values]
+        if len(sums) <= max(policy.window_ages):
             raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
-        if horizon < policy.horizon:
-            policy = replace(policy, horizon=horizon)
-        coverage = window_coverage(mean_curve, policy)
+        coverage = _coverage(profile.journal, sums, counts, policy.window_ages)
         if coverage > 0:
             scaling = scaling_factor(coverage, policy.target_quantile)
             if jif is not None:

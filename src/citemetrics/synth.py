@@ -281,18 +281,27 @@ def _parse_kernel(text: str) -> Kernel:
     raise ValueError(f"unrecognized kernel {text!r}")
 
 
+# Keys given once per spec, all of them required.
+_SCALAR_KEYS = ("journal", "pub_years", "kernel", "base_citations",
+                "items_per_year", "observation_end")
+
+
 def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSpec:
     """Parse the flat key = value spec format from lines, numbered from 1.
 
     Repeatable keys: volume_scale = year,scale; self_fraction = year,age,frac;
-    spike = year,age,count.  Fractions accept both "0.12" and "38/44" (both
-    are exact).  Lines starting with "#" and blank lines are ignored.
+    spike = year,age,count.  Every other key must be one of _SCALAR_KEYS,
+    given once.  Fractions accept both "0.12" and "38/44" (both are exact).
+    Lines starting with "#" and blank lines are ignored; a byte order mark
+    may open the first line, as in the CSV inputs.
     """
     fields: dict[str, str] = {}
     volume_scale: dict[int, Fraction] = {}
     self_fraction: dict[tuple[int, int], Fraction] = {}
     spikes: list[Spike] = []
     for number, raw in enumerate(lines, start=1):
+        if number == 1:
+            raw = raw.removeprefix("\ufeff")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -311,6 +320,8 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
             elif key == "spike":
                 year, age, extra = value.split(",")
                 spikes.append(Spike(int(year), int(age), int(extra)))
+            elif key not in _SCALAR_KEYS:
+                raise ParseError(number, f"unknown key {key!r}", source)
             elif key in fields:
                 raise ParseError(number, f"duplicate key {key!r}", source)
             else:
@@ -319,9 +330,7 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
             raise
         except ValueError as exc:
             raise ParseError(number, f"bad value for {key!r}: {exc}", source)
-    required = ("journal", "pub_years", "kernel", "base_citations",
-                "items_per_year", "observation_end")
-    for name in required:
+    for name in _SCALAR_KEYS:
         if name not in fields:
             raise ParseError(0, f"missing required key {name!r}", source)
     try:

@@ -64,6 +64,25 @@ def test_synth_accepts_spec_path(tmp_path):
     assert "Mini" in text
 
 
+def test_synth_spec_bom_and_unknown_key(tmp_path, capsys):
+    text = ("journal = Mini\npub_years = 2000-2004\nkernel = flat:3\n"
+            "base_citations = 4\nitems_per_year = 2\nobservation_end = 2004\n")
+    (tmp_path / "plain.synth").write_text(text, encoding="utf-8")
+    (tmp_path / "bom.synth").write_text("\ufeff" + text, encoding="utf-8")
+    for name in ("plain", "bom"):
+        assert main(["synth", str(tmp_path / f"{name}.synth"),
+                     "--outdir", str(tmp_path / name)]) == 0
+    for output in ("citations.csv", "publications.csv"):
+        assert (tmp_path / "bom" / output).read_bytes() == (
+            tmp_path / "plain" / output).read_bytes()
+    capsys.readouterr()
+    typo = tmp_path / "typo.synth"
+    typo.write_text(text + "self_fracton = 2000,0,1/2\n", encoding="utf-8")
+    assert main(["synth", str(typo), "--outdir", str(tmp_path / "typo")]) == 2
+    assert capsys.readouterr().err == f"error: {typo}:7: unknown key 'self_fracton'\n"
+    assert not (tmp_path / "typo").exists()
+
+
 def test_synth_unknown_spec_is_input_error(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "nope.synth"), "--outdir", str(tmp_path)]) == 2
 

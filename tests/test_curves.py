@@ -457,16 +457,16 @@ def test_clamp_horizon_on_volumes_is_observable_horizon(cells, horizon):
     volumes = list(volume_curves(profile).values())
     if not volumes:  # every cell cites a later year: no volume is observed
         assert observable_horizon(profile) < 0
-        assert clamp_horizon(horizon, volumes) == horizon
         return
-    assert clamp_horizon(horizon, volumes) == min(horizon, observable_horizon(profile))
+    oldest = max(curve.max_age() for curve in volumes)
+    assert oldest == observable_horizon(profile)
+    assert clamp_horizon(horizon, oldest) == min(horizon, oldest)
 
 
 def test_clamp_horizon_never_lengthens():
-    curves = [raw([1, 2, 3]), raw([4], pub_year=1991)]
-    assert clamp_horizon(20, curves) == 2
-    assert clamp_horizon(1, curves) == 1
-    assert clamp_horizon(5, []) == 5
+    assert clamp_horizon(20, 2) == 2
+    assert clamp_horizon(1, 2) == 1
+    assert clamp_horizon(-1, 0) == -1
 
 
 def test_volume_curves_empty_profile():

@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 
 from citemetrics.errors import ParseError, UndefinedRateError
 from citemetrics.ledger import (
+    CITATIONS_HEADER,
     AliasMap,
     CellCount,
+    CitationProfile,
     CitationRecord,
+    _data_lines,
+    _parse_row,
+    _rows,
     build_profiles,
     iter_citation_records,
     parse_alias_csv,
@@ -296,6 +301,48 @@ def test_profile_csv_round_trip(records):
     assert reparsed == profiles
 
 
+def reference_strip(profile):
+    # Stripping before it shared the cells it leaves unchanged.
+    return CitationProfile(
+        profile.journal,
+        {key: CellCount(c.total - c.self_count, 0) for key, c in profile.cells.items()},
+    )
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(1990, 1996), st.integers(1990, 2004)),
+        st.tuples(st.integers(0, 9), st.integers(1, 9)),
+        max_size=30,
+    ),
+    st.sampled_from(["no self", "only self", "mix"]),
+    st.data(),
+)
+def test_strip_self_references_matches_reference(cells, shape, data):
+    # (non-self, self) per cell; the shape decides which cells keep a self share.
+    if shape == "no self":
+        keep_self = set()
+    elif shape == "only self":
+        keep_self = set(cells)
+    else:
+        keep_self = data.draw(st.sets(st.sampled_from(sorted(cells)))) if cells else set()
+    profile = make_profile("J", {
+        key: (other + self_count, self_count if key in keep_self else 0)
+        for key, (other, self_count) in cells.items()
+    })
+    before = dict(profile.cells)
+    stripped = strip_self_references(profile)
+    expected = reference_strip(profile)
+    assert stripped == expected
+    assert list(stripped.cells) == list(expected.cells)
+    assert strip_self_references(stripped) == stripped
+    assert profile.cells == before and list(profile.cells) == list(before)
+    assert stripped.cells is not profile.cells
+    for key, cell in profile.cells.items():
+        if not cell.self_count:
+            assert stripped.cells[key] is cell
+
+
 # --- single-pass loader against the reference parse + fold ---------------
 
 # Spelling variants of three journals, plus two former names that the
@@ -369,13 +416,20 @@ def ledger_texts(draw, bad_kind):
     return bom + ending.join([header, *lines]) + draw(st.sampled_from(["", ending]))
 
 
+def reference_records(lines, alias_map=AliasMap(), source=None):
+    # The record path before it shared the field caches: every row goes
+    # through the full row check.
+    resolved = {}
+    for number, parts in _rows(_data_lines(lines, CITATIONS_HEADER, source), 5, source):
+        yield _parse_row(number, parts, resolved, alias_map, source)
+
+
 def reference_load(text, aliases):
     try:
-        profiles = build_profiles(iter_citation_records(io.StringIO(text), aliases))
-        rows = len(list(iter_citation_records(io.StringIO(text), aliases)))
+        records = list(reference_records(io.StringIO(text), aliases))
     except ParseError as exc:
         return None, (exc.line, exc.reason)
-    return (profiles, rows), None
+    return (build_profiles(records), len(records)), None
 
 
 def single_pass_load(text, aliases):
@@ -385,28 +439,40 @@ def single_pass_load(text, aliases):
         return None, (exc.line, exc.reason)
 
 
+def record_path_load(text, aliases):
+    try:
+        records = list(iter_citation_records(io.StringIO(text), aliases))
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+    return (build_profiles(records), len(records)), None
+
+
 @pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
 @given(data=st.data(), use_aliases=st.booleans())
 @settings(max_examples=60)
 def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
+    # Both cached readers against the uncached record path.
     text = data.draw(ledger_texts(bad_kind))
     aliases = LEDGER_ALIASES if use_aliases else AliasMap()
     expected, expected_error = reference_load(text, aliases)
-    loaded, error = single_pass_load(text, aliases)
-    assert error == expected_error
     if bad_kind is not None:
-        assert error is not None
-    if expected is None:
-        return
-    (profiles, rows), (expected_profiles, expected_rows) = loaded, expected
-    assert rows == expected_rows
-    assert profiles == expected_profiles
-    assert list(profiles) == list(expected_profiles)
-    for name, profile in profiles.items():
-        assert profile.journal == expected_profiles[name].journal
-        assert list(profile.cells) == list(expected_profiles[name].cells)
-
-
+        assert expected_error is not None
+    for load in (single_pass_load, record_path_load):
+        loaded, error = load(text, aliases)
+        assert error == expected_error
+        if expected is None:
+            continue
+        (profiles, rows), (expected_profiles, expected_rows) = loaded, expected
+        assert rows == expected_rows
+        assert profiles == expected_profiles
+        assert list(profiles) == list(expected_profiles)
+        for name, profile in profiles.items():
+            assert profile.journal == expected_profiles[name].journal
+            assert list(profile.cells) == list(expected_profiles[name].cells)
+    if expected is not None:
+        assert list(iter_citation_records(io.StringIO(text), aliases)) == list(
+            reference_records(io.StringIO(text), aliases)
+        )
 
 
 # --- line layout, shared by every reader ----------------------------------------

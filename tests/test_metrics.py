@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from citemetrics.curves import AccrualCurve, KIND_RAW, classify_journal
+from citemetrics.curves import (
+    AccrualCurve,
+    KIND_RAW,
+    clamp_horizon,
+    classify_journal,
+    mean_accrual_curve,
+    volume_curves,
+)
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
 from citemetrics.ledger import CellCount, CitationProfile, PublicationCounts
 from citemetrics.cli import REPORT_COLUMNS, _render_rows
@@ -14,6 +22,7 @@ from citemetrics.metrics import (
     FLAG_HALF_LIFE_UNRELIABLE,
     FLAG_MISSING_DENOMINATOR,
     FLAG_ZERO_WINDOW_CITATIONS,
+    IndicatorReport,
     WindowPolicy,
     adjusted_impact,
     build_indicator_report,
@@ -21,6 +30,7 @@ from citemetrics.metrics import (
     half_away_units,
     impact_factor,
     jcr_truncate,
+    journal_mean_curve,
     reliability_flags,
     round_half_away,
     scaling_factor,
@@ -438,3 +448,151 @@ def test_fixture_classification(hare, tortoise):
     tortoise_cov = build_indicator_report(tortoise_profile, tortoise_pubs, 2004).coverage
     assert classify_journal(hare_cov) == "Hare"
     assert classify_journal(tortoise_cov) == "Tortoise"
+
+
+# --- the age-sum kernel against the curve-layer path ----------------------
+#
+# Copies of journal_mean_curve and build_indicator_report as they were before
+# reports took their mean-curve data from per-age integer sums: volume
+# curves, then their ragged mean, then coverage from the mean's values
+# (reference_window_coverage above).  The kernel must return equal results
+# and raise the same errors.
+
+
+def reference_journal_mean_curve(profile, horizon):
+    if not profile.cells:
+        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
+    volumes = list(volume_curves(profile).values())
+    oldest = max((curve.max_age() for curve in volumes), default=horizon)
+    return mean_accrual_curve(volumes, clamp_horizon(horizon, oldest))
+
+
+def reference_build_indicator_report(profile, pubs, eval_year, policy, mean_curve=None):
+    flags = set()
+    jif = immediacy = None
+    try:
+        jif = impact_factor(profile, pubs, eval_year, policy.window_ages)
+    except MissingDenominatorError:
+        flags.add(FLAG_MISSING_DENOMINATOR)
+    try:
+        immediacy = impact_factor(profile, pubs, eval_year, (0,))
+    except MissingDenominatorError:
+        flags.add(FLAG_MISSING_DENOMINATOR)
+    half_life = cited_half_life(profile, eval_year)
+    half_life_jcr = None if half_life is None else jcr_truncate(half_life)
+    coverage = scaling = adjusted = None
+    try:
+        if mean_curve is None:
+            mean_curve = reference_journal_mean_curve(profile, policy.horizon)
+        horizon = min(policy.horizon, mean_curve.max_age())
+        if horizon < max(policy.window_ages):
+            raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
+        if horizon < policy.horizon:
+            policy = replace(policy, horizon=horizon)
+        coverage = reference_window_coverage(mean_curve, policy)
+        if coverage > 0:
+            scaling = scaling_factor(coverage, policy.target_quantile)
+            if jif is not None:
+                adjusted = adjusted_impact(jif, scaling)
+        else:
+            flags.add(FLAG_ZERO_WINDOW_CITATIONS)
+    except ZeroWindowError:
+        flags.add(FLAG_ZERO_WINDOW_CITATIONS)
+    flags |= reliability_flags(profile, eval_year, half_life)
+    return IndicatorReport(profile.journal, eval_year, jif, immediacy, half_life,
+                           half_life_jcr, coverage, scaling, adjusted, frozenset(flags))
+
+
+def kernel_outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # the same error type and message on both sides
+        return (type(exc), str(exc))
+
+
+# (cited year, age) -> (non-self, self): ages below 0 are programmatic cells
+# citing a year before the volume; an empty dict is a publication-only journal.
+kernel_cells = st.dictionaries(
+    st.tuples(st.integers(1990, 1997), st.integers(-3, 10)),
+    st.tuples(st.integers(0, 9), st.integers(0, 4)),
+    max_size=30,
+)
+
+
+def kernel_profile(cells):
+    return make_profile("J", {
+        (cited, cited + age): (other + self_count, self_count)
+        for (cited, age), (other, self_count) in cells.items()
+    })
+
+
+@given(kernel_cells, st.integers(-2, 14))
+def test_journal_mean_curve_matches_volume_mean(cells, horizon):
+    profile = kernel_profile(cells)
+    expected = kernel_outcome(reference_journal_mean_curve, profile, horizon)
+    result = kernel_outcome(journal_mean_curve, profile, horizon)
+    assert result == expected
+    if isinstance(result, AccrualCurve):
+        assert result.observations == expected.observations
+        assert all(type(v) is Fraction for v in result.values)
+
+
+@st.composite
+def kernel_policies(draw):
+    # Horizons from the oldest window age (0 with window (0,)) upward; the
+    # ledger's span clamps many of them below the window.
+    ages = tuple(draw(st.sets(st.integers(0, 5), min_size=1, max_size=3)))
+    horizon = draw(st.integers(max(ages), 12))
+    quantile = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1)]))
+    return WindowPolicy(ages, horizon, quantile)
+
+
+mean_values_or_none = st.one_of(
+    st.none(),
+    st.just("journal"),
+    st.lists(mean_values, max_size=14),
+)
+
+
+@given(
+    kernel_cells,
+    st.dictionaries(st.integers(1985, 2008), st.integers(1, 20), max_size=12),
+    st.integers(1985, 2010),
+    kernel_policies(),
+    mean_values_or_none,
+)
+def test_build_indicator_report_matches_reference(cells, items, eval_year, policy, mean):
+    # eval_year ranges from before the first volume to after the last citing year.
+    profile = kernel_profile(cells)
+    pubs = pubs_for("J", items)
+    if mean == "journal":  # as the benchmark's pipeline passes it
+        mean = kernel_outcome(journal_mean_curve, profile, policy.horizon)
+        if not isinstance(mean, AccrualCurve):
+            return
+    elif mean is not None:
+        mean = mean_curve(mean)
+    expected = kernel_outcome(reference_build_indicator_report, profile, pubs, eval_year,
+                              policy, mean)
+    result = kernel_outcome(build_indicator_report, profile, pubs, eval_year, policy, mean)
+    assert result == expected
+    if isinstance(result, IndicatorReport) and result.coverage is not None:
+        assert type(result.coverage) is Fraction
+
+
+@pytest.mark.parametrize("cells,horizon", [
+    ({}, 20),  # empty, or publication-only
+    ({(1999, -1): (3, 0)}, 20),  # only a cell citing the year before its volume
+    ({(1999, -1): (3, 0), (1990, 2): (0, 0)}, 20),  # one all-zero volume
+    ({(1996, 0): (4, 1), (1996, 1): (2, 0)}, 0),  # horizon 0
+    ({(1996, 0): (4, 1), (1996, 1): (2, 0)}, -1),  # an empty curve
+])
+def test_journal_mean_curve_edge_cases(cells, horizon):
+    profile = kernel_profile(cells)
+    expected = kernel_outcome(reference_journal_mean_curve, profile, horizon)
+    assert kernel_outcome(journal_mean_curve, profile, horizon) == expected
+    pubs = pubs_for("J", {1995: 3, 1996: 5})
+    for eval_year in (1980, 1996, 2020):
+        for policy in (WindowPolicy(), WindowPolicy((0,), 0), WindowPolicy((1, 4), 4)):
+            args = (profile, pubs, eval_year, policy)
+            expected = kernel_outcome(reference_build_indicator_report, *args)
+            assert kernel_outcome(build_indicator_report, *args) == expected

@@ -211,6 +211,28 @@ def test_parse_spec_duplicate_scalar_key():
         parse_synth_spec(io.StringIO("journal = X\njournal = Y\n"))
 
 
+def test_parse_spec_unknown_key_names_its_line():
+    # A misspelt repeatable key used to be stored and never read.
+    with pytest.raises(ParseError) as err:
+        parse_synth_spec(io.StringIO(
+            "journal = X\npub_years = 2000-2001\nkernel = flat:2\n"
+            "base_citations = 1\nitems_per_year = 1\nobservation_end = 2004\n"
+            "self_fracton = 2000,0,1/2\n"
+        ), source="typo.synth")
+    assert (err.value.line, err.value.reason) == (7, "unknown key 'self_fracton'")
+
+
+def test_parse_spec_first_line_may_open_with_bom():
+    text = ("journal = X\npub_years = 2000-2001\nkernel = flat:2\n"
+            "base_citations = 1\nitems_per_year = 1\nobservation_end = 2004\n")
+    plain = parse_synth_spec(io.StringIO(text))
+    assert parse_synth_spec(io.StringIO("\ufeff" + text)) == plain
+    assert parse_synth_spec(io.StringIO("\ufeff# comment\n" + text)) == plain
+    with pytest.raises(ParseError) as err:  # only on line 1
+        parse_synth_spec(io.StringIO("# comment\n\ufeff" + text))
+    assert err.value.line == 2 and "unknown key" in err.value.reason
+
+
 def test_fixtures_load_and_generate():
     for name in FIXTURE_NAMES:
         spec = fixture_spec(name)
