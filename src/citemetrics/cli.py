@@ -235,9 +235,7 @@ def cmd_curves(args) -> int:
         out.append(curves_mod.cumulative(raw))
         if year in standardized:
             out.append(standardized[year])
-    raws = list(volumes.values())
-    oldest = max((raw.max_age() for raw in raws), default=args.horizon)
-    out.append(curves_mod.mean_accrual_curve(raws, curves_mod.clamp_horizon(args.horizon, oldest)))
+    out.append(metrics.journal_mean_curve(profile, args.horizon))
     _emit(args.output, curves_mod.curves_to_csv(out))
 
     if len(standardized) >= 3:
@@ -272,9 +270,9 @@ def cmd_synth(args) -> int:
     else:
         spec = _read(args.spec, synth.parse_synth_spec)
     profile, _ = synth.generate_profile(spec)
+    citations = ledger.profiles_to_citation_csv({profile.journal: profile})
     target = Path(args.outdir)
     target.mkdir(parents=True, exist_ok=True)
-    citations = ledger.profiles_to_citation_csv({profile.journal: profile})
     publications = [ledger.PUBLICATIONS_HEADER]
     publications += [
         f"{spec.journal},{year},{spec.items_per_year}" for year in spec.pub_years()

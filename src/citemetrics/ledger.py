@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, UndefinedRateError
+from .errors import CitemetricsError, ParseError, UndefinedRateError
 
 CITATIONS_HEADER = "citing_journal,citing_year,cited_journal,cited_year,count"
 PUBLICATIONS_HEADER = "journal,year,citeable_items"
@@ -28,6 +28,11 @@ ALIASES_HEADER = "alias,canonical"
 EXTERNAL_SOURCE = "(external)"
 
 YEAR_MIN, YEAR_MAX = 1000, 9999
+
+# The largest count one ledger row may carry.  Counts up to 2**53 are exact
+# as floats, and their sums stay far below the largest float for any ledger
+# that fits in memory, so every value a report or curve table prints is finite.
+MAX_COUNT = 2**53
 
 
 class CitationRecord(NamedTuple):
@@ -121,14 +126,25 @@ def _rows(
             yield number, parts
 
 
-def _parse_row(
-    number: int, parts: list[str], resolved: dict[str, str], alias_map: AliasMap, source: str | None
-) -> CitationRecord:
-    """Validate and canonicalize one data row's five fields, or raise its ParseError.
+def _check_row(
+    number: int,
+    line: str,
+    years: dict[str, int],
+    names: dict[str, tuple[str, str]],
+    alias_map: AliasMap,
+    source: str | None,
+) -> tuple[str, str, int, str, str, int, int] | None:
+    """The full check of one ledger line, for lines that missed the field caches.
 
-    `resolved` caches alias resolution by raw name text across calls.
+    Returns None for a blank line and raises the line's ParseError.  A valid
+    row's year texts are admitted to `years` (text -> year) and its name
+    texts to `names` (text -> canonical name and identity); the result is
+    (citing, citing_id, citing_year, cited, cited_id, cited_year, count).
     """
-    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = parts
+    checked = next(_rows([(number, line)], 5, source), None)
+    if checked is None:
+        return None
+    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = checked[1]
     try:
         citing_year = int(citing_year_s)
         cited_year = int(cited_year_s)
@@ -139,43 +155,14 @@ def _parse_row(
         raise ParseError(number, "years must be 4-digit integers", source)
     if count < 0:
         raise ParseError(number, "count must be non-negative", source)
+    if count > MAX_COUNT:
+        raise ParseError(number, f"count must be at most {MAX_COUNT}", source)
     if citing_year < cited_year:
         raise ParseError(number, "citing year precedes cited year", source)
-    citing = resolved.get(citing_raw)
-    if citing is None:
-        resolved[citing_raw] = citing = alias_map.resolve(citing_raw)
-    cited = resolved.get(cited_raw)
-    if cited is None:
-        resolved[cited_raw] = cited = alias_map.resolve(cited_raw)
+    citing = alias_map.resolve(citing_raw)
+    cited = alias_map.resolve(cited_raw)
     if not citing or not cited:
         raise ParseError(number, "journal identifiers must be non-empty", source)
-    return CitationRecord(citing, citing_year, cited, cited_year, count)
-
-
-def _check_row(
-    number: int,
-    line: str,
-    years: dict[str, int],
-    names: dict[str, tuple[str, str]],
-    resolved: dict[str, str],
-    alias_map: AliasMap,
-    source: str | None,
-) -> tuple[str, str, int, str, str, int, int] | None:
-    """The reference check of one ledger line that missed the field caches.
-
-    Returns None for a blank line and raises the line's ParseError.  A valid
-    row's year texts are admitted to `years` (text -> year) and its name
-    texts to `names` (text -> canonical name and identity); the result is
-    (citing, citing_id, citing_year, cited, cited_id, cited_year, count).
-    """
-    checked = next(_rows([(number, line)], 5, source), None)
-    if checked is None:
-        return None
-    parts = checked[1]
-    citing, citing_year, cited, cited_year, count = _parse_row(
-        number, parts, resolved, alias_map, source
-    )
-    citing_raw, citing_year_s, cited_raw, cited_year_s, _ = parts
     years[citing_year_s] = citing_year
     years[cited_year_s] = cited_year
     citing_id = citing.casefold()
@@ -200,7 +187,6 @@ def iter_citation_records(
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
-    resolved: dict[str, str] = {}
     for number, line in _data_lines(lines, CITATIONS_HEADER, source):
         try:
             citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
@@ -209,10 +195,10 @@ def iter_citation_records(
             citing_year = years[citing_year_s]
             cited_year = years[cited_year_s]
             count = int(count_s)
-            if count < 0 or citing_year < cited_year:
+            if not 0 <= count <= MAX_COUNT or citing_year < cited_year:
                 raise ValueError
         except (ValueError, KeyError):
-            row = _check_row(number, line, years, names, resolved, alias_map, source)
+            row = _check_row(number, line, years, names, alias_map, source)
             if row is None:  # a blank line
                 continue
             citing, _, citing_year, cited, _, cited_year, count = row
@@ -343,13 +329,12 @@ def read_citation_profiles(
     number of rows.  Validation is cached by field text: a year text maps to
     its in-range year and a name text to its non-empty canonical name and
     identity, so a row whose four texts are all known only needs its count
-    and year order checked.  Every other row goes through the reference row
+    range and year order checked.  Every other row goes through the one full row
     check (_check_row), which either raises or admits the row's texts to the
     caches; iter_citation_records shares it.
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
-    resolved: dict[str, str] = {}
     display: dict[str, str] = {}
     cells_by_journal: dict[str, dict[tuple[int, int], list[int]]] = {}
     rows = 0
@@ -362,10 +347,10 @@ def read_citation_profiles(
             citing_year = years[citing_year_s]
             cited_year = years[cited_year_s]
             count = int(count_s)
-            if count < 0 or citing_year < cited_year:
-                raise ValueError  # the reference check below raises the error
+            if not 0 <= count <= MAX_COUNT or citing_year < cited_year:
+                raise ValueError  # the full row check below raises the error
         except (ValueError, KeyError):
-            row = _check_row(number, line, years, names, resolved, alias_map, source)
+            row = _check_row(number, line, years, names, alias_map, source)
             if row is None:  # a blank line
                 continue
             citing, citing_id, citing_year, cited, cited_id, cited_year, count = row
@@ -445,7 +430,8 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
 
     The self share is attributed to the journal itself, the remainder to the
     reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row so
-    re-parsing reproduces the profiles exactly.
+    re-parsing reproduces the profiles exactly.  A row whose count the
+    ledger readers would reject (above MAX_COUNT) raises CitemetricsError.
     """
     lines = [CITATIONS_HEADER]
     for journal in sorted(profiles, key=str.casefold):
@@ -454,6 +440,11 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
         for (cited_year, citing_year) in sorted(profile.cells):
             cell = profile.cells[(cited_year, citing_year)]
             other = cell.total - cell.self_count
+            if max(cell.self_count, other) > MAX_COUNT:
+                raise CitemetricsError(
+                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
+                    f"ledger row with a count above {MAX_COUNT}"
+                )
             if cell.self_count > 0:
                 lines.append(f"{name},{citing_year},{name},{cited_year},{cell.self_count}")
             if other > 0 or cell.total == 0:

@@ -150,20 +150,6 @@ def impact_factor(
     return Fraction(numerator, sum(items))
 
 
-def received_by_age(profile: CitationProfile, eval_year: int) -> list[int]:
-    """Citations received in eval_year, indexed by item age 0..oldest volume."""
-    if not profile.cells:
-        return []
-    oldest = eval_year - min(cited for cited, _ in profile.cells)
-    if oldest < 0:
-        return []
-    counts = [0] * (oldest + 1)
-    for (cited_year, citing_year), cell in profile.cells.items():
-        if citing_year == eval_year and cited_year <= eval_year:
-            counts[eval_year - cited_year] = cell.total
-    return counts
-
-
 def cited_half_life(
     profile: CitationProfile,
     eval_year: int,
@@ -179,13 +165,18 @@ def cited_half_life(
     q = as_fraction(quantile)
     if not 0 < q <= 1:
         raise ValueError("quantile must be in (0, 1]")
-    counts = received_by_age(profile, eval_year)
-    total = sum(counts)
+    # Ages with no citations never hold the crossing, so they are left out.
+    counts = sorted(
+        (eval_year - cited, cell.total)
+        for (cited, citing), cell in profile.cells.items()
+        if citing == eval_year and cited <= eval_year and cell.total
+    )
+    total = sum(count for _, count in counts)
     if total == 0:
         return None
     target = q * total
     running = 0
-    for age, count in enumerate(counts):
+    for age, count in counts:
         if running + count >= target:
             return age + Fraction(target - running, count)
         running += count
@@ -246,13 +237,6 @@ def adjusted_impact(jif, scaling) -> Fraction:
     return as_fraction(jif) * factor
 
 
-def journal_age(profile: CitationProfile, eval_year: int) -> int:
-    """Years from the earliest volume in the ledger through eval_year, inclusive."""
-    if not profile.cells:
-        raise ValueError("profile has no cells")
-    return eval_year - min(cited for cited, _ in profile.cells) + 1
-
-
 def reliability_flags(
     profile: CitationProfile, eval_year: int, half_life_exact: Fraction | None
 ) -> frozenset[str]:
@@ -263,7 +247,9 @@ def reliability_flags(
     """
     if half_life_exact is None:
         return frozenset()
-    if journal_age(profile, eval_year) < 2 * half_life_exact:
+    # Years from the earliest volume in the ledger through eval_year, inclusive.
+    age = eval_year - min(cited for cited, _ in profile.cells) + 1
+    if age < 2 * half_life_exact:
         return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
     return frozenset()
 
@@ -278,12 +264,10 @@ def _age_sums(profile: CitationProfile, horizon: int) -> tuple[list[int], list[i
     cited <= citing count.  h is `horizon` clamped to the oldest volume.
     """
     cells = profile.cells
-    if not cells:
-        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
-    end = max(citing for _, citing in cells)
+    end = max((citing for _, citing in cells), default=0)
     years = sorted({cited for cited, _ in cells if cited <= end})
-    if not years:  # the error mean_accrual_curve raises on no volume curves
-        raise ValueError("mean_accrual_curve needs at least one curve")
+    if not years:  # no cells, or none a volume's own life observes
+        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
     width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
     sums = [0] * width
     for (cited, citing), cell in cells.items():

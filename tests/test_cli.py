@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from citemetrics.cli import main
+from citemetrics.ledger import MAX_COUNT
 from citemetrics.svg import emit_svg_chart
 
 from conftest import run_python
@@ -177,6 +178,39 @@ def test_report_golden_bytes(request, capsys, fixture, command, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of `curves` stdout for each fixture's ledger, captured before the
+# mean row came from the same per-age integer sums as reports.
+GOLDEN_CURVES = [
+    ("hare", ["--horizon", "0"],
+     "d8d932845a6360a13c05e0254957005ca6a96499d76229e7aceffa44d7501fb5"),
+    ("hare", ["--horizon", "20"],
+     "ed8a81f1969a11ca2c4e1628084494189daa69c1bd32801ef9017f9f54ab8390"),
+    ("hare", ["--horizon", "400"],
+     "ed8a81f1969a11ca2c4e1628084494189daa69c1bd32801ef9017f9f54ab8390"),
+    ("hare", ["--horizon", "20", "--strip-self"],
+     "ccb43754ccc63b66c483a8398f5592e8880500974603a421ebcfd25ea9a5fed0"),
+    ("tortoise", ["--horizon", "0"],
+     "653dbb349b2ee0afef039395293e5f84c094451ededecc3b40591d78ae9a7cc8"),
+    ("tortoise", ["--horizon", "20"],
+     "0dbbc8c04ccb713c08528c7f451c746bc7787bed02edc84772cdd5d3801cdc25"),
+    ("tortoise", ["--horizon", "400"],
+     "0dbbc8c04ccb713c08528c7f451c746bc7787bed02edc84772cdd5d3801cdc25"),
+    ("tortoise", ["--horizon", "20", "--strip-self"],
+     "0dbbc8c04ccb713c08528c7f451c746bc7787bed02edc84772cdd5d3801cdc25"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,extra,digest", GOLDEN_CURVES,
+    ids=[f"{f}-{'-'.join(a.lstrip('-') for a in e)}" for f, e, _ in GOLDEN_CURVES],
+)
+def test_curves_golden_bytes(request, capsys, fixture, extra, digest):
+    dirpath = request.getfixturevalue(f"{fixture}_dir")
+    code = main(["curves", fixture, "--citations", str(dirpath / "citations.csv"), *extra])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
 def test_report_csv_cells_match_json(tmp_path, capsys, tortoise_dir):
     # Tortoise has ">10" and one flag; J has blank cells and three flags.
     citations = tmp_path / "c.csv"
@@ -295,6 +329,50 @@ def test_report_parse_error_names_line(tmp_path, capsys):
     code = main(["report", "--citations", str(citations), "--year", "2004"])
     assert code == 2
     assert ":7:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("too_big", [MAX_COUNT + 1, 10**400], ids=["bound+1", "401-digit"])
+def test_count_above_bound_is_input_error(tmp_path, capsys, too_big):
+    # A 401-digit count once went through validate and crashed report and
+    # curves converting it to a float.
+    citations = tmp_path / "c.csv"
+    rows = [HEADER, "A,2004,B,2003,1", "A,2004,B,2004,2", f"A,2004,B,2003,{too_big}"]
+    citations.write_text("\n".join(rows) + "\n")
+    path = str(citations)
+    for argv in (["validate", "--citations", path],
+                 ["report", "--citations", path, "--year", "2004"],
+                 ["curves", "B", "--citations", path]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:4: count must be at most {MAX_COUNT}\n"
+
+
+def test_count_at_bound_is_accepted(tmp_path, capsys):
+    citations = tmp_path / "c.csv"
+    rows = [HEADER, "A,2004,B,2003,1", f"A,2004,B,2004,{MAX_COUNT}", "A,2004,B,2002,3"]
+    citations.write_text("\n".join(rows) + "\n")
+    path = str(citations)
+    assert main(["validate", "--citations", path]) == 0
+    assert capsys.readouterr().out == f"{path}: 3 records\n"
+    assert main(["report", "--citations", path, "--year", "2004", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    # Half of all 2**53 + 4 citations accrue early in age 0.
+    assert row["half_life_exact"] == (MAX_COUNT + 4) / (2 * MAX_COUNT)
+    assert main(["curves", "B", "--citations", path]) == 0
+    assert f",{float(MAX_COUNT)!r}," in capsys.readouterr().out
+
+
+def test_synth_refuses_counts_above_bound(tmp_path, capsys):
+    # Every ledger synth writes must read back.
+    spec = tmp_path / "big.synth"
+    spec.write_text("journal = Big\npub_years = 1990-1999\nkernel = flat:5\n"
+                    "base_citations = 100000000000000000000\nitems_per_year = 10\n"
+                    "observation_end = 1999\n")
+    out = tmp_path / "out"
+    assert main(["synth", str(spec), "--outdir", str(out)]) == 2
+    assert f"count above {MAX_COUNT}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_config_error_exit_3(tmp_path, capsys):

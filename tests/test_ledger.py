@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from citemetrics.errors import ParseError, UndefinedRateError
+from citemetrics.errors import CitemetricsError, ParseError, UndefinedRateError
 from citemetrics.ledger import (
     CITATIONS_HEADER,
     AliasMap,
     CellCount,
     CitationProfile,
     CitationRecord,
+    MAX_COUNT,
     _data_lines,
-    _parse_row,
     _rows,
     build_profiles,
     iter_citation_records,
@@ -416,12 +416,40 @@ def ledger_texts(draw, bad_kind):
     return bom + ending.join([header, *lines]) + draw(st.sampled_from(["", ending]))
 
 
+def reference_parse_row(number, parts, resolved, alias_map, source):
+    # A copy of the row check as it was before the readers cached fields
+    # (its year bounds written out), kept here so that the oracle shares no
+    # row logic with the code under test.
+    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = parts
+    try:
+        citing_year = int(citing_year_s)
+        cited_year = int(cited_year_s)
+        count = int(count_s)
+    except ValueError:
+        raise ParseError(number, "year and count fields must be integers", source)
+    if not (1000 <= citing_year <= 9999 and 1000 <= cited_year <= 9999):
+        raise ParseError(number, "years must be 4-digit integers", source)
+    if count < 0:
+        raise ParseError(number, "count must be non-negative", source)
+    if citing_year < cited_year:
+        raise ParseError(number, "citing year precedes cited year", source)
+    citing = resolved.get(citing_raw)
+    if citing is None:
+        resolved[citing_raw] = citing = alias_map.resolve(citing_raw)
+    cited = resolved.get(cited_raw)
+    if cited is None:
+        resolved[cited_raw] = cited = alias_map.resolve(cited_raw)
+    if not citing or not cited:
+        raise ParseError(number, "journal identifiers must be non-empty", source)
+    return CitationRecord(citing, citing_year, cited, cited_year, count)
+
+
 def reference_records(lines, alias_map=AliasMap(), source=None):
     # The record path before it shared the field caches: every row goes
     # through the full row check.
     resolved = {}
     for number, parts in _rows(_data_lines(lines, CITATIONS_HEADER, source), 5, source):
-        yield _parse_row(number, parts, resolved, alias_map, source)
+        yield reference_parse_row(number, parts, resolved, alias_map, source)
 
 
 def reference_load(text, aliases):
@@ -473,6 +501,30 @@ def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
         assert list(iter_citation_records(io.StringIO(text), aliases)) == list(
             reference_records(io.StringIO(text), aliases)
         )
+
+
+@pytest.mark.parametrize("rows,line", [
+    (["A,2004,B,2003,{}"], 2),  # through the full row check
+    (["A,2004,B,2003,1", "A,2004,B,2003,{}"], 3),  # every field text cached
+])
+def test_readers_bound_counts(rows, line):
+    for load in (single_pass_load, record_path_load):
+        loaded, error = load("\n".join([HEADER, *rows]).format(MAX_COUNT), AliasMap())
+        assert error is None
+        assert loaded[0]["B"].cells[(2003, 2004)].total == MAX_COUNT + len(rows) - 1
+        _, error = load("\n".join([HEADER, *rows]).format(MAX_COUNT + 1), AliasMap())
+        assert error == (line, f"count must be at most {MAX_COUNT}")
+
+
+def test_citation_csv_rows_stay_within_count_bound():
+    # A cell may pass MAX_COUNT when its self and external rows each stay
+    # within it; a row that would not read back is refused.
+    split = make_profile("J", {(2003, 2004): (2 * MAX_COUNT, MAX_COUNT)})
+    text = profiles_to_citation_csv({"J": split})
+    assert read_citation_profiles(text.splitlines()) == ({"J": split}, 2)
+    over = make_profile("J", {(2003, 2004): (MAX_COUNT + 1, 0)})
+    with pytest.raises(CitemetricsError, match=f"count above {MAX_COUNT}"):
+        profiles_to_citation_csv({"J": over})
 
 
 # --- line layout, shared by every reader ----------------------------------------

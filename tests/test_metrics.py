@@ -194,6 +194,19 @@ def test_half_life_at_quantile_one_is_last_positive_age_plus_one(counts):
     assert cited_half_life(profile, 2004, Fraction(1)) == last_positive + 1
 
 
+@given(ages_strategy, st.randoms(use_true_random=False))
+def test_half_life_ignores_cell_order_and_cells_without_an_age(counts, rng):
+    # A ledger lists cells in row order, not by age; a cell citing a year
+    # before its volume, or cited in another year, has no age in eval_year.
+    profile = profile_from_ages(counts)
+    cells = list(profile.cells.items())
+    rng.shuffle(cells)
+    cells += [((2005, 2004), CellCount(7, 0)), ((2001, 2003), CellCount(5, 1))]
+    shuffled = CitationProfile("J", dict(cells))
+    for q in (Fraction(1, 10), Fraction(1, 2), Fraction(1)):
+        assert cited_half_life(shuffled, 2004, q) == cited_half_life(profile, 2004, q)
+
+
 # --- coverage, scaling, adjustment ---------------------------------------
 
 
@@ -456,13 +469,14 @@ def test_fixture_classification(hare, tortoise):
 # reports took their mean-curve data from per-age integer sums: volume
 # curves, then their ragged mean, then coverage from the mean's values
 # (reference_window_coverage above).  The kernel must return equal results
-# and raise the same errors.
+# and raise the same errors, except that a profile with cells but no volume
+# now raises ZeroWindowError like the empty one, so reports flag it.
 
 
 def reference_journal_mean_curve(profile, horizon):
-    if not profile.cells:
-        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
     volumes = list(volume_curves(profile).values())
+    if not volumes:  # no cells, or none a volume's own life observes
+        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
     oldest = max((curve.max_age() for curve in volumes), default=horizon)
     return mean_accrual_curve(volumes, clamp_horizon(horizon, oldest))
 
@@ -581,7 +595,7 @@ def test_build_indicator_report_matches_reference(cells, items, eval_year, polic
 
 @pytest.mark.parametrize("cells,horizon", [
     ({}, 20),  # empty, or publication-only
-    ({(1999, -1): (3, 0)}, 20),  # only a cell citing the year before its volume
+    ({(1999, -1): (3, 0)}, 20),  # only a cell citing before its volume: no volume
     ({(1999, -1): (3, 0), (1990, 2): (0, 0)}, 20),  # one all-zero volume
     ({(1996, 0): (4, 1), (1996, 1): (2, 0)}, 0),  # horizon 0
     ({(1996, 0): (4, 1), (1996, 1): (2, 0)}, -1),  # an empty curve
@@ -596,3 +610,17 @@ def test_journal_mean_curve_edge_cases(cells, horizon):
             args = (profile, pubs, eval_year, policy)
             expected = kernel_outcome(reference_build_indicator_report, *args)
             assert kernel_outcome(build_indicator_report, *args) == expected
+
+
+def test_report_flags_profile_without_volume():
+    # Every cell cites a volume after its citing year: no volume curve, so
+    # coverage is undefined and flagged, not a bare ValueError.
+    profile = CitationProfile("J", {(1999, 1998): CellCount(3, 0)})
+    with pytest.raises(ZeroWindowError, match="'J': profile has no citations"):
+        journal_mean_curve(profile, 20)
+    report = build_indicator_report(profile, pubs_for("J", {1997: 2, 1998: 4, 1999: 5}), 1999)
+    assert report.jif == 0
+    assert report.coverage is report.scaling_factor is report.adjusted_jif is None
+    assert report.flags == {FLAG_ZERO_WINDOW_CITATIONS}
+    with pytest.raises(ZeroWindowError, match="'J': profile has no citations"):
+        journal_mean_curve(CitationProfile("J"), 20)
