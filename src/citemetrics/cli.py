@@ -20,11 +20,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import curves as curves_mod
-from . import ledger, metrics, synth
+from . import ledger, metrics
 from .curves import AnomalyThresholds, ClassificationThresholds
 from .errors import CitemetricsError, ConfigError
+from .fixtures import FIXTURE_NAMES
 from .metrics import WindowPolicy
-from .svg import emit_svg_chart
 
 REPORT_COLUMNS = (
     "journal", "eval_year", "jif", "immediacy", "half_life_exact",
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="expand a synthetic spec to ledger files")
     p_synth.add_argument("spec", help="spec file path, or a bundled name "
-                                      f"({', '.join(synth.FIXTURE_NAMES)})")
+                                      f"({', '.join(FIXTURE_NAMES)})")
     p_synth.add_argument("--outdir", required=True, help="directory for the CSV files")
     p_synth.set_defaults(run=cmd_synth)
 
@@ -124,7 +124,9 @@ def _read(path: str, parse, *args):
     """`parse(lines, *args, source=path)` over the input file at path.
 
     Every input is opened here, as UTF-8 text read line by line, so all of
-    them split lines alike; a file that is not UTF-8 is an input error.
+    them split lines alike (a large ledger is read from the same file in
+    byte ranges, split the same way); a file that is not UTF-8 is an input
+    error.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -138,7 +140,7 @@ def _load_aliases(path: str | None) -> ledger.AliasMap:
 
 
 def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
-    profiles, _ = _read(args.citations, ledger.read_citation_profiles, aliases)
+    profiles, _ = _read(args.citations, ledger.read_citation_file, aliases)
     if args.strip_self:
         profiles = {j: ledger.strip_self_references(p) for j, p in profiles.items()}
     return profiles
@@ -250,6 +252,8 @@ def cmd_curves(args) -> int:
             )
 
     if args.svg:
+        from .svg import emit_svg_chart  # only here, so other runs never compile it
+
         series = [
             (str(year), [(age, float(v)) for age, v in enumerate(standardized[year].values)])
             for year in sorted(standardized)
@@ -265,7 +269,9 @@ def cmd_curves(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.spec in synth.FIXTURE_NAMES:
+    from . import synth  # only here, so other commands never compile it
+
+    if args.spec in FIXTURE_NAMES:
         spec = synth.fixture_spec(args.spec)
     else:
         spec = _read(args.spec, synth.parse_synth_spec)
@@ -289,7 +295,7 @@ def cmd_validate(args) -> int:
         raise ConfigError("validate needs at least one input file")
     aliases = _load_aliases(args.aliases)
     if args.citations:
-        _, count = _read(args.citations, ledger.read_citation_profiles, aliases)
+        _, count = _read(args.citations, ledger.read_citation_file, aliases)
         print(f"{args.citations}: {count} records")
     if args.publications:
         pubs = _load_publications(args.publications, aliases)

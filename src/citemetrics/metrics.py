@@ -15,6 +15,7 @@ a common denominator, and one Fraction is built from the result.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,7 +63,9 @@ class WindowPolicy:
     window_ages: item ages whose citations feed the impact factor.
     horizon: age through which "lifetime" citations are accumulated.
     target_quantile: the share of lifetime citations the scaled impact
-    factor should represent (0.5 = half-life scaling).
+    factor should represent (0.5 = half-life scaling).  It is at least the
+    smallest normal float, so a scaling factor (never below it) does not
+    print as 0.0.
     """
 
     window_ages: tuple[int, ...] = (1, 2)
@@ -81,6 +84,8 @@ class WindowPolicy:
         q = as_fraction(self.target_quantile)
         if not 0 < q <= 1:
             raise ConfigError("target_quantile must be in (0, 1]")
+        if q < sys.float_info.min:
+            raise ConfigError(f"target_quantile must be at least {sys.float_info.min!r}")
         object.__setattr__(self, "target_quantile", q)
 
 

@@ -21,12 +21,11 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from .errors import OracleError, ParseError
+from .fixtures import FIXTURE_NAMES
 from .ledger import (
     EXTERNAL_SOURCE, CellCount, CitationProfile, PublicationCounts, journal_identity,
 )
 from .metrics import WindowPolicy, half_away_units
-
-FIXTURE_NAMES = ("hare", "tortoise")
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import signal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from citemetrics import ledger as ledger_mod
 from citemetrics.cli import main
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.svg import emit_svg_chart
@@ -380,6 +383,10 @@ def test_report_config_error_exit_3(tmp_path, capsys):
     citations.write_text(HEADER + "\n")
     args = ["report", "--citations", str(citations), "--year", "2004"]
     assert main(args + ["--quantile", "0"]) == 3
+    # Below the smallest normal float, the scaling columns would print 0.0.
+    assert main(args + ["--quantile", "1e-400"]) == 3
+    assert capsys.readouterr().err.endswith(
+        "error: target_quantile must be at least 2.2250738585072014e-308\n")
     assert main(args + ["--hare", "0.1", "--tortoise", "0.2"]) == 3
     assert main(args + ["--nonsense"]) == 3
 
@@ -393,6 +400,8 @@ def test_config_errors_precede_io(capsys):
                  "--hare", "0.1"]) == 3
     assert main(["report", "--citations", "missing.csv", "--year", "2004",
                  "--window", "3", "--horizon", "2"]) == 3
+    assert main(["adjust", "--citations", "missing.csv", "--year", "2004",
+                 "--quantile", "1e-400"]) == 3
     assert "missing.csv" not in capsys.readouterr().err
     assert main(["report", "--citations", "missing.csv", "--year", "2004"]) == 2
     assert main(["curves", "Hare", "--citations", "missing.csv"]) == 2
@@ -723,3 +732,165 @@ def test_fixture_report_script(tmp_path):
             assert (outdir / f"{name}_report.json").exists()
             assert (outdir / f"{name}_curves.csv").exists()
         assert f"tortoise/hare impact ratio: {ratio}\n" in done.stdout
+
+
+# --- ledgers read in byte ranges on several processes ---------------------------------
+
+
+def _big_ledger(directory, bad_row=None):
+    """A 3000-row ledger and its publications; `bad_row` replaces data row
+    `bad_row[0]` (1-based) with the text `bad_row[1]`."""
+    rows = [f"Journal {i % 7},{2000 + i % 4 + i % 3},Journal {i % 3},{2000 + i % 4},{i % 9}"
+            for i in range(3000)]
+    if bad_row is not None:
+        rows[bad_row[0] - 1] = bad_row[1]
+    citations = directory / "citations.csv"
+    citations.write_text("\n".join([HEADER, *rows]) + "\n", encoding="utf-8")
+    publications = directory / "publications.csv"
+    publications.write_text("journal,year,citeable_items\n" + "".join(
+        f"Journal {i},{year},10\n" for i in range(7) for year in range(2000, 2005)))
+    return citations, publications
+
+
+def _commands(citations, publications):
+    return (["validate", "--citations", str(citations)],
+            ["report", "--citations", str(citations), "--publications", str(publications),
+             "--year", "2004"])
+
+
+def _run_all(capfd, commands):
+    outcomes = []
+    for argv in commands:
+        code = main(argv)
+        outcomes.append((code, *capfd.readouterr()))
+    return outcomes
+
+
+@pytest.fixture()
+def split_in_two(monkeypatch, tmp_path):
+    """Make read_citation_file split every ledger in two; record the pid of
+    each child and, in a file, every os._exit call a child makes."""
+    monkeypatch.setattr(ledger_mod, "MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: 2)
+    pids = []
+    exits = tmp_path / "exits"
+    real_fork, real_exit = os.fork, os._exit
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def _exit(status):
+        with open(exits, "a") as record:
+            record.write(f"{os.getpid()} {status}\n")
+        real_exit(status)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "_exit", _exit)
+
+    def exited():
+        return exits.read_text().split("\n")[:-1] if exits.exists() else []
+
+    return pids, exited
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad_row", [None, (2990, "Journal 1,2004,Journal 2,2003,x"),
+                                     (2990, "Journal 1,2004,Journal 2")])
+def test_split_read_matches_stream(tmp_path, capfd, request, bad_row):
+    # The same stdout, stderr and exit code as the single stream, for a valid
+    # ledger and for one with a bad row in its last part; the children write
+    # nothing, leave through os._exit and are reaped.
+    commands = _commands(*_big_ledger(tmp_path, bad_row))
+    stream = _run_all(capfd, commands)
+    pids, exited = request.getfixturevalue("split_in_two")
+    assert _run_all(capfd, commands) == stream
+    assert stream[0][0] == (0 if bad_row is None else 2)
+    if bad_row is not None:
+        assert f":{bad_row[0] + 1}: " in stream[0][2]
+    assert len(pids) == len(commands)
+    assert exited() == [f"{pid} 0" for pid in pids]
+    _assert_reaped(pids)
+
+
+def test_split_read_not_utf8_in_child_part(tmp_path, capfd, request):
+    citations, publications = _big_ledger(tmp_path)
+    data = citations.read_bytes()
+    citations.write_bytes(data[:-20] + b"\xff" + data[-19:])
+    commands = _commands(citations, publications)
+    stream = _run_all(capfd, commands)
+    assert [outcome[0] for outcome in stream] == [2, 2]
+    assert stream[0][2] == f"error: {citations}: not UTF-8 text (invalid start byte)\n"
+    pids, _ = request.getfixturevalue("split_in_two")
+    assert _run_all(capfd, commands) == stream
+    _assert_reaped(pids)
+
+
+def test_split_read_kills_child_when_first_part_fails(tmp_path, capfd, split_in_two,
+                                                      monkeypatch):
+    pids, _ = split_in_two
+    kills = []
+    real_kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: (kills.append((pid, sig)),
+                                                      real_kill(pid, sig)))
+    citations, _ = _big_ledger(tmp_path, (2, "Journal 1,2004"))
+    assert main(["validate", "--citations", str(citations)]) == 2
+    assert capfd.readouterr() == ("", f"error: {citations}:3: expected 5 fields, got 2\n")
+    assert kills == [(pid, signal.SIGKILL) for pid in pids] and len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_split_read_child_without_result_is_input_error(tmp_path, capfd, split_in_two,
+                                                        monkeypatch):
+    # A child killed before it sends its tables (as by the out-of-memory
+    # killer) fails the read; no partial profiles are reported.
+    pids, _ = split_in_two
+    parent, real_fold = os.getpid(), ledger_mod._fold
+
+    def fold(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_fold(*args)
+
+    monkeypatch.setattr(ledger_mod, "_fold", fold)
+    citations, publications = _big_ledger(tmp_path)
+    for argv in _commands(citations, publications):
+        assert main(argv) == 2
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == (f"error: {citations}: a process reading part of the ledger ended "
+                       f"without a result (exit status -{signal.SIGKILL})\n")
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("host", ["no fork", "one cpu"])
+def test_split_read_needs_fork_and_two_cpus(tmp_path, capfd, monkeypatch, host):
+    commands = _commands(*_big_ledger(tmp_path))
+    stream = _run_all(capfd, commands)
+    monkeypatch.setattr(ledger_mod, "MIN_SPLIT_BYTES", 1)
+    if host == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
+    assert _run_all(capfd, commands) == stream
+
+
+def test_validate_imports_neither_synth_nor_svg(tmp_path):
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\n")
+    done = run_python("-X", "importtime", "-m", "citemetrics", "validate",
+                      "--citations", str(citations))
+    assert done.returncode == 0
+    modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
+    assert "citemetrics.ledger" in modules
+    assert not modules & {"citemetrics.synth", "citemetrics.svg"}

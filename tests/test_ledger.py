@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import io
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from citemetrics import ledger, parallel
 from citemetrics.errors import CitemetricsError, ParseError, UndefinedRateError
 from citemetrics.ledger import (
     CITATIONS_HEADER,
@@ -475,6 +477,22 @@ def record_path_load(text, aliases):
     return (build_profiles(records), len(records)), None
 
 
+def assert_same_load(outcome, expected_outcome):
+    """Equal profiles, key and cell order, display names and row count, or
+    the same (line, reason)."""
+    (loaded, error), (expected, expected_error) = outcome, expected_outcome
+    assert error == expected_error
+    if expected is None:
+        return
+    (profiles, rows), (expected_profiles, expected_rows) = loaded, expected
+    assert rows == expected_rows
+    assert profiles == expected_profiles
+    assert list(profiles) == list(expected_profiles)
+    for name, profile in profiles.items():
+        assert profile.journal == expected_profiles[name].journal
+        assert list(profile.cells) == list(expected_profiles[name].cells)
+
+
 @pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
 @given(data=st.data(), use_aliases=st.booleans())
 @settings(max_examples=60)
@@ -482,25 +500,85 @@ def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
     # Both cached readers against the uncached record path.
     text = data.draw(ledger_texts(bad_kind))
     aliases = LEDGER_ALIASES if use_aliases else AliasMap()
-    expected, expected_error = reference_load(text, aliases)
+    expected = reference_load(text, aliases)
     if bad_kind is not None:
-        assert expected_error is not None
+        assert expected[1] is not None
     for load in (single_pass_load, record_path_load):
-        loaded, error = load(text, aliases)
-        assert error == expected_error
-        if expected is None:
-            continue
-        (profiles, rows), (expected_profiles, expected_rows) = loaded, expected
-        assert rows == expected_rows
-        assert profiles == expected_profiles
-        assert list(profiles) == list(expected_profiles)
-        for name, profile in profiles.items():
-            assert profile.journal == expected_profiles[name].journal
-            assert list(profile.cells) == list(expected_profiles[name].cells)
-    if expected is not None:
+        assert_same_load(load(text, aliases), expected)
+    if expected[0] is not None:
         assert list(iter_citation_records(io.StringIO(text), aliases)) == list(
             reference_records(io.StringIO(text), aliases)
         )
+
+
+# --- the split file reader against the reference ----------------------------
+
+LINE_BREAK = re.compile(rb"\r\n|\r|\n")
+
+
+@st.composite
+def split_texts(draw, bad_kind):
+    """ledger_texts with blank lines ended by a lone CR, which universal
+    newlines read as a line end too, inserted after some line breaks."""
+    text = draw(ledger_texts(bad_kind))
+    breaks = [m.end() for m in re.finditer(r"\n", text)]
+    for at in sorted(draw(st.sets(st.sampled_from(breaks), max_size=3)) if breaks else [],
+                     reverse=True):
+        text = text[:at] + draw(st.sampled_from(["\r", "\r\r"])) + text[at:]
+    return text
+
+
+def split_offsets(raw, error_line):
+    """Byte offsets around every line break, which include those right after
+    the header, on blank lines and inside CRLF and lone-CR runs, and around
+    the start and end of the bad line."""
+    ends = [m.end() for m in LINE_BREAK.finditer(raw)]
+    near = {0, len(raw)}
+    for end in ends:
+        near.update((end - 2, end - 1, end, end + 1))
+    if error_line is not None and error_line >= 2:
+        starts = [0, *ends]
+        start = starts[error_line - 1]
+        end = starts[error_line] if error_line < len(starts) else len(raw)
+        near.update((start - 1, start, start + 1, end - 1, end))
+    return sorted(at for at in near if 0 <= at <= len(raw))
+
+
+def split_load(path, aliases, parts=None, offsets=None):
+    """read_citation_file forced into `parts` parts, or read_ranges at `offsets`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            if offsets is not None:
+                return parallel.read_ranges(handle.fileno(), offsets, aliases, None), None
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ledger, "MIN_SPLIT_BYTES", 1)
+                patch.setattr(ledger, "_usable_cpus", lambda: parts)
+                return ledger.read_citation_file(handle, aliases), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+@pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
+@given(data=st.data(), use_aliases=st.booleans())
+@settings(max_examples=25, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_file_read_matches_reference(tmp_path, bad_kind, data, use_aliases):
+    # The file reader forks one child per part after the first; every split
+    # must give what one stream over the file gives.
+    text = data.draw(split_texts(bad_kind))
+    aliases = LEDGER_ALIASES if use_aliases else AliasMap()
+    path = tmp_path / "citations.csv"
+    raw = text.encode("utf-8")
+    path.write_bytes(raw)
+    # A file read with universal newlines turns CRLF and a lone CR into LF.
+    expected = reference_load(text.replace("\r\n", "\n").replace("\r", "\n"), aliases)
+    if bad_kind is not None:
+        assert expected[1] is not None
+    for parts in (2, 3):
+        assert_same_load(split_load(path, aliases, parts=parts), expected)
+    error_line = expected[1][0] if expected[1] else None
+    offsets = data.draw(st.lists(st.sampled_from(split_offsets(raw, error_line)),
+                                 min_size=1, max_size=2))
+    assert_same_load(split_load(path, aliases, offsets=offsets), expected)
 
 
 @pytest.mark.parametrize("rows,line", [
