@@ -7,8 +7,8 @@ Subcommands:
   synth     expand a synthetic-journal spec into ledger CSV files
   validate  parse inputs and report the first problem, touching nothing
 
-Exit codes: 0 success (flagged rows included), 2 input error (bad data, a
-missing or unreadable file, or one not in UTF-8), 3 configuration error.
+Exit codes: 0 success (flagged rows included), 2 input error (bad data,
+named by file and line, or a missing or unreadable file), 3 config error.
 Reruns on unchanged inputs produce byte-identical output.
 """
 from __future__ import annotations
@@ -125,14 +125,11 @@ def _read(path: str, parse, *args):
 
     Every input is opened here, as UTF-8 text read line by line, so all of
     them split lines alike (a large ledger is read from the same file in
-    byte ranges, split the same way); a file that is not UTF-8 is an input
-    error.
+    byte ranges, split the same way).  A byte that is not UTF-8 is kept as
+    a lone surrogate, and the reader rejects its line with a ParseError.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse(handle, *args, source=path)
-    except UnicodeDecodeError as exc:
-        raise CitemetricsError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return parse(handle, *args, source=path)
 
 
 def _load_aliases(path: str | None) -> ledger.AliasMap:
@@ -313,7 +310,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CitemetricsError, OSError) as exc:
-        # ParseError, a missing or unreadable file, or a file not in UTF-8.
+        # A ParseError (a non-UTF-8 byte too), or a missing or unreadable file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -109,18 +109,33 @@ def _data_lines(
     first = next(it, None)
     if first is None:
         raise ParseError(1, "missing header", source)
+    check_utf8(1, first, source)
     if first.removeprefix("\ufeff").strip() != header:
         raise ParseError(1, f"expected header {header!r}", source)
     return enumerate(it, start=2)
 
 
+def check_utf8(number: int, line: str, source: str | None) -> None:
+    """Raise line `number`'s ParseError if it holds a byte that is not UTF-8.
+
+    Inputs are read with errors="surrogateescape", which keeps such a byte
+    as a lone surrogate; the line, without its end, is encoded back to find it.
+    """
+    if not line.isascii():
+        try:
+            line.rstrip("\r\n").encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            raise ParseError(number, f"not UTF-8 text ({exc.reason})", source) from None
+
+
 def _rows(
     numbered: Iterable[tuple[int, str]], width: int, source: str | None
 ) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each non-blank line, which must have `width` fields."""
+    """(line number, fields) for each non-blank line: UTF-8, with `width` fields."""
     for number, line in numbered:
         line = line.rstrip("\r\n")
         if line:
+            check_utf8(number, line, source)
             parts = line.split(",")
             if len(parts) != width:
                 raise ParseError(number, f"expected {width} fields, got {len(parts)}", source)
@@ -333,7 +348,9 @@ def _fold(
     identity, so a row whose four texts are all known only needs its count
     range and year order checked.  Every other row goes through the one full
     row check (_check_row), which either raises or admits the row's texts to
-    the caches; iter_citation_records shares it.
+    the caches; iter_citation_records shares it.  A known row needs no UTF-8
+    check: its bytes all lie in its five fields, its four texts passed
+    check_utf8 in _check_row, and int() rejects a lone surrogate in the count.
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
@@ -402,18 +419,17 @@ def read_citation_file(
     alias_map: AliasMap = EMPTY_ALIASES,
     source: str | None = None,
 ) -> tuple[dict[str, CitationProfile], int]:
-    """read_citation_profiles over a ledger file opened as UTF-8 text.
+    """read_citation_profiles over a ledger file opened as UTF-8 text with
+    errors="surrogateescape", as the CLI opens it.
 
     A file of at least 2 * MIN_SPLIT_BYTES, on a host with os.fork and two or
     more usable CPUs, is cut into up to one byte range per CPU, each at
     least MIN_SPLIT_BYTES long, and the ranges are read by as many processes
     (parallel.read_ranges); any other file is streamed from `handle`.
     Profiles, their order, display names and row count are the same either
-    way, and so is a ParseError or a UnicodeDecodeError, with one
-    exception: in a file with both a bad row and bytes that are not UTF-8,
-    which of the two is raised depends, for either reader, on where its
-    read chunks fall.  Forking a process that runs other threads is unsafe,
-    so a threaded caller should use read_citation_profiles.
+    way, and so is the ParseError and its line.  Forking a process that
+    runs other threads is unsafe, so a threaded caller should use
+    read_citation_profiles.
     """
     fd = handle.fileno()
     size = os.fstat(fd).st_size

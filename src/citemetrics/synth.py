@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 from .errors import OracleError, ParseError
 from .fixtures import FIXTURE_NAMES
 from .ledger import (
-    EXTERNAL_SOURCE, CellCount, CitationProfile, PublicationCounts, journal_identity,
+    EXTERNAL_SOURCE, CellCount, CitationProfile, PublicationCounts, check_utf8, journal_identity,
 )
 from .metrics import WindowPolicy, half_away_units
 
@@ -291,14 +291,15 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
     Repeatable keys: volume_scale = year,scale; self_fraction = year,age,frac;
     spike = year,age,count.  Every other key must be one of _SCALAR_KEYS,
     given once.  Fractions accept both "0.12" and "38/44" (both are exact).
-    Lines starting with "#" and blank lines are ignored; a byte order mark
-    may open the first line, as in the CSV inputs.
+    Lines starting with "#" and blank lines are ignored.  As in the CSV inputs,
+    a byte order mark may open the first line and a non-UTF-8 byte is an error.
     """
     fields: dict[str, str] = {}
     volume_scale: dict[int, Fraction] = {}
     self_fraction: dict[tuple[int, int], Fraction] = {}
     spikes: list[Spike] = []
     for number, raw in enumerate(lines, start=1):
+        check_utf8(number, raw, source)
         if number == 1:
             raw = raw.removeprefix("\ufeff")
         line = raw.strip()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import signal
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,15 @@ def test_synth_spec_bom_and_unknown_key(tmp_path, capsys):
 
 def test_synth_unknown_spec_is_input_error(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "nope.synth"), "--outdir", str(tmp_path)]) == 2
+
+
+def test_synth_spec_not_utf8_names_its_line(tmp_path, capsys):
+    spec = tmp_path / "bad.synth"
+    spec.write_bytes(b"journal = Mini\n# caf\xe9 noir\npub_years = 2000-2004\n")
+    assert main(["synth", str(spec), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {spec}:2: not UTF-8 text (invalid continuation byte)\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("char", ["\x0c", "\x85"])
@@ -662,6 +672,8 @@ def test_inputs_split_lines_alike(tmp_path, capsys, mark):
 
     bad = _write_inputs(tmp_path, name, bad_row=f"{name}" + "," * 9)
     for kind, path in bad.items():
+        # A byte that is not UTF-8 on a later line does not hide the bad row.
+        path.write_bytes(path.read_bytes() + b"caf\xc3\n")
         assert main(["validate", f"--{kind}={path}"]) == 2
         width = {"citations": 5, "publications": 3, "aliases": 2}[kind]
         assert capsys.readouterr().err == (
@@ -678,6 +690,7 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, kind, problem):
         path.unlink()
         path.mkdir()
     else:
+        # "Old" first appears on line 3, or on line 2 of the aliases.
         path.write_bytes(path.read_bytes().replace(b"Old", b"\xff"))
     for command in (["validate"], ["report", "--year", "2004"]):
         args = [f"--{k}={p}" for k, p in paths.items()]
@@ -685,6 +698,9 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, kind, problem):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert len(err.splitlines()) == 1
+        if problem == "not utf-8":
+            line = 2 if kind == "aliases" else 3
+            assert err == f"error: {path}:{line}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_publication_only_journal_gets_a_row(tmp_path, capsys):
@@ -827,7 +843,7 @@ def test_split_read_not_utf8_in_child_part(tmp_path, capfd, request):
     commands = _commands(citations, publications)
     stream = _run_all(capfd, commands)
     assert [outcome[0] for outcome in stream] == [2, 2]
-    assert stream[0][2] == f"error: {citations}: not UTF-8 text (invalid start byte)\n"
+    assert stream[0][2] == f"error: {citations}:3001: not UTF-8 text (invalid start byte)\n"
     pids, _ = request.getfixturevalue("split_in_two")
     assert _run_all(capfd, commands) == stream
     _assert_reaped(pids)
@@ -883,6 +899,28 @@ def test_split_read_needs_fork_and_two_cpus(tmp_path, capfd, monkeypatch, host):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one CPU"))
     assert _run_all(capfd, commands) == stream
+
+
+def test_ledger_from_a_pipe_is_streamed(tmp_path, capfd, monkeypatch):
+    # A FIFO reports size 0, so it is streamed even when every file splits.
+    citations, publications = _big_ledger(tmp_path)
+    commands = _commands(citations, publications)
+    expected = _run_all(capfd, commands)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(ledger_mod, "MIN_SPLIT_BYTES", 1)
+    monkeypatch.setattr(ledger_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked to read a pipe"))
+    for argv, outcome in zip(_commands(fifo, publications), expected):
+        writer = subprocess.Popen(["sh", "-c", 'exec cat "$1" > "$2"', "sh",
+                                   str(citations), str(fifo)])
+        try:
+            code = main(argv)
+        finally:
+            writer.kill()
+            writer.wait()
+        out, err = capfd.readouterr()
+        assert (code, out.replace(str(fifo), str(citations)), err) == outcome
 
 
 def test_validate_imports_neither_synth_nor_svg(tmp_path):

@@ -353,7 +353,12 @@ NAME_TEXTS = ["Alpha", "alpha", " Alpha ", "ALPHA", "Beta", "beta ", "Gamma Proj
               "gamma project", "Old Alpha", " old alpha", " Gamma"]
 LEDGER_ALIASES = AliasMap({"old alpha": "Alpha", "gamma": "Gamma Project"})
 
-BAD_ROW_KINDS = ["fields", "integer", "range", "negative", "order", "empty", "header", "missing"]
+ROW_KINDS = ["fields", "integer", "range", "negative", "order", "empty"]
+BAD_ROW_KINDS = [*ROW_KINDS, "header", "missing", "utf-8"]
+
+# Texts read from bytes that are not UTF-8 with errors="surrogateescape"; each
+# stays invalid next to ASCII text, a line end or the end of the file.
+NOT_UTF8 = ["\udcff", "\udcc3", "\udce2\udc82", "\udced\udcb3\udcbf", "\udc80"]
 
 
 @st.composite
@@ -392,7 +397,9 @@ def corrupt(kind, row):
 
 @st.composite
 def ledger_texts(draw, bad_kind):
-    """Ledger text with repeated keys, CRLF/BOM/blank lines and maybe one bad row."""
+    """Ledger text with repeated keys, CRLF/BOM/blank lines and maybe one bad
+    row.  The "utf-8" kind puts bytes that are not UTF-8 anywhere, the header
+    and blank lines included, and may add a bad row before or after them."""
     if bad_kind == "missing":
         return ""
     rows = draw(st.lists(ledger_rows(), max_size=40))
@@ -406,16 +413,24 @@ def ledger_texts(draw, bad_kind):
     if bad_kind == "header":
         header = draw(st.sampled_from(["", "citing,cited", HEADER + ",extra"]))
     elif bad_kind is not None:
-        # Built from an earlier row when there is one, so its texts are cached.
-        at = draw(st.integers(min_value=0, max_value=len(rows)))
-        base = rows[draw(st.integers(min_value=0, max_value=at - 1))] if at else None
-        rows.insert(at, corrupt(bad_kind, base or draw(ledger_rows())))
-    lines = [",".join(row) for row in rows]
+        kinds = [bad_kind]
+        if bad_kind == "utf-8":
+            kinds = draw(st.lists(st.sampled_from(ROW_KINDS), max_size=1))
+        for kind in kinds:
+            # Built from an earlier row when there is one, so its texts are cached.
+            at = draw(st.integers(min_value=0, max_value=len(rows)))
+            base = rows[draw(st.integers(min_value=0, max_value=at - 1))] if at else None
+            rows.insert(at, corrupt(kind, base or draw(ledger_rows())))
+    lines = [header, *(",".join(row) for row in rows)]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), "")
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), "")
+    if bad_kind == "utf-8":
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        cut = draw(st.integers(min_value=0, max_value=len(lines[at])))
+        lines[at] = lines[at][:cut] + draw(st.sampled_from(NOT_UTF8)) + lines[at][cut:]
     bom = draw(st.sampled_from(["", "\ufeff"]))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return bom + ending.join([header, *lines]) + draw(st.sampled_from(["", ending]))
+    return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
 
 
 def reference_parse_row(number, parts, resolved, alias_map, source):
@@ -446,11 +461,23 @@ def reference_parse_row(number, parts, resolved, alias_map, source):
     return CitationRecord(citing, citing_year, cited, cited_year, count)
 
 
+def reference_utf8(lines, source):
+    # A copy of the readers' UTF-8 check: each line is checked, before the
+    # layout or row checks see it, by encoding it back to the bytes read.
+    for number, line in enumerate(lines, start=1):
+        try:
+            line.rstrip("\r\n").encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeError as exc:
+            raise ParseError(number, f"not UTF-8 text ({exc.reason})", source)
+        yield line
+
+
 def reference_records(lines, alias_map=AliasMap(), source=None):
     # The record path before it shared the field caches: every row goes
     # through the full row check.
     resolved = {}
-    for number, parts in _rows(_data_lines(lines, CITATIONS_HEADER, source), 5, source):
+    numbered = _data_lines(reference_utf8(lines, source), CITATIONS_HEADER, source)
+    for number, parts in _rows(numbered, 5, source):
         yield reference_parse_row(number, parts, resolved, alias_map, source)
 
 
@@ -547,7 +574,7 @@ def split_offsets(raw, error_line):
 def split_load(path, aliases, parts=None, offsets=None):
     """read_citation_file forced into `parts` parts, or read_ranges at `offsets`."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             if offsets is not None:
                 return parallel.read_ranges(handle.fileno(), offsets, aliases, None), None
             with pytest.MonkeyPatch.context() as patch:
@@ -567,7 +594,7 @@ def test_split_file_read_matches_reference(tmp_path, bad_kind, data, use_aliases
     text = data.draw(split_texts(bad_kind))
     aliases = LEDGER_ALIASES if use_aliases else AliasMap()
     path = tmp_path / "citations.csv"
-    raw = text.encode("utf-8")
+    raw = text.encode("utf-8", "surrogateescape")
     path.write_bytes(raw)
     # A file read with universal newlines turns CRLF and a lone CR into LF.
     expected = reference_load(text.replace("\r\n", "\n").replace("\r", "\n"), aliases)
@@ -638,6 +665,13 @@ LAYOUT_CASES = [
      lambda h, n: (4, f"expected {n} fields, got 1")),
     ("whitespace-only line", lambda h, r: f"{h}\n \n",
      lambda h, n: (2, f"expected {n} fields, got 1")),
+    # Bytes that are not UTF-8, read with errors="surrogateescape".
+    ("bad row before a non-utf-8 byte", lambda h, r: f"{h}\n{r},x\n\udcff\n",
+     lambda h, n: (2, f"expected {n} fields, got {n + 1}")),
+    ("non-utf-8 byte in a known row", lambda h, r: f"{h}\n{r}\n{r}\udcc3\r\n",
+     lambda h, n: (3, "not UTF-8 text (unexpected end of data)")),
+    ("non-utf-8 byte ending the header", lambda h, r: f"{h}\udcc3\r\n{r}\n",
+     lambda h, n: (1, "not UTF-8 text (unexpected end of data)")),
 ]
 
 
@@ -648,11 +682,11 @@ def test_readers_share_line_layout(reader, case):
     _, make_text, outcome = case
     text = make_text(header, row)
     expected = outcome(header, width)
-    if isinstance(expected, int):
-        assert read(io.StringIO(text)) == expected
-        # A list of lines without their endings reads the same.
-        assert read(text.splitlines()) == expected
-        return
-    with pytest.raises(ParseError) as err:
-        read(io.StringIO(text))
-    assert (err.value.line, err.value.reason) == expected
+    # A list of lines without their endings reads the same.
+    for lines in (io.StringIO(text), text.splitlines()):
+        if isinstance(expected, int):
+            assert read(lines) == expected
+            continue
+        with pytest.raises(ParseError) as err:
+            read(lines)
+        assert (err.value.line, err.value.reason) == expected
