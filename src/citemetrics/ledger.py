@@ -29,6 +29,9 @@ ALIASES_HEADER = "alias,canonical"
 EXTERNAL_SOURCE = "(external)"
 
 YEAR_MIN, YEAR_MAX = 1000, 9999
+# While rows are folded, a (cited_year, citing_year) cell is keyed by the one
+# int cited_year * YEAR_BASE + citing_year, exact for years in range.
+YEAR_BASE = YEAR_MAX + 1
 
 # The largest count one ledger row may carry.  Counts up to 2**53 are exact
 # as floats, and their sums stay far below the largest float for any ledger
@@ -296,40 +299,63 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
     Aggregation is lossless: the sum of all cell totals equals the sum of
     ingested counts.  The mapping key is the canonical display name under
     which the journal was first seen; lookups elsewhere compare casefolded.
+    A record with a year outside YEAR_MIN..YEAR_MAX raises ValueError.
     """
     display: dict[str, str] = {}
-    cells_by_journal: dict[str, dict[tuple[int, int], list[int]]] = {}
+    totals_by_journal: dict[str, dict[int, int]] = {}
+    selfs_by_journal: dict[str, dict[int, int]] = {}
     identity_cache: dict[str, str] = {}
     for citing, citing_year, cited, cited_year, count in records:
+        if not (YEAR_MIN <= citing_year <= YEAR_MAX and YEAR_MIN <= cited_year <= YEAR_MAX):
+            record = CitationRecord(citing, citing_year, cited, cited_year, count)
+            raise ValueError(f"{record!r}: years must be in {YEAR_MIN}..{YEAR_MAX}")
         cited_id = identity_cache.get(cited)
         if cited_id is None:
             identity_cache[cited] = cited_id = cited.casefold()
         citing_id = identity_cache.get(citing)
         if citing_id is None:
             identity_cache[citing] = citing_id = citing.casefold()
-        cells = cells_by_journal.get(cited_id)
-        if cells is None:
-            cells_by_journal[cited_id] = cells = {}
+        totals = totals_by_journal.get(cited_id)
+        if totals is None:
+            totals_by_journal[cited_id] = totals = {}
+            selfs_by_journal[cited_id] = {}
             display[cited_id] = cited
-        key = (cited_year, citing_year)
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = cell = [0, 0]
-        cell[0] += count
+        key = cited_year * YEAR_BASE + citing_year
+        totals[key] = totals.get(key, 0) + count
         if citing_id == cited_id:
-            cell[1] += count
-    return _freeze_profiles(display, cells_by_journal)
+            selfs = selfs_by_journal[cited_id]
+            selfs[key] = selfs.get(key, 0) + count
+    return _freeze_profiles(display, totals_by_journal, selfs_by_journal)
 
 
 def _freeze_profiles(
-    display: dict[str, str], cells_by_journal: dict[str, dict[tuple[int, int], list[int]]]
+    display: dict[str, str],
+    totals_by_journal: dict[str, dict[int, int]],
+    selfs_by_journal: dict[str, dict[int, int]],
 ) -> dict[str, CitationProfile]:
-    return {
-        display[jid]: CitationProfile(
-            display[jid], {key: CellCount(t, s) for key, (t, s) in cells.items()}
-        )
-        for jid, cells in cells_by_journal.items()
-    }
+    """Profiles from the fold's tables, in first-seen journal and cell order.
+
+    Each journal's tables are dropped as it is frozen.  Profiles share one
+    (cited_year, citing_year) key per distinct int key and one CellCount per
+    distinct (total, self) pair; both are immutable.
+    """
+    pairs: dict[int, tuple[int, int]] = {}
+    shared: dict[tuple[int, int], CellCount] = {}
+    profiles: dict[str, CitationProfile] = {}
+    for jid, name in display.items():
+        selfs = selfs_by_journal.pop(jid)
+        cells: dict[tuple[int, int], CellCount] = {}
+        for key, total in totals_by_journal.pop(jid).items():
+            pair = pairs.get(key)
+            if pair is None:
+                pairs[key] = pair = divmod(key, YEAR_BASE)
+            counts = (total, selfs.get(key, 0))
+            cell = shared.get(counts)
+            if cell is None:
+                shared[counts] = cell = CellCount._make(counts)
+            cells[pair] = cell
+        profiles[name] = CitationProfile(name, cells)
+    return profiles
 
 
 def _fold(
@@ -337,25 +363,29 @@ def _fold(
     alias_map: AliasMap,
     source: str | None,
     number: int = 0,
-) -> tuple[dict[str, str], dict[str, dict[tuple[int, int], list[int]]], int, int]:
+) -> tuple[dict[str, str], dict[str, dict[int, int]], dict[str, dict[int, int]], int, int]:
     """Parse (line number, line) pairs and fold their rows: the one per-row
     loop behind read_citation_profiles and read_citation_file.
 
-    Returns (display name by identity, [total, self] cells by identity, data
-    rows, last line number); `number` is the last line number when there
-    are no pairs.  Validation is cached by field text: a year text maps to
-    its in-range year and a name text to its non-empty canonical name and
-    identity, so a row whose four texts are all known only needs its count
-    range and year order checked.  Every other row goes through the one full
-    row check (_check_row), which either raises or admits the row's texts to
-    the caches; iter_citation_records shares it.  A known row needs no UTF-8
+    Returns (display name by identity, cell totals by identity, cell self
+    counts by identity, data rows, last line number); each journal's totals
+    and self counts are int -> int tables keyed by cited_year * YEAR_BASE +
+    citing_year, and the self table holds only cells that self rows reached.
+    `number` is the last line number when there are no pairs.  Validation
+    is cached by field text: a year text maps to its in-range year and a
+    name text to its non-empty canonical name and identity, so a row whose
+    four texts are all known only needs its count range and year order
+    checked.  Every other row goes through the one full row check
+    (_check_row), which either raises or admits the row's texts to the
+    caches; iter_citation_records shares it.  A known row needs no UTF-8
     check: its bytes all lie in its five fields, its four texts passed
     check_utf8 in _check_row, and int() rejects a lone surrogate in the count.
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
     display: dict[str, str] = {}
-    cells_by_journal: dict[str, dict[tuple[int, int], list[int]]] = {}
+    totals_by_journal: dict[str, dict[int, int]] = {}
+    selfs_by_journal: dict[str, dict[int, int]] = {}
     rows = 0
     for number, line in numbered:
         # int() ignores the line ending left on the count text.
@@ -374,18 +404,17 @@ def _fold(
                 continue
             citing, citing_id, citing_year, cited, cited_id, cited_year, count = row
         rows += 1
-        cells = cells_by_journal.get(cited_id)
-        if cells is None:
-            cells_by_journal[cited_id] = cells = {}
+        totals = totals_by_journal.get(cited_id)
+        if totals is None:
+            totals_by_journal[cited_id] = totals = {}
+            selfs_by_journal[cited_id] = {}
             display[cited_id] = cited
-        key = (cited_year, citing_year)
-        cell = cells.get(key)
-        if cell is None:
-            cells[key] = cell = [0, 0]
-        cell[0] += count
+        key = cited_year * YEAR_BASE + citing_year
+        totals[key] = totals.get(key, 0) + count
         if citing_id == cited_id:
-            cell[1] += count
-    return display, cells_by_journal, rows, number
+            selfs = selfs_by_journal[cited_id]
+            selfs[key] = selfs.get(key, 0) + count
+    return display, totals_by_journal, selfs_by_journal, rows, number
 
 
 def read_citation_profiles(
@@ -401,8 +430,8 @@ def read_citation_profiles(
     number of rows.
     """
     numbered = _data_lines(lines, CITATIONS_HEADER, source)
-    display, cells_by_journal, rows, _ = _fold(numbered, alias_map, source)
-    return _freeze_profiles(display, cells_by_journal), rows
+    display, totals_by_journal, selfs_by_journal, rows, _ = _fold(numbered, alias_map, source)
+    return _freeze_profiles(display, totals_by_journal, selfs_by_journal), rows
 
 
 # read_citation_file cuts a ledger into one byte range per usable CPU, but
@@ -496,12 +525,18 @@ def strip_self_references(profile: CitationProfile) -> CitationProfile:
     """Return a copy with self-references removed from every cell.
 
     Idempotent, and never increases any cell total.  Cells without a self
-    share are the same (immutable) CellCount objects in the copy.
+    share are the same (immutable) CellCount objects in the copy, and
+    stripped cells with equal totals share one, the copy's own if it has one.
     """
     cells = profile.cells.copy()
+    shared = {cell.total: cell for cell in cells.values() if not cell.self_count}
     for key, cell in profile.cells.items():
         if cell.self_count:
-            cells[key] = CellCount(cell.total - cell.self_count, 0)
+            other = cell.total - cell.self_count
+            stripped = shared.get(other)
+            if stripped is None:
+                shared[other] = stripped = CellCount(other, 0)
+            cells[key] = stripped
     return CitationProfile(profile.journal, cells)
 
 

@@ -39,7 +39,7 @@ def read_ranges(
             children.append(_fork_range(fd, start, end, alias_map, source))
         numbered = ledger._data_lines(_range_lines(fd, 0, ends[0]),
                                       ledger.CITATIONS_HEADER, source)
-        display, cells_by_journal, rows, lines_before = ledger._fold(
+        display, totals_by_journal, selfs_by_journal, rows, lines_before = ledger._fold(
             numbered, alias_map, source, 1
         )
         for pid, pipe in children:
@@ -61,19 +61,16 @@ def read_ranges(
             # so only one journal's cells are ever loaded and not yet merged.
             journals.reverse()
             while journals:
-                jid, name, cells = marshal.loads(journals.pop())
-                merged = cells_by_journal.get(jid)
+                jid, name, totals, selfs = marshal.loads(journals.pop())
+                merged = totals_by_journal.get(jid)
                 if merged is None:
-                    cells_by_journal[jid] = cells
+                    totals_by_journal[jid] = totals
+                    selfs_by_journal[jid] = selfs
                     display[jid] = name
                     continue
-                for key, cell in cells.items():
-                    into = merged.get(key)
-                    if into is None:
-                        merged[key] = cell
-                    else:
-                        into[0] += cell[0]
-                        into[1] += cell[1]
+                for into, part in ((merged, totals), (selfs_by_journal[jid], selfs)):
+                    for key, count in part.items():
+                        into[key] = into.get(key, 0) + count
             rows += part_rows
             lines_before += part_lines
     finally:
@@ -81,7 +78,7 @@ def read_ranges(
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return ledger._freeze_profiles(display, cells_by_journal), rows
+    return ledger._freeze_profiles(display, totals_by_journal, selfs_by_journal), rows
 
 
 def _fork_range(
@@ -91,7 +88,8 @@ def _fork_range(
 
     Returns the child's pid and the read end of a pipe on which it sends,
     with marshal, ("rows", data rows, lines, [one marshal record (identity,
-    display name, cells) per journal]) or ("line", line number within the
+    display name, cell totals, cell self counts) per journal, the two int
+    tables as ledger._fold returns them]) or ("line", line number within the
     part, reason), then exits with status 0.
     The child writes nothing else and leaves only by os._exit, so it never
     runs the parent's cleanup or flushes its buffers.
@@ -103,11 +101,12 @@ def _fork_range(
         try:
             os.close(read_fd)
             try:
-                display, cells_by_journal, rows, number = ledger._fold(
+                display, totals_by_journal, selfs_by_journal, rows, number = ledger._fold(
                     enumerate(_range_lines(fd, start, end), 1), alias_map, source
                 )
-                journals = [marshal.dumps((jid, display[jid], cells))
-                            for jid, cells in cells_by_journal.items()]
+                journals = [marshal.dumps((jid, name, totals_by_journal[jid],
+                                           selfs_by_journal[jid]))
+                            for jid, name in display.items()]
                 result = ("rows", rows, number, journals)
             except ParseError as exc:
                 result = ("line", exc.line, exc.reason)

@@ -176,6 +176,23 @@ def test_build_profiles_empty():
     assert build_profiles([]) == {}
 
 
+@pytest.mark.parametrize("year", [999, 10000, -1])
+@pytest.mark.parametrize("field", ["cited_year", "citing_year"])
+def test_build_profiles_rejects_years_out_of_range(field, year):
+    # Cells are keyed by one int per year pair while they fold, so a year
+    # outside YEAR_MIN..YEAR_MAX would alias another pair.
+    valid = CitationRecord("A", 2004, "B", 2003, 1)
+    record = valid._replace(**{field: year})
+    with pytest.raises(ValueError, match=re.escape(repr(record))):
+        build_profiles([valid, record])
+
+
+def test_build_profiles_keeps_boundary_years():
+    profiles = build_profiles([CitationRecord("A", 9999, "B", 1000, 2),
+                               CitationRecord("B", 9999, "B", 9999, 1)])
+    assert profiles["B"].cells == {(1000, 9999): CellCount(2, 0), (9999, 9999): CellCount(1, 1)}
+
+
 def test_build_profiles_merges_case_variants():
     records = [
         CitationRecord("A", 2004, "Journal B", 2003, 1),
@@ -229,6 +246,20 @@ def test_strip_removes_self_share():
 def test_strip_leaves_clean_cells():
     profile = make_profile("H", {(2000, 2001): (10, 0)})
     assert strip_self_references(profile) == profile
+
+
+def test_strip_shares_equal_cells():
+    profiles = build_profiles([
+        CitationRecord("A", 2001, "H", 2000, 10),
+        CitationRecord("H", 2002, "H", 2000, 3),
+        CitationRecord("A", 2002, "H", 2000, 10),
+        CitationRecord("H", 2003, "H", 2000, 4),
+        CitationRecord("A", 2003, "H", 2000, 9),
+    ])
+    cells = strip_self_references(profiles["H"]).cells
+    assert cells[(2000, 2002)] is cells[(2000, 2001)] is profiles["H"].cells[(2000, 2001)]
+    assert cells[(2000, 2003)] == CellCount(9, 0)
+    assert_shared_cells({"H": CitationProfile("H", cells)})
 
 
 def test_strip_idempotent_example():
@@ -504,9 +535,22 @@ def record_path_load(text, aliases):
     return (build_profiles(records), len(records)), None
 
 
+def assert_shared_cells(profiles):
+    """Every key is a tuple of two ints and every cell a CellCount, and the
+    profiles hold one object per distinct key and per distinct cell."""
+    keys = [key for profile in profiles.values() for key in profile.cells]
+    cells = [cell for profile in profiles.values() for cell in profile.cells.values()]
+    assert all(type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+               for key in keys)
+    assert all(type(cell) is CellCount for cell in cells)
+    assert len({id(key) for key in keys}) == len(set(keys))
+    assert len({id(cell) for cell in cells}) == len({tuple(cell) for cell in cells})
+
+
 def assert_same_load(outcome, expected_outcome):
     """Equal profiles, key and cell order, display names and row count, or
-    the same (line, reason)."""
+    the same (line, reason); the loaded keys and cells are shared, and so
+    are the cells of each stripped profile."""
     (loaded, error), (expected, expected_error) = outcome, expected_outcome
     assert error == expected_error
     if expected is None:
@@ -518,6 +562,13 @@ def assert_same_load(outcome, expected_outcome):
     for name, profile in profiles.items():
         assert profile.journal == expected_profiles[name].journal
         assert list(profile.cells) == list(expected_profiles[name].cells)
+    assert_shared_cells(profiles)
+    for name, profile in profiles.items():
+        stripped = strip_self_references(profile)
+        expected_stripped = reference_strip(expected_profiles[name])
+        assert stripped == expected_stripped
+        assert list(stripped.cells) == list(expected_stripped.cells)
+        assert_shared_cells({name: stripped})
 
 
 @pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
