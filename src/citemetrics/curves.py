@@ -20,7 +20,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateVolumeError
-from .ledger import CitationProfile
+from .ledger import YEAR_MAX, CitationProfile
 
 KIND_RAW = "raw"
 KIND_CUMULATIVE = "cumulative"
@@ -91,17 +91,6 @@ class ClassificationThresholds:
         _coerce_fractions(self, ("hare", "tortoise"))
         if self.hare <= self.tortoise:
             raise ConfigError("hare threshold must exceed tortoise threshold")
-
-
-def accrual_curve(profile: CitationProfile, pub_year: int, max_age: int) -> AccrualCurve:
-    """Raw curve for one volume over ages 0..max_age; missing cells are zeros."""
-    if max_age < 0:
-        raise ValueError("max_age must be >= 0")
-    values = []
-    for age in range(max_age + 1):
-        cell = profile.cells.get((pub_year, pub_year + age))
-        values.append(0 if cell is None else cell.total)
-    return AccrualCurve(profile.journal, pub_year, KIND_RAW, tuple(values))
 
 
 def cumulative(curve: AccrualCurve) -> AccrualCurve:
@@ -176,26 +165,33 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
     return AccrualCurve(journal, None, KIND_RAW, tuple(values), tuple(observations))
 
 
-def volume_curves(
-    profile: CitationProfile, observation_end: int | None = None
-) -> dict[int, AccrualCurve]:
-    """Raw curve per publication year, each as long as the ledger can observe.
+def observed_volumes(
+    profile: CitationProfile, through: int = YEAR_MAX
+) -> tuple[int | None, list[int]]:
+    """(end, volume years): what the ledger has observed of a journal by `through`.
 
-    observation_end defaults to the last citing year present anywhere in the
-    profile, so a volume published in year y gets ages 0..(end - y).
+    The one rule behind volume curves and reports: only cells citing in or
+    before `through` are observed.  end is the last year they cite in (None
+    when there is none), and the volumes are the sorted years they cite, up
+    to end, so a volume published in year y is observed at ages 0..end - y.
     """
-    if not profile.cells:
-        return {}
-    if observation_end is None:
-        observation_end = max(citing for _, citing in profile.cells)
-    rows = {
-        year: [0] * (observation_end - year + 1)
-        for year in sorted({cited for cited, _ in profile.cells})
-        if year <= observation_end
-    }
+    cells = profile.cells
+    end = max((citing for _, citing in cells if citing <= through), default=None)
+    if end is None:
+        return None, []
+    return end, sorted({cited for cited, citing in cells if cited <= end and citing <= end})
+
+
+def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
+    """Raw curve per volume of observed_volumes, ages 0..end - pub_year.
+
+    A cell citing before its volume counts in no curve.
+    """
+    end, years = observed_volumes(profile)
+    rows = {year: [0] * (end - year + 1) for year in years}
     for (cited, citing), cell in profile.cells.items():
         row = rows.get(cited)
-        if row is not None and cited <= citing <= observation_end:
+        if row is not None and cited <= citing <= end:
             row[citing - cited] = cell.total
     return {
         year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
@@ -234,7 +230,7 @@ def clamp_horizon(horizon: int, oldest_age: int) -> int:
     The one place a requested horizon gives way to what the ledger can
     observe: mean curves and coverage for young journals use the shorter
     span instead of failing.  For a journal's volume curves, the oldest age
-    is observable_horizon of its profile.
+    is end minus the first volume year, both from observed_volumes.
     """
     return min(horizon, oldest_age)
 

@@ -28,7 +28,7 @@ from .errors import (
     MissingDenominatorError,
     ZeroWindowError,
 )
-from .ledger import CitationProfile, PublicationCounts
+from .ledger import YEAR_MAX, CitationProfile, PublicationCounts
 
 FLAG_HALF_LIFE_UNRELIABLE = "HalfLifeUnreliable"
 FLAG_MISSING_DENOMINATOR = "MissingDenominator"
@@ -248,36 +248,37 @@ def reliability_flags(
     """HalfLifeUnreliable when the journal is younger than twice its half-life.
 
     A half-life close to the journal's whole observed life says more about
-    the ledger's span than about the journal.
+    the ledger's span than about the journal.  The journal's life starts at
+    its first volume as of eval_year: with a half-life, that is the first
+    volume of curves.observed_volumes(profile, eval_year).
     """
     if half_life_exact is None:
         return frozenset()
-    # Years from the earliest volume in the ledger through eval_year, inclusive.
-    age = eval_year - min(cited for cited, _ in profile.cells) + 1
-    if age < 2 * half_life_exact:
+    first = min(cited for cited, citing in profile.cells if citing <= eval_year)
+    if eval_year - first + 1 < 2 * half_life_exact:
         return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
     return frozenset()
 
 
-def _age_sums(profile: CitationProfile, horizon: int) -> tuple[list[int], list[int]]:
+def _age_sums(
+    profile: CitationProfile, horizon: int, through: int = YEAR_MAX
+) -> tuple[list[int], list[int]]:
     """Per-age citation sums and observing-volume counts for ages 0..h.
 
     The integer core of the journal's ragged mean curve (age a's mean is
-    sums[a] / counts[a]); the sums take one pass over the cells.  As in
-    volume_curves, observation ends at the last citing year in the profile,
-    every cited year up to that end is a volume, and only cells with
-    cited <= citing count.  h is `horizon` clamped to the oldest volume.
+    sums[a] / counts[a]); the sums take one pass over the cells.  The end of
+    observation and the volumes are those of curves.observed_volumes as of
+    `through`, and only cells with cited <= citing <= end count.  h is
+    `horizon` clamped to the oldest volume.
     """
-    cells = profile.cells
-    end = max((citing for _, citing in cells), default=0)
-    years = sorted({cited for cited, _ in cells if cited <= end})
+    end, years = curves_mod.observed_volumes(profile, through)
     if not years:  # no cells, or none a volume's own life observes
         raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
     width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
     sums = [0] * width
-    for (cited, citing), cell in cells.items():
+    for (cited, citing), cell in profile.cells.items():
         age = citing - cited
-        if 0 <= age < width:
+        if 0 <= age < width and citing <= end:
             sums[age] += cell.total
     # A volume published in year y observes ages 0..end - y.
     counts = [bisect_right(years, end - age) for age in range(width)]
@@ -310,9 +311,10 @@ def build_indicator_report(
     The impact factor and coverage both use the policy's window ages, so
     adjusted_jif rescales the same window that coverage measured; the
     target quantile sets only the scaling, and the half-life stays the
-    median.  Missing denominators and an empty coverage horizon are
-    reported as flags with the affected fields blank, not errors: one
-    journal's data gap should not abort a whole report run.
+    median.  Only citations made in or before eval_year count; a
+    mean_curve passed in is used as given.  Missing denominators and an
+    empty coverage horizon are reported as flags with the affected fields
+    blank, not errors: one journal's data gap should not abort a report run.
     """
     flags: set[str] = set()
 
@@ -332,7 +334,7 @@ def build_indicator_report(
     coverage = scaling = adjusted = None
     try:
         if mean_curve is None:
-            sums, counts = _age_sums(profile, policy.horizon)
+            sums, counts = _age_sums(profile, policy.horizon, eval_year)
         else:
             horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
             values = mean_curve.values[: horizon + 1]

@@ -224,6 +224,27 @@ def test_curves_golden_bytes(request, capsys, fixture, extra, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def test_report_as_of_year_matches_cut_ledger(tmp_path, capsys, hare_dir):
+    # The hare ledger runs through 2004.  Its 1990 row uses only the
+    # citations made through 1990: the row of the ledger cut there.
+    def report_1990(citations):
+        code = main(["report", "--citations", str(citations),
+                     "--publications", str(hare_dir / "publications.csv"), "--year", "1990"])
+        assert code == 0
+        return capsys.readouterr().out
+
+    header, *rows = (hare_dir / "citations.csv").read_text().splitlines()
+    cut = tmp_path / "cut.csv"
+    kept = [row for row in rows if int(row.split(",")[1]) <= 1990]
+    cut.write_text("\n".join([header, *kept]) + "\n")
+    out = report_1990(hare_dir / "citations.csv")
+    assert out == report_1990(cut)
+    row = next(csv.DictReader(out.splitlines()))
+    assert row["coverage"] == "0.4215686274509804"
+    assert row["scaling_factor"] == "1.186046511627907"
+    assert row["adjusted_jif"] == "0.2372093023255814"
+
+
 def test_report_csv_cells_match_json(tmp_path, capsys, tortoise_dir):
     # Tortoise has ">10" and one flag; J has blank cells and three flags.
     citations = tmp_path / "c.csv"

@@ -19,7 +19,6 @@ from citemetrics.curves import (
     AnomalyFinding,
     AnomalyThresholds,
     ClassificationThresholds,
-    accrual_curve,
     clamp_horizon,
     classify_journal,
     cumulative,
@@ -27,6 +26,7 @@ from citemetrics.curves import (
     detect_anomalous_volumes,
     mean_accrual_curve,
     observable_horizon,
+    observed_volumes,
     standardize_to_age2,
     standardized_volume_curves,
     volume_curves,
@@ -41,26 +41,24 @@ def raw(values, journal="J", pub_year=1990):
     return AccrualCurve(journal, pub_year, KIND_RAW, tuple(values))
 
 
-# --- accrual_curve ------------------------------------------------------
-
-
-def test_accrual_curve_reads_cells():
-    profile = make_profile("J", {(1996, 1996): (2, 0), (1996, 1998): (7, 0)})
-    curve = accrual_curve(profile, 1996, 3)
-    assert curve.values == (2, 0, 7, 0)
-    assert curve.kind == KIND_RAW
-
-
-def test_accrual_curve_empty_volume_is_zeros():
-    profile = make_profile("J", {(1990, 1991): (4, 0)})
-    assert accrual_curve(profile, 1985, 2).values == (0, 0, 0)
+# --- volume curves --------------------------------------------------------
 
 
 def test_accrual_curve_nonself_mode():
     # Non-self curves are the curves of a profile stripped of self-references.
     stripped = strip_self_references(make_profile("J", {(1993, 1993): (44, 38)}))
     assert volume_curves(stripped)[1993].values == (6,)
-    assert accrual_curve(stripped, 1993, 0).values == (6,)
+
+
+def test_observed_volumes_as_of_a_year():
+    # (1992, 1991) cites a later volume; (1989, 1991) is cited at age 2.
+    profile = make_profile("J", {
+        (1990, 1990): (1, 0), (1992, 1991): (2, 0), (1989, 1991): (3, 0), (1995, 1996): (4, 0),
+    })
+    assert observed_volumes(profile) == (1996, [1989, 1990, 1992, 1995])
+    assert observed_volumes(profile, 1995) == (1991, [1989, 1990])
+    assert observed_volumes(profile, 1990) == (1990, [1990])
+    assert observed_volumes(profile, 1989) == (None, [])
 
 
 # --- cumulative ---------------------------------------------------------
@@ -330,17 +328,18 @@ def reference_detect_anomalous_volumes(standardized, self_rates, thresholds):
     return findings
 
 
-def reference_volume_curves(profile, observation_end):
+def reference_volume_curves(profile):
     years = sorted({cited for cited, _ in profile.cells})
     if not years:
         return {}
-    if observation_end is None:
-        observation_end = max(citing for _, citing in profile.cells)
-    return {
-        year: accrual_curve(profile, year, observation_end - year)
-        for year in years
-        if year <= observation_end
-    }
+    end = max(citing for _, citing in profile.cells)
+    curves = {}
+    for year in years:
+        if year <= end:
+            cells = [profile.cells.get((year, citing)) for citing in range(year, end + 1)]
+            values = [0 if cell is None else cell.total for cell in cells]
+            curves[year] = AccrualCurve(profile.journal, year, KIND_RAW, tuple(values))
+    return curves
 
 
 def reference_mean_accrual_curve(curves, horizon):
@@ -422,16 +421,15 @@ def test_detect_anomalous_volumes_threshold_is_inclusive_both_ways():
         max_size=24,
     ),
     st.booleans(),
-    st.one_of(st.none(), st.integers(1985, 2008)),
 )
-def test_volume_curves_matches_reference(cells, strip, observation_end):
+def test_volume_curves_matches_reference(cells, strip):
     profile = make_profile("J", {
         (cited, cited + age): (total + self_count, self_count)
         for (cited, age), (total, self_count) in cells.items()
     })
     counted = strip_self_references(profile) if strip else profile
-    expected = reference_volume_curves(counted, observation_end)
-    result = volume_curves(counted, observation_end)
+    expected = reference_volume_curves(counted)
+    result = volume_curves(counted)
     assert result == expected
     assert list(result) == list(expected)
     # Stripped curves count exactly the non-self citations of each cell.
@@ -471,8 +469,8 @@ def test_clamp_horizon_never_lengthens():
 
 def test_volume_curves_empty_profile():
     empty = make_profile("J", {})
-    assert volume_curves(empty) == {} == reference_volume_curves(empty, None)
-    assert volume_curves(strip_self_references(empty), 2000) == {}
+    assert volume_curves(empty) == {} == reference_volume_curves(empty)
+    assert observed_volumes(empty) == (None, [])
     assert observable_horizon(empty) == 0
 
 

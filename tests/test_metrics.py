@@ -13,10 +13,13 @@ from citemetrics.curves import (
     clamp_horizon,
     classify_journal,
     mean_accrual_curve,
+    observed_volumes,
     volume_curves,
 )
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
-from citemetrics.ledger import CellCount, CitationProfile, PublicationCounts
+from citemetrics.ledger import (
+    CellCount, CitationProfile, PublicationCounts, strip_self_references,
+)
 from citemetrics.cli import REPORT_COLUMNS, _render_rows
 from citemetrics.metrics import (
     FLAG_HALF_LIFE_UNRELIABLE,
@@ -334,6 +337,13 @@ def test_reliability_flag_boundary_is_strict():
     assert reliability_flags(profile, 2004, Fraction(2)) == frozenset()
 
 
+def test_reliability_flag_dates_journal_as_of_eval_year():
+    # Volume 1990 is first cited in 2000, so in 1997 the journal is 3 years old.
+    profile = make_profile("J", {(1995, 1997): (1, 0), (1990, 2000): (1, 0)})
+    assert reliability_flags(profile, 1997, Fraction(5, 2)) == {FLAG_HALF_LIFE_UNRELIABLE}
+    assert reliability_flags(profile, 2000, Fraction(5, 2)) == frozenset()
+
+
 # --- policy and report ----------------------------------------------------
 
 
@@ -470,7 +480,8 @@ def test_fixture_classification(hare, tortoise):
 # curves, then their ragged mean, then coverage from the mean's values
 # (reference_window_coverage above).  The kernel must return equal results
 # and raise the same errors, except that a profile with cells but no volume
-# now raises ZeroWindowError like the empty one, so reports flag it.
+# now raises ZeroWindowError like the empty one, so reports flag it.  A
+# report for a year sees only the cells citing in or before it.
 
 
 def reference_journal_mean_curve(profile, horizon):
@@ -481,7 +492,15 @@ def reference_journal_mean_curve(profile, horizon):
     return mean_accrual_curve(volumes, clamp_horizon(horizon, oldest))
 
 
+def as_of(profile, year):
+    """The profile cut to the cells citing in or before `year`."""
+    return CitationProfile(profile.journal, {
+        key: cell for key, cell in profile.cells.items() if key[1] <= year
+    })
+
+
 def reference_build_indicator_report(profile, pubs, eval_year, policy, mean_curve=None):
+    profile = as_of(profile, eval_year)
     flags = set()
     jif = immediacy = None
     try:
@@ -609,7 +628,31 @@ def test_journal_mean_curve_edge_cases(cells, horizon):
         for policy in (WindowPolicy(), WindowPolicy((0,), 0), WindowPolicy((1, 4), 4)):
             args = (profile, pubs, eval_year, policy)
             expected = kernel_outcome(reference_build_indicator_report, *args)
-            assert kernel_outcome(build_indicator_report, *args) == expected
+            result = kernel_outcome(build_indicator_report, *args)
+            assert result == expected
+            if all(citing > eval_year for _, citing in profile.cells):
+                # Nothing cited yet: no coverage as of eval_year.
+                assert FLAG_ZERO_WINDOW_CITATIONS in result.flags
+
+
+@given(
+    kernel_cells,
+    st.booleans(),
+    st.dictionaries(st.integers(1985, 2008), st.integers(1, 20), max_size=12),
+    st.integers(1985, 2010),
+    kernel_policies(),
+)
+def test_report_as_of_year_is_report_on_cut_ledger(cells, strip, items, eval_year, policy):
+    # eval_year ranges from before the first volume to after the last citing
+    # year; cells citing before their volume are drawn too.
+    profile = kernel_profile(cells)
+    if strip:
+        profile = strip_self_references(profile)
+    cut = as_of(profile, eval_year)
+    pubs = pubs_for("J", items)
+    result = build_indicator_report(profile, pubs, eval_year, policy)
+    assert result == build_indicator_report(cut, pubs, eval_year, policy)
+    assert observed_volumes(profile, eval_year) == observed_volumes(cut)
 
 
 def test_report_flags_profile_without_volume():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,24 @@ def test_flat_spec_pipeline_matches_oracle_exactly():
     profile, pubs = generate_profile(spec)
     report = build_indicator_report(profile, pubs, spec.observation_end)
     expected = expected_metrics(spec, WindowPolicy())
+    assert report.coverage == expected["coverage"]
+    assert report.half_life_exact == expected["half_life_exact"]
+    assert report.scaling_factor == expected["scaling_factor"]
+
+
+@pytest.mark.parametrize("policy", [
+    WindowPolicy(), WindowPolicy((0, 1, 2), 25, Fraction(1, 4)),
+])
+def test_report_before_observation_end_matches_oracle_exactly(policy):
+    from citemetrics.metrics import build_indicator_report
+
+    # Integer-valued cells: 2048 * 2**-abs(age - 2) at every age.
+    spec = flat_spec(first_year=1960, kernel=RiseDecay(2, Fraction(1, 2), Fraction(1, 2), 14),
+                     base_citations=Fraction(2048))
+    assert rounding_bounds(spec, policy)["coverage"] == 0
+    profile, pubs = generate_profile(spec)
+    report = build_indicator_report(profile, pubs, 1990, policy)
+    expected = expected_metrics(replace(spec, last_year=1990, observation_end=1990), policy)
     assert report.coverage == expected["coverage"]
     assert report.half_life_exact == expected["half_life_exact"]
     assert report.scaling_factor == expected["scaling_factor"]
