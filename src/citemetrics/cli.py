@@ -220,7 +220,8 @@ def cmd_curves(args) -> int:
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
     volumes = curves_mod.volume_curves(profile)
-    standardized, skipped = curves_mod.standardized_volume_curves(volumes)
+    cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
+    standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
     for year in skipped:
         print(f"warning: volume {year} has no citations through age 2; "
               "skipped from standardized output", file=sys.stderr)
@@ -229,9 +230,7 @@ def cmd_curves(args) -> int:
 
     out: list[curves_mod.AccrualCurve] = []
     for year in sorted(volumes):
-        raw = volumes[year]
-        out.append(raw)
-        out.append(curves_mod.cumulative(raw))
+        out += [volumes[year], cumulatives[year]]
         if year in standardized:
             out.append(standardized[year])
     out.append(metrics.journal_mean_curve(profile, args.horizon))
@@ -252,7 +251,7 @@ def cmd_curves(args) -> int:
         from .svg import emit_svg_chart  # only here, so other runs never compile it
 
         series = [
-            (str(year), [(age, float(v)) for age, v in enumerate(standardized[year].values)])
+            (str(year), list(enumerate(standardized[year].floats())))
             for year in sorted(standardized)
         ]
         chart = emit_svg_chart(

@@ -8,14 +8,17 @@ characteristic accrual shape.  Averaging across volumes is "ragged": each
 age is averaged only over the volumes old enough to have observed it.
 
 Curve values are exact (ints or Fractions); rescaling and averaging never
-round.  The per-value loops stay in integers: means sum int columns, and the
-anomaly test compares cross-multiplied numerators and denominators, so only
-the values returned are built as Fractions.
+round.  The per-value loops stay in integers: standardized curves are int
+numerators over their anchor, means sum int columns, and the anomaly test
+takes medians on float keys, ties broken exactly, and cross-multiplies.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -36,16 +39,34 @@ CLASS_INTERMEDIATE = "Intermediate"
 
 @dataclass(frozen=True)
 class AccrualCurve:
-    """Citations per age for one volume (pub_year None = averaged curve)."""
+    """Citations per age for one volume (pub_year None = averaged curve).
+
+    Each value is numerator / scale: ints over a positive int, or with scale 1
+    the values themselves (ints or Fractions).  `==` compares this stored form.
+    """
 
     journal: str
     pub_year: int | None
     kind: str
-    values: tuple
+    numerators: tuple
     observations: tuple[int, ...] | None = None
+    scale: int = 1
+
+    @property
+    def values(self) -> tuple:
+        """The exact values, built as Fractions only when scale is not 1."""
+        if self.scale == 1:
+            return self.numerators
+        return tuple(Fraction(n, self.scale) for n in self.numerators)
+
+    def floats(self) -> list[float]:
+        """Each value as float(value); int / int is correctly rounded, so equal."""
+        if self.scale == 1:
+            return [float(v) for v in self.numerators]
+        return [n / self.scale for n in self.numerators]
 
     def max_age(self) -> int:
-        return len(self.values) - 1
+        return len(self.numerators) - 1
 
 
 @dataclass(frozen=True)
@@ -97,13 +118,8 @@ def cumulative(curve: AccrualCurve) -> AccrualCurve:
     """Prefix sums of a raw curve."""
     if curve.kind != KIND_RAW:
         raise ValueError(f"expected a raw curve, got {curve.kind!r}")
-    running = 0
-    values = []
-    for v in curve.values:
-        running += v
-        values.append(running)
-    return AccrualCurve(curve.journal, curve.pub_year, KIND_CUMULATIVE, tuple(values),
-                        curve.observations)
+    return AccrualCurve(curve.journal, curve.pub_year, KIND_CUMULATIVE,
+                        tuple(accumulate(curve.values)), curve.observations)
 
 
 def standardize_to_age2(curve: AccrualCurve) -> AccrualCurve:
@@ -122,9 +138,12 @@ def standardize_to_age2(curve: AccrualCurve) -> AccrualCurve:
     anchor = curve.values[2]
     if anchor == 0:
         raise DegenerateVolumeError(curve.journal, pub_year)
-    values = tuple(Fraction(v * 100, anchor) for v in curve.values)
-    return AccrualCurve(curve.journal, curve.pub_year, KIND_STANDARDIZED, values,
-                        curve.observations)
+    numerators = tuple(v * (100 if anchor > 0 else -100) for v in curve.values)
+    scale = abs(anchor)
+    if set(map(type, numerators)) != {int}:  # Fraction counts (never from a ledger)
+        numerators, scale = tuple(Fraction(n, scale) for n in numerators), 1
+    return AccrualCurve(curve.journal, curve.pub_year, KIND_STANDARDIZED, numerators,
+                        curve.observations, scale)
 
 
 def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualCurve:
@@ -202,7 +221,7 @@ def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
 def standardized_volume_curves(
     volumes: Mapping[int, AccrualCurve]
 ) -> tuple[dict[int, AccrualCurve], list[int]]:
-    """Standardize each volume curve; returns (curves, skipped pub_years).
+    """Standardize each volume curve, raw or cumulative; returns (curves, skipped pub_years).
 
     Volumes too young to reach age 2 or with a zero anchor are skipped, not
     fatal: one empty volume should not sink the whole journal.
@@ -211,7 +230,9 @@ def standardized_volume_curves(
     skipped: list[int] = []
     for year, curve in volumes.items():
         try:
-            result[year] = standardize_to_age2(cumulative(curve))
+            result[year] = standardize_to_age2(
+                cumulative(curve) if curve.kind == KIND_RAW else curve
+            )
         except DegenerateVolumeError:
             skipped.append(year)
     return result, skipped
@@ -256,7 +277,7 @@ def detect_anomalous_volumes(
 
     for pub_year in sorted(self_rates):
         for citing_year, rate in self_rates[pub_year].items():
-            if rate >= thresholds.self_rate:
+            if rate and rate >= thresholds.self_rate:  # the threshold is > 0
                 findings.append(
                     AnomalyFinding(
                         journal,
@@ -267,9 +288,13 @@ def detect_anomalous_volumes(
                     )
                 )
 
-    # Longest curves first, so the volumes observing an age are a prefix.
+    # Longest curves first, so those observing an age are a prefix; values are num / den > 0.
     volumes = sorted(
-        ((c.values, year) for year, c in standardized.items()),
+        (
+            ([v.numerator for v in c.numerators], [v.denominator for v in c.numerators], year)
+            if c.scale == 1 else (c.numerators, (c.scale,) * len(c.numerators), year)
+            for year, c in standardized.items()
+        ),
         key=lambda item: len(item[0]),
         reverse=True,
     )
@@ -280,27 +305,39 @@ def detect_anomalous_volumes(
     for age in range(len(volumes[0][0])):
         while len(volumes[observing - 1][0]) <= age:
             observing -= 1
-        column = sorted(values[age] for values, _ in volumes[:observing])
-        middle = observing // 2
-        if observing % 2:
-            reference = column[middle]
-        else:
-            reference = Fraction(column[middle - 1] + column[middle], 2)
+        p, q = _median([(nums[age], dens[age]) for nums, dens, _ in volumes[:observing]])
         # |a/b - p/q| >= n/d  <=>  |a*q - p*b| * d >= n * b * q, all denominators > 0.
-        p_d = reference.numerator * limit_den
-        q_d = reference.denominator * limit_den
-        n_q = limit_num * reference.denominator
-        for values, pub_year in volumes[:observing]:
-            value = values[age]
-            b = value.denominator
-            if abs(value.numerator * q_d - p_d * b) >= n_q * b:
-                flagged.append((pub_year, age, value - reference))
+        p_d = p * limit_den
+        q_d = q * limit_den
+        n_q = limit_num * q
+        for nums, dens, pub_year in volumes[:observing]:
+            a, b = nums[age], dens[age]
+            if abs(a * q_d - p_d * b) >= n_q * b:
+                flagged.append((pub_year, age, a, b, p, q))
     flagged.sort()
     findings.extend(
-        AnomalyFinding(journal, pub_year, age, deviation, ACCRUAL_DEVIATION)
-        for pub_year, age, deviation in flagged
+        AnomalyFinding(journal, pub_year, age, Fraction(a * q - p * b, b * q), ACCRUAL_DEVIATION)
+        for pub_year, age, a, b, p, q in flagged
     )
     return findings
+
+
+def _median(column: list[tuple[int, int]]) -> tuple[int, int]:
+    """Exact median of (numerator, denominator > 0) pairs, as such a pair.
+
+    Sorting float keys orders the column up to ties, since correct rounding
+    keeps a < b => fl(a) <= fl(b).  Only the values sharing a float with a
+    middle one are sorted exactly, by cross-multiplying.
+    """
+    keys = [n / d for n, d in column]
+    ordered = sorted(keys)
+    low, high = (len(ordered) - 1) // 2, len(ordered) // 2
+    middle = (ordered[low], ordered[high])
+    tied = sorted((pair for pair, key in zip(column, keys) if key in middle),
+                  key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
+    start = bisect_left(ordered, ordered[low])
+    (a, b), (c, d) = tied[low - start], tied[high - start]
+    return a * d + c * b, 2 * b * d
 
 
 def classify_journal(
@@ -326,9 +363,15 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     lines = ["journal,pub_year,kind,age,value,observations"]
     for curve in curves:
         year = "" if curve.pub_year is None else str(curve.pub_year)
-        for age, value in enumerate(curve.values):
-            obs = ""
-            if curve.observations is not None:
-                obs = str(curve.observations[age])
-            lines.append(f"{curve.journal},{year},{curve.kind},{age},{float(value)!r},{obs}")
+        prefix = f"{curve.journal},{year},{curve.kind},"
+        if curve.scale == 1:  # an int within +-2**53 is an exact float: its digits + ".0"
+            texts = [f"{v}.0" if type(v) is int and -2**53 <= v <= 2**53 else repr(float(v))
+                     for v in curve.numerators]
+        else:
+            texts = map(repr, curve.floats())
+        if curve.observations is None:
+            lines.extend(f"{prefix}{age},{text}," for age, text in enumerate(texts))
+        else:
+            lines.extend(f"{prefix}{age},{text},{obs}" for age, (text, obs)
+                         in enumerate(zip(texts, curve.observations, strict=True)))
     return "\n".join(lines) + "\n"

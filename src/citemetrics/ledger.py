@@ -513,10 +513,11 @@ def self_reference_rate(
 def volume_self_rates(profile: CitationProfile) -> dict[int, dict[int, Fraction]]:
     """Per-volume, per-citing-year self-reference rates (zero-total cells skipped)."""
     rates: dict[int, dict[int, Fraction]] = {}
+    zero = Fraction(0)  # immutable, so every cell without a self share can hold it
     for (cited_year, citing_year), cell in profile.cells.items():
         if cell.total > 0:
-            rates.setdefault(cited_year, {})[citing_year] = Fraction(
-                cell.self_count, cell.total
+            rates.setdefault(cited_year, {})[citing_year] = (
+                Fraction(cell.self_count, cell.total) if cell.self_count else zero
             )
     return {year: dict(sorted(by_citing.items())) for year, by_citing in sorted(rates.items())}
 

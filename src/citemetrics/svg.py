@@ -18,10 +18,6 @@ PALETTE = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def emit_svg_chart(
     series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
     x_label: str,
@@ -39,20 +35,21 @@ def emit_svg_chart(
         if not points:
             raise ValueError(f"series {name!r} is empty")
 
-    xs = [float(x) for _, pts in series for x, _ in pts]
-    ys = [float(y) for _, pts in series for _, y in pts]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(min(ys), 0.0), max(ys)
+    xs = [x for _, pts in series for x, _ in pts]
+    ys = [y for _, pts in series for _, y in pts]
+    x_min, x_max = float(min(xs)), float(max(xs))
+    y_min, y_max = min(float(min(ys)), 0.0), float(max(ys))
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
+    # x - x_min is float(x) - x_min for an int, float or Fraction x.
     def sx(x: float) -> float:
-        return MARGIN_LEFT + (float(x) - x_min) / x_span * plot_w
+        return MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
     def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (float(y) - y_min) / y_span * plot_h
+        return MARGIN_TOP + plot_h - (y - y_min) / y_span * plot_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -75,11 +72,11 @@ def emit_svg_chart(
         xv = x_min + frac * x_span
         yv = y_min + frac * y_span
         out.append(
-            f'<text x="{_fmt(sx(xv))}" y="{y0 + 18}" text-anchor="middle" '
+            f'<text x="{sx(xv):.2f}" y="{y0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{xv:g}</text>'
         )
         out.append(
-            f'<text x="{x0 - 8}" y="{_fmt(sy(yv) + 4)}" text-anchor="end" '
+            f'<text x="{x0 - 8}" y="{sy(yv) + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yv:g}</text>'
         )
     out.append(
@@ -93,7 +90,7 @@ def emit_svg_chart(
     )
     for index, (name, points) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in points)
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'

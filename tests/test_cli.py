@@ -10,11 +10,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citemetrics import ledger as ledger_mod
 from citemetrics.cli import main
 from citemetrics.ledger import MAX_COUNT
-from citemetrics.svg import emit_svg_chart
+from citemetrics.svg import (
+    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, emit_svg_chart,
+)
 
 from conftest import run_python
 
@@ -651,6 +655,54 @@ def test_svg_escapes_labels():
     chart = emit_svg_chart([("a<b", [(0, 0), (1, 1)])], 'x & "y"', "z")
     assert "a&lt;b" in chart
     assert "&amp;" in chart
+
+
+def reference_svg_coordinates(series):
+    """Tick and point coordinates by the per-point float() and _fmt formula."""
+    xs = [float(x) for _, pts in series for x, _ in pts]
+    ys = [float(y) for _, pts in series for _, y in pts]
+    x_min, x_max = min(xs), max(xs)
+    y_min, y_max = min(min(ys), 0.0), max(ys)
+    x_span = (x_max - x_min) or 1.0
+    y_span = (y_max - y_min) or 1.0
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+
+    def fmt(v):
+        return f"{v:.2f}"
+
+    def sx(x):
+        return MARGIN_LEFT + (float(x) - x_min) / x_span * plot_w
+
+    def sy(y):
+        return MARGIN_TOP + plot_h - (float(y) - y_min) / y_span * plot_h
+
+    ticks = [(fmt(sx(x_min + f * x_span)), fmt(sy(y_min + f * y_span) + 4))
+             for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    points = [" ".join(f"{fmt(sx(x))},{fmt(sy(y))}" for x, y in pts) for _, pts in series]
+    return ticks, points
+
+
+svg_x = st.one_of(st.integers(-50, 400), st.fractions(-10, 10, max_denominator=7))
+svg_y = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.integers(-(2**60), 2**60),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@given(st.lists(st.lists(st.tuples(svg_x, svg_y), min_size=1, max_size=6),
+                min_size=1, max_size=4))
+def test_svg_coordinates_match_per_point_formula(raw_series):
+    series = [(f"s{i}", points) for i, points in enumerate(raw_series)]
+    chart = emit_svg_chart(series, "x", "y")
+    ticks, points = reference_svg_coordinates(series)
+    for x, y in ticks:
+        assert f'<text x="{x}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle"' in chart
+        assert f'y="{y}" text-anchor="end"' in chart
+    polylines = [line.split('points="')[1].split('"')[0]
+                 for line in chart.splitlines() if line.startswith("<polyline")]
+    assert polylines == points
 
 
 # --- input layer ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from statistics import median
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from citemetrics.curves import (
@@ -102,6 +103,24 @@ def test_standardize_zero_anchor_rejected():
 def test_standardize_short_curve_rejected():
     with pytest.raises(DegenerateVolumeError):
         standardize_to_age2(cumulative(raw([5, 5])))
+
+
+@given(st.one_of(
+    st.lists(st.one_of(st.integers(-40, 240), st.integers(-(2**60), 2**60)), min_size=3,
+             max_size=12),
+    st.lists(st.one_of(st.integers(-40, 240), st.fractions(-50, 50)), min_size=3, max_size=12),
+))
+def test_standardize_matches_fraction_per_value(counts):
+    cum = cumulative(raw(counts))
+    anchor = cum.values[2]
+    assume(anchor != 0)
+    curve = standardize_to_age2(cum)
+    assert curve.values == tuple(Fraction(c * 100, anchor) for c in cum.values)
+    assert curve.floats() == [float(v) for v in curve.values]
+    assert all(type(f) is float for f in curve.floats())
+    if all(type(c) is int for c in counts):  # the ledger's case: no Fraction is built
+        assert curve.scale == abs(anchor)
+        assert all(type(n) is int for n in curve.numerators)
 
 
 # --- ragged mean --------------------------------------------------------
@@ -291,6 +310,37 @@ def test_curves_csv_layout():
     assert lines[3] == "J,,raw,0,1.0,1"
 
 
+def reference_curves_to_csv(curves):
+    lines = ["journal,pub_year,kind,age,value,observations"]
+    for curve in curves:
+        year = "" if curve.pub_year is None else str(curve.pub_year)
+        for age, value in enumerate(curve.values):
+            obs = "" if curve.observations is None else str(curve.observations[age])
+            lines.append(f"{curve.journal},{year},{curve.kind},{age},{float(value)!r},{obs}")
+    return "\n".join(lines) + "\n"
+
+
+edge_counts = st.one_of(
+    st.integers(0, 50),
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53), -(2**53) - 1, 10**16]),
+    st.fractions(0, 50, max_denominator=12),
+)
+
+
+@example([[2**53, 2**53 + 1, -(2**53), 10**16], [2**53, 2**53, 2**53]])
+@given(st.lists(st.lists(edge_counts, min_size=1, max_size=6), min_size=1, max_size=4))
+def test_curves_to_csv_matches_float_repr(rows):
+    # Raw, cumulative (summing past 2**53), standardized and mean curves.
+    volumes = [raw(row, pub_year=1990 + i) for i, row in enumerate(rows)]
+    table = []
+    for volume in volumes:
+        table += [volume, cumulative(volume)]
+        if len(volume.values) >= 3 and cumulative(volume).values[2] != 0:
+            table.append(standardize_to_age2(cumulative(volume)))
+    table.append(mean_accrual_curve(volumes, max(len(row) for row in rows) - 1))
+    assert curves_to_csv(table) == reference_curves_to_csv(table)
+
+
 # --- differential tests: integer kernels vs the Fraction-per-value code --
 #
 # Each reference_* function is the implementation the integer kernels
@@ -364,6 +414,10 @@ def outcome(function, *args):
 # Small numerators over a few denominators: ties, odd and even columns and
 # deviations landing exactly on the threshold are all common.
 fraction_values = st.builds(Fraction, st.integers(-80, 480), st.sampled_from([1, 2, 3, 4, 6]))
+# Distinct exact values that all round to the float 100.0.
+near_hundred = st.sampled_from(
+    [Fraction(100), Fraction(10**17 + 1, 10**15), Fraction(10**17 - 1, 10**15)]
+)
 exact_values = st.one_of(st.integers(-40, 240), fraction_values)
 anomaly_thresholds = st.builds(
     AnomalyThresholds,
@@ -374,11 +428,25 @@ anomaly_thresholds = st.builds(
 )
 
 
+def curve_in_form(year, values, form):
+    """A standardized curve of exact `values`: Fraction values over scale 1
+    (form 0), or int numerators over `form` times their common denominator."""
+    if not form:
+        return AccrualCurve("J", year, "standardized", tuple(values))
+    scale = form * lcm(1, *(v.denominator for v in values))
+    return AccrualCurve("J", year, "standardized", tuple(int(v * scale) for v in values),
+                        scale=scale)
+
+
+anomaly_values = st.one_of(fraction_values, near_hundred)
+
+
 @given(
-    # Standardized curves hold Fractions only.  On a column mixing ints and
-    # Fractions, statistics.median returns a float for an even count, and
-    # the reference's deviation is then a rounded float.
-    st.lists(st.lists(fraction_values, min_size=0, max_size=7), min_size=3, max_size=9),
+    st.lists(st.lists(anomaly_values, min_size=0, max_size=7), min_size=1, max_size=9),
+    # One curve that many volumes share: columns of exact ties.
+    st.lists(anomaly_values, min_size=0, max_size=7),
+    st.integers(0, 8),
+    st.lists(st.integers(0, 3), min_size=17, max_size=17),
     st.dictionaries(
         st.integers(1990, 1999),
         st.dictionaries(st.integers(1990, 2005), st.fractions(0, 1), max_size=3),
@@ -386,12 +454,20 @@ anomaly_thresholds = st.builds(
     ),
     anomaly_thresholds,
 )
-def test_detect_anomalous_volumes_matches_reference(rows, self_rates, thresholds):
+def test_detect_anomalous_volumes_matches_reference(
+    rows, shared, copies, forms, self_rates, thresholds
+):
+    rows = rows + [shared] * copies
+    # The reference holds Fractions only.  On a column mixing ints and
+    # Fractions, statistics.median returns a float for an even count, and
+    # the reference's deviation is then a rounded float.
+    expected = outcome(reference_detect_anomalous_volumes, {
+        1990 + i: curve_in_form(1990 + i, values, 0) for i, values in enumerate(rows)
+    }, self_rates, thresholds)
     standardized = {
-        1990 + i: AccrualCurve("J", 1990 + i, "standardized", tuple(values))
-        for i, values in enumerate(rows)
+        1990 + i: curve_in_form(1990 + i, values, form)
+        for i, (values, form) in enumerate(zip(rows, forms))
     }
-    expected = outcome(reference_detect_anomalous_volumes, standardized, self_rates, thresholds)
     assert outcome(detect_anomalous_volumes, standardized, self_rates, thresholds) == expected
 
 

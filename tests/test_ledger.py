@@ -230,9 +230,12 @@ def test_self_rate_undefined_when_no_citations():
 
 
 def test_volume_self_rates_skips_empty_cells():
-    profile = make_profile("H", {(1993, 1993): (44, 38), (1993, 1994): (0, 0)})
+    profile = make_profile(
+        "H", {(1993, 1993): (44, 38), (1993, 1994): (0, 0), (1993, 1995): (5, 0)}
+    )
     rates = volume_self_rates(profile)
-    assert rates == {1993: {1993: Fraction(38, 44)}}
+    assert rates == {1993: {1993: Fraction(38, 44), 1995: 0}}
+    assert type(rates[1993][1995]) is Fraction
 
 
 # --- strip --------------------------------------------------------------
