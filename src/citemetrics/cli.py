@@ -216,7 +216,7 @@ def cmd_curves(args) -> int:
         raise ConfigError("horizon must be >= 0")
     aliases = _load_aliases(args.aliases)
     profiles = _load_profiles(args, aliases)
-    profile = ledger.find_profile(profiles, args.journal)
+    profile = ledger.find_profile(profiles, aliases.resolve(args.journal))
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
     volumes = curves_mod.volume_curves(profile)

@@ -184,34 +184,43 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
     return AccrualCurve(journal, None, KIND_RAW, tuple(values), tuple(observations))
 
 
-def observed_volumes(
+def observe(
     profile: CitationProfile, through: int = YEAR_MAX
-) -> tuple[int | None, list[int]]:
-    """(end, volume years): what the ledger has observed of a journal by `through`.
+) -> tuple[int | None, list[int], list[int], list[tuple[int, int]]]:
+    """(end, volumes, totals, pairs): what the ledger had seen of a journal by `through`.
 
     The one rule behind volume curves and reports: only cells citing in or
     before `through` are observed.  end is the last year they cite in (None
     when there is none), and the volumes are the sorted years they cite, up
     to end, so a volume published in year y is observed at ages 0..end - y.
+    totals[a] sums the observed cells at age a, 0 <= a <= end - first volume;
+    pairs are the sorted (age >= 0, total > 0) of the cells citing in `through`.
     """
     cells = profile.cells
     end = max((citing for _, citing in cells if citing <= through), default=None)
     if end is None:
-        return None, []
-    return end, sorted({cited for cited, citing in cells if cited <= end and citing <= end})
+        return None, [], [], []
+    years = sorted({cited for cited, citing in cells if cited <= end and citing <= end})
+    totals = [0] * (end - years[0] + 1 if years else 0)
+    pairs = []
+    for (cited, citing), cell in cells.items():
+        if cited <= citing <= end:
+            totals[citing - cited] += cell.total
+            if citing == through and cell.total:
+                pairs.append((citing - cited, cell.total))
+    return end, years, totals, sorted(pairs)
 
 
 def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
-    """Raw curve per volume of observed_volumes, ages 0..end - pub_year.
+    """Raw curve per volume of observe(profile), ages 0..end - pub_year.
 
     A cell citing before its volume counts in no curve.
     """
-    end, years = observed_volumes(profile)
+    end, years, _, _ = observe(profile)
     rows = {year: [0] * (end - year + 1) for year in years}
     for (cited, citing), cell in profile.cells.items():
-        row = rows.get(cited)
-        if row is not None and cited <= citing <= end:
-            row[citing - cited] = cell.total
+        if cited <= citing <= end:  # so cited is a volume
+            rows[cited][citing - cited] = cell.total
     return {
         year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
         for year, row in rows.items()
@@ -251,7 +260,7 @@ def clamp_horizon(horizon: int, oldest_age: int) -> int:
     The one place a requested horizon gives way to what the ledger can
     observe: mean curves and coverage for young journals use the shorter
     span instead of failing.  For a journal's volume curves, the oldest age
-    is end minus the first volume year, both from observed_volumes.
+    is end minus the first volume year, both from observe.
     """
     return min(horizon, oldest_age)
 

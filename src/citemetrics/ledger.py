@@ -300,6 +300,12 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
     ingested counts.  The mapping key is the canonical display name under
     which the journal was first seen; lookups elsewhere compare casefolded.
     A record with a year outside YEAR_MIN..YEAR_MAX raises ValueError.
+
+    This is the reference fold: the tests compare _fold, which parses and
+    folds each line in one loop, against iter_citation_records + this.  The
+    two keep their own copy of the per-row body on purpose: feeding one
+    fold loop from a generator shared by both paths made the 1e6-row read
+    about 11 % slower.
     """
     display: dict[str, str] = {}
     totals_by_journal: dict[str, dict[int, int]] = {}
@@ -547,7 +553,8 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
     The self share is attributed to the journal itself, the remainder to the
     reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row so
     re-parsing reproduces the profiles exactly.  A row whose count the
-    ledger readers would reject (above MAX_COUNT) raises CitemetricsError.
+    ledger readers would reject (below 0 or above MAX_COUNT) raises
+    CitemetricsError.
     """
     lines = [CITATIONS_HEADER]
     for journal in sorted(profiles, key=str.casefold):
@@ -556,10 +563,11 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
         for (cited_year, citing_year) in sorted(profile.cells):
             cell = profile.cells[(cited_year, citing_year)]
             other = cell.total - cell.self_count
-            if max(cell.self_count, other) > MAX_COUNT:
+            if min(cell.self_count, other) < 0 or max(cell.self_count, other) > MAX_COUNT:
+                bound = "below 0" if min(cell.self_count, other) < 0 else f"above {MAX_COUNT}"
                 raise CitemetricsError(
                     f"{name!r}: the citations of {citing_year} to {cited_year} need a "
-                    f"ledger row with a count above {MAX_COUNT}"
+                    f"ledger row with a count {bound}"
                 )
             if cell.self_count > 0:
                 lines.append(f"{name},{citing_year},{name},{cited_year},{cell.self_count}")

@@ -28,7 +28,7 @@ from .errors import (
     MissingDenominatorError,
     ZeroWindowError,
 )
-from .ledger import YEAR_MAX, CitationProfile, PublicationCounts
+from .ledger import CitationProfile, PublicationCounts
 
 FLAG_HALF_LIFE_UNRELIABLE = "HalfLifeUnreliable"
 FLAG_MISSING_DENOMINATOR = "MissingDenominator"
@@ -170,18 +170,17 @@ def cited_half_life(
     q = as_fraction(quantile)
     if not 0 < q <= 1:
         raise ValueError("quantile must be in (0, 1]")
-    # Ages with no citations never hold the crossing, so they are left out.
-    counts = sorted(
-        (eval_year - cited, cell.total)
-        for (cited, citing), cell in profile.cells.items()
-        if citing == eval_year and cited <= eval_year and cell.total
-    )
-    total = sum(count for _, count in counts)
+    return _half_life(curves_mod.observe(profile, eval_year)[3], q)
+
+
+def _half_life(pairs: list[tuple[int, int]], q: Fraction) -> Fraction | None:
+    """cited_half_life's crossing in observe's pairs; ages with no citations never hold it."""
+    total = sum(count for _, count in pairs)
     if total == 0:
         return None
     target = q * total
     running = 0
-    for age, count in counts:
+    for age, count in pairs:
         if running + count >= target:
             return age + Fraction(target - running, count)
         running += count
@@ -249,40 +248,31 @@ def reliability_flags(
 
     A half-life close to the journal's whole observed life says more about
     the ledger's span than about the journal.  The journal's life starts at
-    its first volume as of eval_year: with a half-life, that is the first
-    volume of curves.observed_volumes(profile, eval_year).
+    its first volume as of eval_year, from curves.observe; a journal with no
+    volume by then is never flagged.
     """
-    if half_life_exact is None:
-        return frozenset()
-    first = min(cited for cited, citing in profile.cells if citing <= eval_year)
-    if eval_year - first + 1 < 2 * half_life_exact:
+    return _reliability(eval_year, curves_mod.observe(profile, eval_year)[1], half_life_exact)
+
+
+def _reliability(eval_year: int, years: list[int], half_life: Fraction | None) -> frozenset[str]:
+    if half_life is not None and years and eval_year - years[0] + 1 < 2 * half_life:
         return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
     return frozenset()
 
 
-def _age_sums(
-    profile: CitationProfile, horizon: int, through: int = YEAR_MAX
-) -> tuple[list[int], list[int]]:
+def _age_sums(journal: str, observation: tuple, horizon: int) -> tuple[list[int], list[int]]:
     """Per-age citation sums and observing-volume counts for ages 0..h.
 
     The integer core of the journal's ragged mean curve (age a's mean is
-    sums[a] / counts[a]); the sums take one pass over the cells.  The end of
-    observation and the volumes are those of curves.observed_volumes as of
-    `through`, and only cells with cited <= citing <= end count.  h is
-    `horizon` clamped to the oldest volume.
+    sums[a] / counts[a]), from a curves.observe result.  h is `horizon`
+    clamped to the oldest volume.
     """
-    end, years = curves_mod.observed_volumes(profile, through)
+    end, years, totals, _ = observation
     if not years:  # no cells, or none a volume's own life observes
-        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
+        raise ZeroWindowError(f"{journal!r}: profile has no citations")
     width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
-    sums = [0] * width
-    for (cited, citing), cell in profile.cells.items():
-        age = citing - cited
-        if 0 <= age < width and citing <= end:
-            sums[age] += cell.total
     # A volume published in year y observes ages 0..end - y.
-    counts = [bisect_right(years, end - age) for age in range(width)]
-    return sums, counts
+    return totals[:width], [bisect_right(years, end - age) for age in range(width)]
 
 
 def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
@@ -292,7 +282,7 @@ def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     horizon is capped at the oldest observed age so that reports for young
     journals still produce a (shorter) curve rather than failing.
     """
-    sums, counts = _age_sums(profile, horizon)
+    sums, counts = _age_sums(profile.journal, curves_mod.observe(profile), horizon)
     return AccrualCurve(
         profile.journal, None, curves_mod.KIND_RAW, tuple(map(Fraction, sums, counts)),
         tuple(counts),
@@ -311,10 +301,10 @@ def build_indicator_report(
     The impact factor and coverage both use the policy's window ages, so
     adjusted_jif rescales the same window that coverage measured; the
     target quantile sets only the scaling, and the half-life stays the
-    median.  Only citations made in or before eval_year count; a
-    mean_curve passed in is used as given.  Missing denominators and an
-    empty coverage horizon are reported as flags with the affected fields
-    blank, not errors: one journal's data gap should not abort a report run.
+    median.  Only citations made in or before eval_year count (one
+    curves.observe); a mean_curve passed in is used as given.  Missing
+    denominators and an empty coverage horizon are flags with the affected
+    fields blank, not errors: one journal's data gap should not abort a run.
     """
     flags: set[str] = set()
 
@@ -328,13 +318,14 @@ def build_indicator_report(
     except MissingDenominatorError:
         flags.add(FLAG_MISSING_DENOMINATOR)
 
-    half_life = cited_half_life(profile, eval_year)
+    observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
+    half_life = _half_life(pairs, Fraction(1, 2))
     half_life_jcr = None if half_life is None else jcr_truncate(half_life)
 
     coverage = scaling = adjusted = None
     try:
         if mean_curve is None:
-            sums, counts = _age_sums(profile, policy.horizon, eval_year)
+            sums, counts = _age_sums(profile.journal, observation, policy.horizon)
         else:
             horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
             values = mean_curve.values[: horizon + 1]
@@ -352,7 +343,7 @@ def build_indicator_report(
     except ZeroWindowError:
         flags.add(FLAG_ZERO_WINDOW_CITATIONS)
 
-    flags |= reliability_flags(profile, eval_year, half_life)
+    flags |= _reliability(eval_year, years, half_life)
     return IndicatorReport(
         journal=profile.journal,
         eval_year=eval_year,

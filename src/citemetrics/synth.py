@@ -131,6 +131,10 @@ class SynthSpec:
         for scale in self.volume_scale.values():
             if scale <= 0:
                 raise ValueError("volume_scale entries must be positive")
+        for spike in self.spikes:
+            if spike.extra < 0 or spike.age < 0 or spike.pub_year not in self.pub_years():
+                raise ValueError(f"spike {spike.pub_year},{spike.age},{spike.extra} needs "
+                                 "a year in pub_years, an age >= 0 and a count >= 0")
 
     def pub_years(self) -> range:
         return range(self.first_year, self.last_year + 1)
@@ -143,11 +147,13 @@ def generate_profile(spec: SynthSpec) -> tuple[CitationProfile, PublicationCount
     """Expand a spec into a citation profile and matching publication counts.
 
     cell(y, y+a).total = round(base * scale(y) * w(a)) + spike(y, a), with
-    self = round(total * self_fraction(y, a)); citing years past
-    observation_end are dropped, zero cells are omitted.  Identical specs
-    produce identical output, bit for bit.
+    w = 0 past the kernel and self = round(total * self_fraction(y, a));
+    citing years past observation_end are dropped, zero cells are omitted.
+    Identical specs produce identical output, bit for bit.
     """
     weights = spec.kernel.weights()
+    ages = max([len(weights), *(s.age + 1 for s in spec.spikes)])
+    weights += (Fraction(0),) * (ages - len(weights))
     spike_at = {(s.pub_year, s.age): 0 for s in spec.spikes}
     for s in spec.spikes:
         spike_at[(s.pub_year, s.age)] += s.extra

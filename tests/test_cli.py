@@ -490,6 +490,20 @@ def test_curves_journal_lookup_case_insensitive(capsys, hare_dir):
     assert main(["curves", "hArE", "--citations", str(hare_dir / "citations.csv")]) == 0
 
 
+def test_curves_journal_name_goes_through_aliases(tmp_path, capsys):
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\nX,2000,Old J,2000,3\nX,2001,Old J,2000,5\n")
+    aliases = tmp_path / "a.csv"
+    aliases.write_text("alias,canonical\nOld J,New J\n")
+    outputs = []
+    for name in ("Old J", "New J"):
+        assert main(["curves", name, "--citations", str(citations),
+                     "--aliases", str(aliases)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "New J,2000,raw,1,5.0," in outputs[0]
+
+
 def test_curves_single_volume_mean_equals_that_volume(tmp_path, capsys):
     citations = tmp_path / "c.csv"
     citations.write_text(
@@ -1004,4 +1018,4 @@ def test_validate_imports_neither_synth_nor_svg(tmp_path):
     assert done.returncode == 0
     modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
     assert "citemetrics.ledger" in modules
-    assert not modules & {"citemetrics.synth", "citemetrics.svg"}
+    assert not modules & {"citemetrics.synth", "citemetrics.svg", "citemetrics.parallel"}

@@ -27,7 +27,7 @@ from citemetrics.curves import (
     detect_anomalous_volumes,
     mean_accrual_curve,
     observable_horizon,
-    observed_volumes,
+    observe,
     standardize_to_age2,
     standardized_volume_curves,
     volume_curves,
@@ -56,10 +56,13 @@ def test_observed_volumes_as_of_a_year():
     profile = make_profile("J", {
         (1990, 1990): (1, 0), (1992, 1991): (2, 0), (1989, 1991): (3, 0), (1995, 1996): (4, 0),
     })
-    assert observed_volumes(profile) == (1996, [1989, 1990, 1992, 1995])
-    assert observed_volumes(profile, 1995) == (1991, [1989, 1990])
-    assert observed_volumes(profile, 1990) == (1990, [1990])
-    assert observed_volumes(profile, 1989) == (None, [])
+    assert observe(profile)[:2] == (1996, [1989, 1990, 1992, 1995])
+    assert observe(profile, 1995)[:2] == (1991, [1989, 1990])
+    assert observe(profile, 1990)[:2] == (1990, [1990])
+    assert observe(profile, 1989) == (None, [], [], [])
+    # Ages 0..2 as of 1991 hold 1, 0 and 3; only 1991 itself gives half-life pairs.
+    assert observe(profile, 1995) == (1991, [1989, 1990], [1, 0, 3], [])
+    assert observe(profile, 1991) == (1991, [1989, 1990], [1, 0, 3], [(2, 3)])
 
 
 # --- cumulative ---------------------------------------------------------
@@ -546,7 +549,7 @@ def test_clamp_horizon_never_lengthens():
 def test_volume_curves_empty_profile():
     empty = make_profile("J", {})
     assert volume_curves(empty) == {} == reference_volume_curves(empty)
-    assert observed_volumes(empty) == (None, [])
+    assert observe(empty) == (None, [], [], [])
     assert observable_horizon(empty) == 0
 
 

@@ -686,6 +686,14 @@ def test_citation_csv_rows_stay_within_count_bound():
         profiles_to_citation_csv({"J": over})
 
 
+@pytest.mark.parametrize("cell", [(-40, 0), (3, 5), (2, -1)], ids=["total", "external", "self"])
+def test_citation_csv_refuses_negative_share(cell):
+    # A negative share has no ledger row; dropping the cell would change the profile.
+    profile = make_profile("J", {(1990, 1990): (1, 0), (1990, 1991): cell})
+    with pytest.raises(CitemetricsError, match="citations of 1991 to 1990 .* count below 0"):
+        profiles_to_citation_csv({"J": profile})
+
+
 # --- line layout, shared by every reader ----------------------------------------
 
 # Header, one valid data row and its field count per reader; each reader is

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citemetrics.curves import (
@@ -13,12 +13,12 @@ from citemetrics.curves import (
     clamp_horizon,
     classify_journal,
     mean_accrual_curve,
-    observed_volumes,
+    observe,
     volume_curves,
 )
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
 from citemetrics.ledger import (
-    CellCount, CitationProfile, PublicationCounts, strip_self_references,
+    YEAR_MAX, CellCount, CitationProfile, PublicationCounts, strip_self_references,
 )
 from citemetrics.cli import REPORT_COLUMNS, _render_rows
 from citemetrics.metrics import (
@@ -652,7 +652,8 @@ def test_report_as_of_year_is_report_on_cut_ledger(cells, strip, items, eval_yea
     pubs = pubs_for("J", items)
     result = build_indicator_report(profile, pubs, eval_year, policy)
     assert result == build_indicator_report(cut, pubs, eval_year, policy)
-    assert observed_volumes(profile, eval_year) == observed_volumes(cut)
+    assert observe(profile, eval_year)[:3] == observe(cut)[:3]
+    assert observe(profile, eval_year) == observe(cut, eval_year)
 
 
 def test_report_flags_profile_without_volume():
@@ -667,3 +668,69 @@ def test_report_flags_profile_without_volume():
     assert report.flags == {FLAG_ZERO_WINDOW_CITATIONS}
     with pytest.raises(ZeroWindowError, match="'J': profile has no citations"):
         journal_mean_curve(CitationProfile("J"), 20)
+
+
+# --- one observation per journal --------------------------------------------
+# curves.observe replaced four separate scans over a journal's cells.  They
+# are kept here as references: observe must give what each of them gave.
+
+
+def reference_observed_volumes(profile, through):
+    cells = profile.cells
+    end = max((citing for _, citing in cells if citing <= through), default=None)
+    if end is None:
+        return None, []
+    return end, sorted({cited for cited, citing in cells if cited <= end and citing <= end})
+
+
+def reference_age_sums(profile, width, end):
+    sums = [0] * width
+    for (cited, citing), cell in profile.cells.items():
+        age = citing - cited
+        if 0 <= age < width and citing <= end:
+            sums[age] += cell.total
+    return sums
+
+
+def reference_half_life_pairs(profile, eval_year):
+    return sorted(
+        (eval_year - cited, cell.total)
+        for (cited, citing), cell in profile.cells.items()
+        if citing == eval_year and cited <= eval_year and cell.total
+    )
+
+
+def reference_reliability_flags(profile, eval_year, half_life_exact):
+    if half_life_exact is None:
+        return frozenset()
+    first = min(cited for cited, citing in profile.cells if citing <= eval_year)
+    if eval_year - first + 1 < 2 * half_life_exact:
+        return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
+    return frozenset()
+
+
+@given(
+    kernel_cells,
+    st.one_of(st.integers(1985, 2010), st.just(YEAR_MAX)),
+    st.fractions(0, 12),
+)
+@example({}, 2000, Fraction(1))
+@example({(1995, -2): (3, 0)}, 1994, Fraction(1))  # cells, but no volume as of 1994
+@example({(1995, 0): (0, 0), (1994, 2): (5, 1)}, 1996, Fraction(1, 2))  # a zero total
+@example({(1990, 2): (4, 0), (1996, 1): (3, 0)}, 2000, Fraction(3))  # dated by its first volume
+def test_observe_matches_reference_scans(cells, through, half_life):
+    profile = kernel_profile(cells)
+    end, years, totals, pairs = observe(profile, through)
+    assert (end, years) == reference_observed_volumes(profile, through)
+    width = end - years[0] + 1 if years else 0
+    assert totals == reference_age_sums(profile, width, end)
+    assert pairs == reference_half_life_pairs(profile, through)
+    own = cited_half_life(profile, through)
+    assert reliability_flags(profile, through, own) == (
+        reference_reliability_flags(profile, through, own))
+    if years:
+        assert reliability_flags(profile, through, half_life) == (
+            reference_reliability_flags(profile, through, half_life))
+    else:  # no observed life to compare a half-life with
+        assert own is None
+        assert reliability_flags(profile, through, half_life) == frozenset()

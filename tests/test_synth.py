@@ -57,6 +57,31 @@ def test_spike_adds_to_one_cell():
     assert profile.cells[(1984, 1985)].total == 10
 
 
+def test_spike_past_the_kernel_lands_up_to_observation_end():
+    # w = 0 past the kernel's last age, so the cell holds the spike alone.
+    spec = flat_spec(first_year=1990, last_year=1990, kernel=Flat(3), observation_end=1995,
+                     spikes=(Spike(1990, 4, 500), Spike(1990, 6, 7)))
+    profile, _ = generate_profile(spec)
+    assert list(profile.cells) == [(1990, 1990), (1990, 1991), (1990, 1992), (1990, 1994)]
+    assert profile.cells[(1990, 1994)].total == 500  # age 6 cites 1996, past the end
+
+
+@pytest.mark.parametrize("spike", [
+    Spike(1990, 0, -50),  # a negative count
+    Spike(1990, -1, 5),  # a negative age
+    Spike(1980, 0, 500),  # a year outside pub_years
+    Spike(1996, 0, 500),
+])
+def test_spec_rejects_spike_it_cannot_write(spike):
+    with pytest.raises(ValueError, match=f"spike {spike.pub_year},{spike.age},{spike.extra}"):
+        flat_spec(first_year=1990, last_year=1995, kernel=Flat(6), spikes=(spike,))
+    text = ("journal = J\npub_years = 1990-1995\nkernel = flat:6\nbase_citations = 10\n"
+            f"items_per_year = 4\nobservation_end = 2004\n"
+            f"spike = {spike.pub_year},{spike.age},{spike.extra}\n")
+    with pytest.raises(ParseError, match="needs a year in pub_years"):
+        parse_synth_spec(io.StringIO(text))
+
+
 def test_self_fraction_rounds_half_away():
     spec = flat_spec(first_year=1993, last_year=1993, observation_end=2013,
                      base_citations=Fraction(44),
