@@ -199,12 +199,15 @@ def _table_rows(args) -> list[dict]:
         if key not in cited:
             profiles[journal] = ledger.CitationProfile(journal)
     rows = []
+    coverage_at = metrics._RATIO_FIELDS.index("coverage")
     for journal in sorted(profiles, key=str.casefold):
-        report = metrics.build_indicator_report(profiles[journal], pubs, args.year, policy)
-        data = report.to_json_dict()
+        profile = profiles[journal]
+        # build_indicator_report's exact ratios, printed without building a Fraction.
+        ratios, flags = metrics._ratios(profile, pubs, args.year, policy)
+        data = metrics._row_dict(profile.journal, args.year, ratios, flags)
+        coverage = ratios[coverage_at]
         data["class"] = (
-            "" if report.coverage is None
-            else curves_mod.classify_journal(report.coverage, classification)
+            "" if coverage is None else curves_mod.classify_ratio(*coverage, classification)
         )
         rows.append({key: data[key] for key in args.columns})
     return rows
@@ -219,7 +222,8 @@ def cmd_curves(args) -> int:
     profile = ledger.find_profile(profiles, aliases.resolve(args.journal))
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
-    volumes = curves_mod.volume_curves(profile)
+    observation = curves_mod.observe(profile)
+    volumes = curves_mod._volume_curves(profile, observation)
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
     standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
     for year in skipped:
@@ -233,7 +237,7 @@ def cmd_curves(args) -> int:
         out += [volumes[year], cumulatives[year]]
         if year in standardized:
             out.append(standardized[year])
-    out.append(metrics.journal_mean_curve(profile, args.horizon))
+    out.append(metrics._mean_curve(profile.journal, observation, args.horizon))
     _emit(args.output, curves_mod.curves_to_csv(out))
 
     if len(standardized) >= 3:

@@ -103,7 +103,10 @@ class AnomalyThresholds:
 
 @dataclass(frozen=True)
 class ClassificationThresholds:
-    """Coverage cutoffs separating fast-accruing from slow-accruing journals."""
+    """Coverage cutoffs separating fast-accruing from slow-accruing journals.
+
+    Coverage lies in [0, 1], so the cutoffs must satisfy 0 <= tortoise < hare <= 1.
+    """
 
     hare: Fraction = Fraction(1, 4)
     tortoise: Fraction = Fraction(3, 20)
@@ -112,6 +115,8 @@ class ClassificationThresholds:
         _coerce_fractions(self, ("hare", "tortoise"))
         if self.hare <= self.tortoise:
             raise ConfigError("hare threshold must exceed tortoise threshold")
+        if self.tortoise < 0 or self.hare > 1:
+            raise ConfigError("hare and tortoise thresholds must lie in [0, 1]")
 
 
 def cumulative(curve: AccrualCurve) -> AccrualCurve:
@@ -216,7 +221,12 @@ def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
 
     A cell citing before its volume counts in no curve.
     """
-    end, years, _, _ = observe(profile)
+    return _volume_curves(profile, observe(profile))
+
+
+def _volume_curves(profile: CitationProfile, observation: tuple) -> dict[int, AccrualCurve]:
+    """volume_curves from an observe(profile) result."""
+    end, years, _, _ = observation
     rows = {year: [0] * (end - year + 1) for year in years}
     for (cited, citing), cell in profile.cells.items():
         if cited <= citing <= end:  # so cited is a volume
@@ -353,12 +363,25 @@ def classify_journal(
     coverage: Fraction | float,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> str:
-    """Class a journal by how much of its horizon total the window captures."""
-    if not 0 <= coverage <= 1:
+    """Class a journal by how much of its horizon total the window captures.
+
+    The coverage is compared exactly, as its integer ratio.
+    """
+    try:
+        ratio = coverage.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ValueError("coverage must be in [0, 1]") from None
+    return classify_ratio(*ratio, thresholds)
+
+
+def classify_ratio(numerator: int, denominator: int, thresholds: ClassificationThresholds) -> str:
+    """classify_journal for the coverage numerator / denominator (> 0), cross-multiplied."""
+    if not 0 <= numerator <= denominator:
         raise ValueError("coverage must be in [0, 1]")
-    if coverage >= thresholds.hare:
+    hare, tortoise = thresholds.hare, thresholds.tortoise
+    if numerator * hare.denominator >= hare.numerator * denominator:
         return CLASS_HARE
-    if coverage <= thresholds.tortoise:
+    if numerator * tortoise.denominator <= tortoise.numerator * denominator:
         return CLASS_TORTOISE
     return CLASS_INTERMEDIATE
 

@@ -8,9 +8,11 @@ not mean equal impact.  The correction here measures the share directly
 (window coverage over a long horizon) and rescales the impact factor so
 the window stands in for a fixed quantile of lifetime citations.
 
-All arithmetic is exact (fractions.Fraction); rounding happens only in
-presentation helpers.  Sums over many exact values run on integers scaled to
-a common denominator, and one Fraction is built from the result.
+All arithmetic is exact; rounding happens only in presentation helpers.
+A report row is computed once, by _ratios, as (numerator, denominator) int
+pairs: the public helpers and IndicatorReport build one Fraction per value
+from them, and the CLI prints each value as one correctly rounded int
+division, which equals float(Fraction).
 """
 from __future__ import annotations
 
@@ -106,26 +108,26 @@ class IndicatorReport:
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form; exact values become floats, ">10" stays literal."""
+        values = (getattr(self, name) for name in _RATIO_FIELDS)
+        return _row_dict(self.journal, self.eval_year, [
+            v if v is None or isinstance(v, str) else v.as_integer_ratio() for v in values
+        ], self.flags)
 
-        def num(v):
-            return None if v is None else float(v)
 
-        return {
-            "journal": self.journal,
-            "eval_year": self.eval_year,
-            "jif": num(self.jif),
-            "immediacy": num(self.immediacy),
-            "half_life_exact": num(self.half_life_exact),
-            "half_life_jcr": (
-                self.half_life_jcr
-                if self.half_life_jcr is None or isinstance(self.half_life_jcr, str)
-                else float(self.half_life_jcr)
-            ),
-            "coverage": num(self.coverage),
-            "scaling_factor": num(self.scaling_factor),
-            "adjusted_jif": num(self.adjusted_jif),
-            "flags": sorted(self.flags),
-        }
+_RATIO_FIELDS = ("jif", "immediacy", "half_life_exact", "half_life_jcr", "coverage",
+                 "scaling_factor", "adjusted_jif")
+
+
+def _row_dict(journal: str, eval_year: int, ratios, flags) -> dict:
+    """The one row serializer: each (n, d > 0) pair of _RATIO_FIELDS prints as n / d.
+
+    int / int is correctly rounded, so n / d equals float(Fraction(n, d)).
+    """
+    row = {"journal": journal, "eval_year": eval_year}
+    for name, ratio in zip(_RATIO_FIELDS, ratios):
+        row[name] = ratio if ratio is None or isinstance(ratio, str) else ratio[0] / ratio[1]
+    row["flags"] = sorted(flags)
+    return row
 
 
 def impact_factor(
@@ -142,7 +144,14 @@ def impact_factor(
     volume's denominator must be present: a guessed item count would
     silently skew the ratio.
     """
-    years = [eval_year - age for age in sorted(set(ages))]
+    return Fraction(*_impact(profile, pubs, eval_year, sorted(set(ages))))
+
+
+def _impact(
+    profile: CitationProfile, pubs: PublicationCounts, eval_year: int, ages: Iterable[int]
+) -> tuple[int, int]:
+    """impact_factor over sorted distinct ages, as (cited cells' total, items)."""
+    years = [eval_year - age for age in ages]
     items = [pubs.get(profile.journal, year) for year in years]
     missing = [year for year, count in zip(years, items) if count is None]
     if missing:
@@ -152,7 +161,7 @@ def impact_factor(
         cell = profile.cells.get((year, eval_year))
         if cell is not None:
             numerator += cell.total
-    return Fraction(numerator, sum(items))
+    return numerator, sum(items)
 
 
 def cited_half_life(
@@ -170,19 +179,25 @@ def cited_half_life(
     q = as_fraction(quantile)
     if not 0 < q <= 1:
         raise ValueError("quantile must be in (0, 1]")
-    return _half_life(curves_mod.observe(profile, eval_year)[3], q)
+    half_life = _half_life(curves_mod.observe(profile, eval_year)[3], q.numerator, q.denominator)
+    return None if half_life is None else Fraction(*half_life)
 
 
-def _half_life(pairs: list[tuple[int, int]], q: Fraction) -> Fraction | None:
-    """cited_half_life's crossing in observe's pairs; ages with no citations never hold it."""
+def _half_life(pairs: list[tuple[int, int]], q_num: int, q_den: int) -> tuple[int, int] | None:
+    """cited_half_life's crossing in observe's pairs, as an (n, d) pair.
+
+    The target is q * total, so with q = q_num / q_den the crossing age is
+    age + (q * total - running) / count, all over count * q_den.  Ages with
+    no citations never hold it.
+    """
     total = sum(count for _, count in pairs)
     if total == 0:
         return None
-    target = q * total
+    target = q_num * total
     running = 0
     for age, count in pairs:
-        if running + count >= target:
-            return age + Fraction(target - running, count)
+        if (running + count) * q_den >= target:
+            return (age * count - running) * q_den + target, count * q_den
         running += count
     raise AssertionError("quantile target above cumulative total")  # pragma: no cover
 
@@ -190,21 +205,28 @@ def _half_life(pairs: list[tuple[int, int]], q: Fraction) -> Fraction | None:
 def jcr_truncate(half_life_exact) -> Fraction | str:
     """Print-style half-life: values above 10 collapse to the ">10" token."""
     value = as_fraction(half_life_exact)
-    return JCR_TRUNCATION_TOKEN if value > 10 else value
+    truncated = _jcr(value.as_integer_ratio())
+    return truncated if isinstance(truncated, str) else value
 
 
-def _coverage(journal: str, sums, counts, window_ages) -> Fraction:
-    """Share of the horizon total that falls inside the window ages.
+def _jcr(half_life: tuple[int, int]) -> tuple[int, int] | str:
+    """jcr_truncate on an (n, d > 0) pair: the token above 10, else the pair."""
+    return JCR_TRUNCATION_TOKEN if half_life[0] > 10 * half_life[1] else half_life
+
+
+def _coverage(journal: str, sums, counts, window_ages) -> tuple[int, int]:
+    """Share of the horizon total that falls inside the window ages, as (n, d > 0).
 
     Age a's mean is sums[a] / counts[a].  The means are summed as integers
-    over the lcm of the counts, so the only Fraction built is the result.
+    over the lcm of the counts.
     """
     common = math.lcm(*counts)
     scaled = [s * (common // c) for s, c in zip(sums, counts)]
     total = sum(scaled)
     if total == 0:
         raise ZeroWindowError(f"{journal!r}: no citations within the horizon")
-    return Fraction(sum(scaled[a] for a in window_ages), total)
+    window = sum(scaled[a] for a in window_ages)
+    return (window, total) if total > 0 else (-window, -total)
 
 
 def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
@@ -214,23 +236,28 @@ def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
             f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
         )
     values = mean_curve.values[: policy.horizon + 1]
-    return _coverage(
+    return Fraction(*_coverage(
         mean_curve.journal,
         [v.numerator for v in values],
         [v.denominator for v in values],
         policy.window_ages,
-    )
+    ))
 
 
 def scaling_factor(coverage, target_quantile) -> Fraction:
     """Multiplier taking a window-sampled impact to the target quantile."""
     cov = as_fraction(coverage)
     q = as_fraction(target_quantile)
-    if cov <= 0 or cov > 1:
+    return Fraction(*_scaling(cov.numerator, cov.denominator, q.numerator, q.denominator))
+
+
+def _scaling(cov_num: int, cov_den: int, q_num: int, q_den: int) -> tuple[int, int]:
+    """scaling_factor on (n, d > 0) pairs: q / coverage."""
+    if not 0 < cov_num <= cov_den:
         raise ValueError("coverage must be in (0, 1]")
-    if not 0 < q <= 1:
+    if not 0 < q_num <= q_den:
         raise ValueError("target_quantile must be in (0, 1]")
-    return q / cov
+    return q_num * cov_den, q_den * cov_num
 
 
 def adjusted_impact(jif, scaling) -> Fraction:
@@ -251,11 +278,15 @@ def reliability_flags(
     its first volume as of eval_year, from curves.observe; a journal with no
     volume by then is never flagged.
     """
-    return _reliability(eval_year, curves_mod.observe(profile, eval_year)[1], half_life_exact)
+    half_life = None if half_life_exact is None else half_life_exact.as_integer_ratio()
+    return _reliability(eval_year, curves_mod.observe(profile, eval_year)[1], half_life)
 
 
-def _reliability(eval_year: int, years: list[int], half_life: Fraction | None) -> frozenset[str]:
-    if half_life is not None and years and eval_year - years[0] + 1 < 2 * half_life:
+def _reliability(eval_year: int, years: list[int], half_life) -> frozenset[str]:
+    """reliability_flags on a half-life (n, d > 0) pair, cross-multiplied."""
+    if half_life is not None and years and (
+        (eval_year - years[0] + 1) * half_life[1] < 2 * half_life[0]
+    ):
         return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
     return frozenset()
 
@@ -282,11 +313,71 @@ def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     horizon is capped at the oldest observed age so that reports for young
     journals still produce a (shorter) curve rather than failing.
     """
-    sums, counts = _age_sums(profile.journal, curves_mod.observe(profile), horizon)
+    return _mean_curve(profile.journal, curves_mod.observe(profile), horizon)
+
+
+def _mean_curve(journal: str, observation: tuple, horizon: int) -> AccrualCurve:
+    """journal_mean_curve from a curves.observe result."""
+    sums, counts = _age_sums(journal, observation, horizon)
     return AccrualCurve(
-        profile.journal, None, curves_mod.KIND_RAW, tuple(map(Fraction, sums, counts)),
-        tuple(counts),
+        journal, None, curves_mod.KIND_RAW, tuple(map(Fraction, sums, counts)), tuple(counts),
     )
+
+
+def _ratios(
+    profile: CitationProfile,
+    pubs: PublicationCounts,
+    eval_year: int,
+    policy: WindowPolicy,
+    mean_curve: AccrualCurve | None = None,
+) -> tuple[tuple, set[str]]:
+    """One report row as exact ratios, and its flags: build_indicator_report's kernel.
+
+    The ratios are the values of _RATIO_FIELDS, in that order: each an
+    (n, d > 0) int pair, not reduced, or None; half_life_jcr may be the
+    ">10" token.  The CLI prints them through _row_dict and classifies the
+    coverage pair, so a row builds no Fraction.
+    """
+    flags: set[str] = set()
+
+    jif = immediacy = None
+    try:
+        jif = _impact(profile, pubs, eval_year, policy.window_ages)
+    except MissingDenominatorError:
+        flags.add(FLAG_MISSING_DENOMINATOR)
+    try:
+        immediacy = _impact(profile, pubs, eval_year, (0,))
+    except MissingDenominatorError:
+        flags.add(FLAG_MISSING_DENOMINATOR)
+
+    observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
+    half_life = _half_life(pairs, 1, 2)
+
+    coverage = scaling = adjusted = None
+    try:
+        if mean_curve is None:
+            sums, counts = _age_sums(profile.journal, observation, policy.horizon)
+        else:
+            horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
+            values = mean_curve.values[: horizon + 1]
+            sums = [v.numerator for v in values]
+            counts = [v.denominator for v in values]
+        if len(sums) <= policy.window_ages[-1]:
+            raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
+        coverage = _coverage(profile.journal, sums, counts, policy.window_ages)
+        if coverage[0] > 0:
+            q = policy.target_quantile
+            scaling = _scaling(*coverage, q.numerator, q.denominator)
+            if jif is not None:
+                adjusted = jif[0] * scaling[0], jif[1] * scaling[1]
+        else:
+            flags.add(FLAG_ZERO_WINDOW_CITATIONS)
+    except ZeroWindowError:
+        flags.add(FLAG_ZERO_WINDOW_CITATIONS)
+
+    flags |= _reliability(eval_year, years, half_life)
+    half_life_jcr = None if half_life is None else _jcr(half_life)
+    return (jif, immediacy, half_life, half_life_jcr, coverage, scaling, adjusted), flags
 
 
 def build_indicator_report(
@@ -306,53 +397,7 @@ def build_indicator_report(
     denominators and an empty coverage horizon are flags with the affected
     fields blank, not errors: one journal's data gap should not abort a run.
     """
-    flags: set[str] = set()
-
-    jif = immediacy = None
-    try:
-        jif = impact_factor(profile, pubs, eval_year, policy.window_ages)
-    except MissingDenominatorError:
-        flags.add(FLAG_MISSING_DENOMINATOR)
-    try:
-        immediacy = impact_factor(profile, pubs, eval_year, (0,))
-    except MissingDenominatorError:
-        flags.add(FLAG_MISSING_DENOMINATOR)
-
-    observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
-    half_life = _half_life(pairs, Fraction(1, 2))
-    half_life_jcr = None if half_life is None else jcr_truncate(half_life)
-
-    coverage = scaling = adjusted = None
-    try:
-        if mean_curve is None:
-            sums, counts = _age_sums(profile.journal, observation, policy.horizon)
-        else:
-            horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
-            values = mean_curve.values[: horizon + 1]
-            sums = [v.numerator for v in values]
-            counts = [v.denominator for v in values]
-        if len(sums) <= max(policy.window_ages):
-            raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
-        coverage = _coverage(profile.journal, sums, counts, policy.window_ages)
-        if coverage > 0:
-            scaling = scaling_factor(coverage, policy.target_quantile)
-            if jif is not None:
-                adjusted = adjusted_impact(jif, scaling)
-        else:
-            flags.add(FLAG_ZERO_WINDOW_CITATIONS)
-    except ZeroWindowError:
-        flags.add(FLAG_ZERO_WINDOW_CITATIONS)
-
-    flags |= _reliability(eval_year, years, half_life)
-    return IndicatorReport(
-        journal=profile.journal,
-        eval_year=eval_year,
-        jif=jif,
-        immediacy=immediacy,
-        half_life_exact=half_life,
-        half_life_jcr=half_life_jcr,
-        coverage=coverage,
-        scaling_factor=scaling,
-        adjusted_jif=adjusted,
-        flags=frozenset(flags),
-    )
+    ratios, flags = _ratios(profile, pubs, eval_year, policy, mean_curve)
+    return IndicatorReport(profile.journal, eval_year, *(
+        r if r is None or isinstance(r, str) else Fraction(*r) for r in ratios
+    ), frozenset(flags))

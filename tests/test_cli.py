@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from citemetrics import curves as curves_mod
 from citemetrics import ledger as ledger_mod
 from citemetrics.cli import main
 from citemetrics.ledger import MAX_COUNT
@@ -228,6 +229,17 @@ def test_curves_golden_bytes(request, capsys, fixture, extra, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
+def test_curves_observes_the_journal_once(monkeypatch, capsys, hare_dir):
+    # The volume curves and the mean row reduce one observation of the journal.
+    calls = []
+    observe = curves_mod.observe
+    monkeypatch.setattr(curves_mod, "observe", lambda *a: calls.append(a) or observe(*a))
+    assert main(["curves", "hare", "--citations", str(hare_dir / "citations.csv")]) == 0
+    assert len(calls) == 1
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_CURVES[1][2]
+
+
 def test_report_as_of_year_matches_cut_ledger(tmp_path, capsys, hare_dir):
     # The hare ledger runs through 2004.  Its 1990 row uses only the
     # citations made through 1990: the row of the ledger cut there.
@@ -437,6 +449,9 @@ def test_config_errors_precede_io(capsys):
                  "--window", "3", "--horizon", "2"]) == 3
     assert main(["adjust", "--citations", "missing.csv", "--year", "2004",
                  "--quantile", "1e-400"]) == 3
+    # Coverage lies in [0, 1]: thresholds outside it would class every journal alike.
+    assert main(["report", "--citations", "missing.csv", "--year", "2004",
+                 "--hare", "2", "--tortoise", "-1"]) == 3
     assert "missing.csv" not in capsys.readouterr().err
     assert main(["report", "--citations", "missing.csv", "--year", "2004"]) == 2
     assert main(["curves", "Hare", "--citations", "missing.csv"]) == 2

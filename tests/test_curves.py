@@ -265,9 +265,24 @@ def test_classification(coverage, expected):
     assert classify_journal(coverage) == expected
 
 
+@pytest.mark.parametrize("coverage", [-0.1, 1.5, float("inf"), float("nan"), Fraction(-1, 3)])
+def test_classification_rejects_coverage_outside_unit_range(coverage):
+    with pytest.raises(ValueError, match=r"coverage must be in \[0, 1\]"):
+        classify_journal(coverage)
+
+
 def test_classification_threshold_order_enforced():
     with pytest.raises(ConfigError):
         ClassificationThresholds(hare=Fraction(1, 10), tortoise=Fraction(2, 10))
+
+
+@pytest.mark.parametrize("hare,tortoise", [
+    (2, -1), (Fraction(11, 10), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 10)),
+])
+def test_classification_thresholds_within_coverage_range(hare, tortoise):
+    with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+        ClassificationThresholds(hare=hare, tortoise=tortoise)
+    assert ClassificationThresholds(hare=1, tortoise=0).hare == 1
 
 
 @given(

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -9,24 +12,29 @@ from hypothesis import strategies as st
 
 from citemetrics.curves import (
     AccrualCurve,
+    ClassificationThresholds,
     KIND_RAW,
     clamp_horizon,
     classify_journal,
+    classify_ratio,
     mean_accrual_curve,
     observe,
     volume_curves,
 )
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
 from citemetrics.ledger import (
-    YEAR_MAX, CellCount, CitationProfile, PublicationCounts, strip_self_references,
+    PUBLICATIONS_HEADER, YEAR_MAX, CellCount, CitationProfile, PublicationCounts,
+    profiles_to_citation_csv, strip_self_references,
 )
-from citemetrics.cli import REPORT_COLUMNS, _render_rows
+from citemetrics.cli import REPORT_COLUMNS, _render_rows, main
 from citemetrics.metrics import (
+    _RATIO_FIELDS,
     FLAG_HALF_LIFE_UNRELIABLE,
     FLAG_MISSING_DENOMINATOR,
     FLAG_ZERO_WINDOW_CITATIONS,
     IndicatorReport,
     WindowPolicy,
+    _row_dict,
     adjusted_impact,
     build_indicator_report,
     cited_half_life,
@@ -612,6 +620,16 @@ def test_build_indicator_report_matches_reference(cells, items, eval_year, polic
         assert type(result.coverage) is Fraction
 
 
+@pytest.mark.parametrize("values", [[-4, 1, 1], [4, -1, -2], [1, -3, 1], [-1, 0, -1]])
+def test_report_with_signed_mean_curve_matches_reference(values):
+    # A mean curve passed in is used as given, even with negative values: a
+    # negative horizon total flips the coverage's sign, as a Fraction would.
+    profile = kernel_profile({(1995, 1): (2, 0)})
+    args = (profile, pubs_for("J", {1994: 1, 1995: 1}), 1996, WindowPolicy(), mean_curve(values))
+    expected = kernel_outcome(reference_build_indicator_report, *args)
+    assert kernel_outcome(build_indicator_report, *args) == expected
+
+
 @pytest.mark.parametrize("cells,horizon", [
     ({}, 20),  # empty, or publication-only
     ({(1999, -1): (3, 0)}, 20),  # only a cell citing before its volume: no volume
@@ -734,3 +752,111 @@ def test_observe_matches_reference_scans(cells, through, half_life):
     else:  # no observed life to compare a half-life with
         assert own is None
         assert reliability_flags(profile, through, half_life) == frozenset()
+
+
+# --- the CLI's rows against the reference report ------------------------------
+# report and adjust print each row from metrics._ratios: int pairs, one int
+# division per printed value, and the class cross-multiplied against the
+# thresholds.  They must print what the reference report serializes.
+
+
+@st.composite
+def class_thresholds(draw):
+    """(hare, tortoise) with 0 <= tortoise < hare <= 1, often on a round coverage."""
+    grid = st.sampled_from([Fraction(n, 20) for n in range(21)])
+    hare, tortoise = draw(st.one_of(
+        st.tuples(grid, grid),
+        st.tuples(st.fractions(0, 1, max_denominator=60), st.fractions(0, 1, max_denominator=60)),
+    ))
+    if hare == tortoise:
+        hare, tortoise = Fraction(1), Fraction(0)
+    return max(hare, tortoise), min(hare, tortoise)
+
+
+@given(
+    kernel_cells,
+    st.booleans(),
+    st.dictionaries(st.integers(1985, 2008), st.integers(1, 20), max_size=12),
+    st.integers(1985, 2010),
+    kernel_policies(),
+    class_thresholds(),
+)
+# Coverage 2/4 on the hare threshold, then on the tortoise threshold.
+@example({(1990, 1): (1, 0), (1990, 2): (1, 0), (1990, 3): (2, 0)}, False,
+         {1991: 1, 1992: 1, 1993: 1}, 1993, WindowPolicy((1, 2), 3),
+         (Fraction(1, 2), Fraction(0)))
+@example({(1990, 1): (1, 0), (1990, 2): (1, 0), (1990, 3): (2, 0)}, False,
+         {1991: 1, 1992: 1, 1993: 1}, 1993, WindowPolicy((1, 2), 3),
+         (Fraction(3, 4), Fraction(1, 2)))
+# A half-life of exactly 10 is a number, not ">10".
+@example({(1990, 10): (1, 0), (1991, 9): (1, 0)}, False, {1998: 2, 1999: 2, 2000: 2}, 2000,
+         WindowPolicy(), (Fraction(1, 4), Fraction(3, 20)))
+# The journal is exactly twice its half-life old (6 == 2 * 3): no flag.
+@example({(1990, 0): (1, 0), (1993, 2): (1, 0), (1992, 3): (1, 0)}, False,
+         {1993: 4, 1994: 4, 1995: 4}, 1995, WindowPolicy(), (Fraction(1, 4), Fraction(3, 20)))
+# A missing denominator, and no window citations (coverage 0) on a self share.
+@example({(1990, 0): (3, 2), (1990, 5): (2, 0)}, True, {1994: 3}, 1995, WindowPolicy(),
+         (Fraction(1, 4), Fraction(0)))
+@example({}, False, {1994: 3, 1995: 1}, 1995, WindowPolicy(), (Fraction(1), Fraction(0)))
+def test_cli_rows_match_reference_report(cells, strip, items, eval_year, policy, thresholds):
+    # The ledger rejects a row citing before its volume, so those cells are dropped.
+    profile = kernel_profile({key: value for key, value in cells.items() if key[1] >= 0})
+    hare, tortoise = thresholds
+    with tempfile.TemporaryDirectory() as tmp:
+        citations, publications, out = (Path(tmp) / name for name in ("c.csv", "p.csv", "o"))
+        citations.write_text(profiles_to_citation_csv({"J": profile}))
+        publications.write_text("\n".join(
+            [PUBLICATIONS_HEADER] + [f"J,{year},{count}" for year, count in items.items()]
+        ) + "\n")
+        argv = [
+            "report", "--citations", str(citations), "--publications", str(publications),
+            "--year", str(eval_year), "--window", ",".join(map(str, policy.window_ages)),
+            "--horizon", str(policy.horizon), "--quantile", str(policy.target_quantile),
+            "--hare", str(hare), "--tortoise", str(tortoise), "--format", "json", "-o", str(out),
+        ]
+        assert main(argv + ["--strip-self"] * strip) == 0
+        rows = json.loads(out.read_text())
+    if strip:
+        profile = strip_self_references(profile)
+    expected = []
+    if profile.cells or items:  # a publication-only journal gets a row too
+        report = reference_build_indicator_report(profile, pubs_for("J", items), eval_year, policy)
+        row = report.to_json_dict()
+        row["class"] = "" if report.coverage is None else classify_journal(
+            report.coverage, ClassificationThresholds(hare, tortoise))
+        expected.append({key: row[key] for key in REPORT_COLUMNS})
+    assert rows == expected
+
+
+near_2_53 = st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 3 * 2**52 + 1])
+near_10_30 = st.integers(10**30 - 10**6, 10**30 + 10**6)
+ratio_ints = st.one_of(near_2_53, near_10_30, st.integers(1, 2**64))
+
+
+@given(st.lists(st.tuples(ratio_ints, ratio_ints), min_size=7, max_size=7))
+def test_printed_floats_are_float_of_fraction(pairs):
+    # Fractions built from the pairs print alike: one int division, reduced or not.
+    fractions = [Fraction(n, d) for n, d in pairs]
+    row = _row_dict("J", 2004, pairs, {"b", "a"})
+    report = IndicatorReport("J", 2004, *fractions)
+    assert report.to_json_dict() == dict(row, flags=[])
+    assert row["flags"] == ["a", "b"]
+    for name, value in zip(_RATIO_FIELDS, fractions):
+        assert row[name] == float(value)
+        assert type(row[name]) is float
+
+
+@given(
+    st.tuples(ratio_ints, ratio_ints).map(sorted),
+    st.floats(0, 1),
+    class_thresholds(),
+)
+def test_classification_is_exact_for_fractions_and_floats(pair, value, thresholds):
+    numerator, denominator = pair
+    coverage = Fraction(numerator, denominator)
+    classes = ClassificationThresholds(*thresholds)
+    assert classify_journal(coverage, classes) == classify_ratio(numerator, denominator, classes)
+    # A float is compared by its exact value, as the Fraction equal to it is.
+    assert classify_journal(value, classes) == classify_journal(Fraction(value), classes)
+    as_floats = ClassificationThresholds(float(thresholds[0]), float(thresholds[1]))
+    assert classify_journal(value, as_floats) == classify_journal(Fraction(value), as_floats)
