@@ -222,13 +222,15 @@ def cmd_curves(args) -> int:
     profile = ledger.find_profile(profiles, aliases.resolve(args.journal))
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
-    observation = curves_mod.observe(profile)
-    volumes = curves_mod._volume_curves(profile, observation)
+    volumes = curves_mod.volume_curves(profile)
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
     standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
     for year in skipped:
-        print(f"warning: volume {year} has no citations through age 2; "
-              "skipped from standardized output", file=sys.stderr)
+        age = volumes[year].max_age()
+        reason = (f"is observed only through age {age}" if age < 2
+                  else "has no citations through age 2")
+        print(f"warning: volume {year} {reason}; skipped from standardized output",
+              file=sys.stderr)
     if args.svg and not standardized:
         raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
 
@@ -237,7 +239,10 @@ def cmd_curves(args) -> int:
         out += [volumes[year], cumulatives[year]]
         if year in standardized:
             out.append(standardized[year])
-    out.append(metrics._mean_curve(profile.journal, observation, args.horizon))
+    oldest = max(curve.max_age() for curve in volumes.values())
+    out.append(curves_mod.mean_accrual_curve(
+        list(volumes.values()), curves_mod.clamp_horizon(args.horizon, oldest)
+    ))
     _emit(args.output, curves_mod.curves_to_csv(out))
 
     if len(standardized) >= 3:

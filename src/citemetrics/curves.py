@@ -7,13 +7,16 @@ makes volumes of very different sizes comparable and exposes each journal's
 characteristic accrual shape.  Averaging across volumes is "ragged": each
 age is averaged only over the volumes old enough to have observed it.
 
-Curve values are exact (ints or Fractions); rescaling and averaging never
-round.  The per-value loops stay in integers: standardized curves are int
-numerators over their anchor, means sum int columns, and the anomaly test
+Every curve has one form: int numerators over one positive int scale, so
+its values are exact and rescaling and averaging never round.  Raw and
+cumulative volume curves are counts over 1, standardized curves are over
+their age-2 anchor, and a ragged mean is over the lcm of its per-age
+observation counts.  The per-value loops stay in integers: the anomaly test
 takes medians on float keys, ties broken exactly, and cross-multiplies.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +44,8 @@ CLASS_INTERMEDIATE = "Intermediate"
 class AccrualCurve:
     """Citations per age for one volume (pub_year None = averaged curve).
 
-    Each value is numerator / scale: ints over a positive int, or with scale 1
-    the values themselves (ints or Fractions).  `==` compares this stored form.
+    Each value is numerator / scale: int numerators over one positive int
+    scale, the only form of a curve.  `==` compares this stored form.
     """
 
     journal: str
@@ -61,8 +64,6 @@ class AccrualCurve:
 
     def floats(self) -> list[float]:
         """Each value as float(value); int / int is correctly rounded, so equal."""
-        if self.scale == 1:
-            return [float(v) for v in self.numerators]
         return [n / self.scale for n in self.numerators]
 
     def max_age(self) -> int:
@@ -120,11 +121,11 @@ class ClassificationThresholds:
 
 
 def cumulative(curve: AccrualCurve) -> AccrualCurve:
-    """Prefix sums of a raw curve."""
+    """Prefix sums of a raw curve, over the same scale."""
     if curve.kind != KIND_RAW:
         raise ValueError(f"expected a raw curve, got {curve.kind!r}")
     return AccrualCurve(curve.journal, curve.pub_year, KIND_CUMULATIVE,
-                        tuple(accumulate(curve.values)), curve.observations)
+                        tuple(accumulate(curve.numerators)), curve.observations, curve.scale)
 
 
 def standardize_to_age2(curve: AccrualCurve) -> AccrualCurve:
@@ -133,22 +134,21 @@ def standardize_to_age2(curve: AccrualCurve) -> AccrualCurve:
     The anchor is the cumulative value at age 2, i.e. citations at ages
     0+1+2.  Volumes with a zero anchor (no citations in their first three
     years) raise DegenerateVolumeError and are excluded from averaged
-    analyses by callers.
+    analyses by callers.  The result is over the anchor's numerator, so the
+    input's scale cancels.
     """
     if curve.kind != KIND_CUMULATIVE:
         raise ValueError(f"expected a cumulative curve, got {curve.kind!r}")
     pub_year = curve.pub_year if curve.pub_year is not None else 0
-    if len(curve.values) < 3:
+    if len(curve.numerators) < 3:
         raise DegenerateVolumeError(curve.journal, pub_year)
-    anchor = curve.values[2]
+    anchor = curve.numerators[2]
     if anchor == 0:
         raise DegenerateVolumeError(curve.journal, pub_year)
-    numerators = tuple(v * (100 if anchor > 0 else -100) for v in curve.values)
-    scale = abs(anchor)
-    if set(map(type, numerators)) != {int}:  # Fraction counts (never from a ledger)
-        numerators, scale = tuple(Fraction(n, scale) for n in numerators), 1
-    return AccrualCurve(curve.journal, curve.pub_year, KIND_STANDARDIZED, numerators,
-                        curve.observations, scale)
+    sign = 100 if anchor > 0 else -100
+    return AccrualCurve(curve.journal, curve.pub_year, KIND_STANDARDIZED,
+                        tuple(n * sign for n in curve.numerators), curve.observations,
+                        abs(anchor))
 
 
 def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualCurve:
@@ -158,7 +158,7 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
     (a volume's curve length encodes how many ages it has observed), and the
     per-age observation counts are attached to the result since the oldest
     ages may rest on very few volumes.  An age no volume observed is an
-    error naming that age.
+    error naming that age.  Volume curves hold counts, over scale 1.
     """
     if not curves:
         raise ValueError("mean_accrual_curve needs at least one curve")
@@ -174,19 +174,29 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
     sums = [0] * width
     ending = [0] * (width + 1)  # ending[n]: curves that observe ages 0..n-1 only
     for curve in curves:
-        observed = curve.values[:width]
+        observed = curve.numerators[:width]
         sums[: len(observed)] = map(add, sums, observed)
         ending[len(observed)] += 1
-    values = []
-    observations = []
+    counts = []
     count = len(curves)
     for age in range(width):
         count -= ending[age]
         if not count:
             raise ValueError(f"no volume observes age {age}")
-        values.append(Fraction(sums[age], count))
-        observations.append(count)
-    return AccrualCurve(journal, None, KIND_RAW, tuple(values), tuple(observations))
+        counts.append(count)
+    return ragged_mean(journal, sums, counts)
+
+
+def ragged_mean(journal: str, sums: Sequence[int], counts: Sequence[int]) -> AccrualCurve:
+    """The mean curve whose value at age a is sums[a] / counts[a], each count > 0.
+
+    The one constructor of a mean curve: it holds sums[a] * (L // counts[a])
+    over L = lcm(counts), and the counts as its observations.
+    """
+    scale = math.lcm(*counts)
+    return AccrualCurve(journal, None, KIND_RAW,
+                        tuple(s * (scale // c) for s, c in zip(sums, counts)),
+                        tuple(counts), scale)
 
 
 def observe(
@@ -221,12 +231,7 @@ def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
 
     A cell citing before its volume counts in no curve.
     """
-    return _volume_curves(profile, observe(profile))
-
-
-def _volume_curves(profile: CitationProfile, observation: tuple) -> dict[int, AccrualCurve]:
-    """volume_curves from an observe(profile) result."""
-    end, years, _, _ = observation
+    end, years, _, _ = observe(profile)
     rows = {year: [0] * (end - year + 1) for year in years}
     for (cited, citing), cell in profile.cells.items():
         if cited <= citing <= end:  # so cited is a volume
@@ -307,13 +312,9 @@ def detect_anomalous_volumes(
                     )
                 )
 
-    # Longest curves first, so those observing an age are a prefix; values are num / den > 0.
+    # Longest curves first, so those observing an age are a prefix; values are num / scale.
     volumes = sorted(
-        (
-            ([v.numerator for v in c.numerators], [v.denominator for v in c.numerators], year)
-            if c.scale == 1 else (c.numerators, (c.scale,) * len(c.numerators), year)
-            for year, c in standardized.items()
-        ),
+        ((c.numerators, c.scale, year) for year, c in standardized.items()),
         key=lambda item: len(item[0]),
         reverse=True,
     )
@@ -324,13 +325,13 @@ def detect_anomalous_volumes(
     for age in range(len(volumes[0][0])):
         while len(volumes[observing - 1][0]) <= age:
             observing -= 1
-        p, q = _median([(nums[age], dens[age]) for nums, dens, _ in volumes[:observing]])
+        p, q = _median([(nums[age], b) for nums, b, _ in volumes[:observing]])
         # |a/b - p/q| >= n/d  <=>  |a*q - p*b| * d >= n * b * q, all denominators > 0.
         p_d = p * limit_den
         q_d = q * limit_den
         n_q = limit_num * q
-        for nums, dens, pub_year in volumes[:observing]:
-            a, b = nums[age], dens[age]
+        for nums, b, pub_year in volumes[:observing]:
+            a = nums[age]
             if abs(a * q_d - p_d * b) >= n_q * b:
                 flagged.append((pub_year, age, a, b, p, q))
     flagged.sort()
@@ -397,7 +398,7 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
         year = "" if curve.pub_year is None else str(curve.pub_year)
         prefix = f"{curve.journal},{year},{curve.kind},"
         if curve.scale == 1:  # an int within +-2**53 is an exact float: its digits + ".0"
-            texts = [f"{v}.0" if type(v) is int and -2**53 <= v <= 2**53 else repr(float(v))
+            texts = [f"{v}.0" if -2**53 <= v <= 2**53 else repr(float(v))
                      for v in curve.numerators]
         else:
             texts = map(repr, curve.floats())

@@ -39,13 +39,6 @@ FLAG_ZERO_WINDOW_CITATIONS = "ZeroWindowCitations"
 JCR_TRUNCATION_TOKEN = ">10"
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce int/float/str/Fraction to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def half_away_units(value) -> int:
     """Nearest integer to an exact value, halves rounded away from zero."""
     if value >= 0:
@@ -55,7 +48,7 @@ def half_away_units(value) -> int:
 
 def round_half_away(value, ndigits: int = 1) -> float:
     """Round with halves away from zero (0.25 -> 0.3 at 1 digit), as JCR prints."""
-    return half_away_units(as_fraction(value) * 10**ndigits) / 10**ndigits
+    return half_away_units(Fraction(value) * 10**ndigits) / 10**ndigits
 
 
 @dataclass(frozen=True)
@@ -83,7 +76,7 @@ class WindowPolicy:
         object.__setattr__(self, "window_ages", ages)
         if self.horizon < max(ages):
             raise ConfigError("horizon must cover every window age")
-        q = as_fraction(self.target_quantile)
+        q = Fraction(self.target_quantile)
         if not 0 < q <= 1:
             raise ConfigError("target_quantile must be in (0, 1]")
         if q < sys.float_info.min:
@@ -176,7 +169,7 @@ def cited_half_life(
     year.  Returns None when the journal received no citations at all in
     eval_year (undefined, not an error).
     """
-    q = as_fraction(quantile)
+    q = Fraction(quantile)
     if not 0 < q <= 1:
         raise ValueError("quantile must be in (0, 1]")
     half_life = _half_life(curves_mod.observe(profile, eval_year)[3], q.numerator, q.denominator)
@@ -204,7 +197,7 @@ def _half_life(pairs: list[tuple[int, int]], q_num: int, q_den: int) -> tuple[in
 
 def jcr_truncate(half_life_exact) -> Fraction | str:
     """Print-style half-life: values above 10 collapse to the ">10" token."""
-    value = as_fraction(half_life_exact)
+    value = Fraction(half_life_exact)
     truncated = _jcr(value.as_integer_ratio())
     return truncated if isinstance(truncated, str) else value
 
@@ -235,19 +228,16 @@ def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
         raise ValueError(
             f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
         )
-    values = mean_curve.values[: policy.horizon + 1]
+    numerators = mean_curve.numerators[: policy.horizon + 1]
     return Fraction(*_coverage(
-        mean_curve.journal,
-        [v.numerator for v in values],
-        [v.denominator for v in values],
-        policy.window_ages,
+        mean_curve.journal, numerators, [mean_curve.scale] * len(numerators), policy.window_ages,
     ))
 
 
 def scaling_factor(coverage, target_quantile) -> Fraction:
     """Multiplier taking a window-sampled impact to the target quantile."""
-    cov = as_fraction(coverage)
-    q = as_fraction(target_quantile)
+    cov = Fraction(coverage)
+    q = Fraction(target_quantile)
     return Fraction(*_scaling(cov.numerator, cov.denominator, q.numerator, q.denominator))
 
 
@@ -262,10 +252,10 @@ def _scaling(cov_num: int, cov_den: int, q_num: int, q_den: int) -> tuple[int, i
 
 def adjusted_impact(jif, scaling) -> Fraction:
     """Impact factor rescaled by the window-bias multiplier."""
-    factor = as_fraction(scaling)
+    factor = Fraction(scaling)
     if factor <= 0:
         raise ValueError("scaling factor must be positive")
-    return as_fraction(jif) * factor
+    return Fraction(jif) * factor
 
 
 def reliability_flags(
@@ -313,15 +303,8 @@ def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     horizon is capped at the oldest observed age so that reports for young
     journals still produce a (shorter) curve rather than failing.
     """
-    return _mean_curve(profile.journal, curves_mod.observe(profile), horizon)
-
-
-def _mean_curve(journal: str, observation: tuple, horizon: int) -> AccrualCurve:
-    """journal_mean_curve from a curves.observe result."""
-    sums, counts = _age_sums(journal, observation, horizon)
-    return AccrualCurve(
-        journal, None, curves_mod.KIND_RAW, tuple(map(Fraction, sums, counts)), tuple(counts),
-    )
+    sums, counts = _age_sums(profile.journal, curves_mod.observe(profile), horizon)
+    return curves_mod.ragged_mean(profile.journal, sums, counts)
 
 
 def _ratios(
@@ -359,9 +342,8 @@ def _ratios(
             sums, counts = _age_sums(profile.journal, observation, policy.horizon)
         else:
             horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
-            values = mean_curve.values[: horizon + 1]
-            sums = [v.numerator for v in values]
-            counts = [v.denominator for v in values]
+            sums = mean_curve.numerators[: horizon + 1]
+            counts = [mean_curve.scale] * len(sums)
         if len(sums) <= policy.window_ages[-1]:
             raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
         coverage = _coverage(profile.journal, sums, counts, policy.window_ages)

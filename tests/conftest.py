@@ -33,6 +33,15 @@ def make_profile(journal, cells):
     )
 
 
+def assert_one_form(curve, exact):
+    """Check that `curve` holds int numerators over one positive int scale,
+    and that its values are the exact per-age values `exact`."""
+    assert all(type(n) is int for n in curve.numerators)
+    assert type(curve.scale) is int and curve.scale > 0
+    assert curve.floats() == [float(v) for v in curve.values]
+    assert curve.values == tuple(exact)
+
+
 def run_python(*args) -> subprocess.CompletedProcess:
     """Run `python *args` in a child that imports this process's citemetrics,
     installed or not."""

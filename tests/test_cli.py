@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from citemetrics import curves as curves_mod
 from citemetrics import ledger as ledger_mod
+from citemetrics import metrics as metrics_mod
 from citemetrics.cli import main
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.svg import (
@@ -582,6 +583,41 @@ def test_curves_horizon_needs_no_window(capsys, hare_dir):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strip", [False, True])
+@pytest.mark.parametrize("horizon", [0, 5, 20, 40])
+@pytest.mark.parametrize("fixture", ["hare", "tortoise"])
+def test_curves_mean_row_is_journal_mean_curve(request, capsys, fixture, horizon, strip):
+    # The mean row is mean_accrual_curve over the volume curves at the clamped
+    # horizon; it must equal the report layer's journal_mean_curve.  Both
+    # fixtures' oldest age is 20, so horizon 40 is clamped.
+    citations = request.getfixturevalue(f"{fixture}_dir") / "citations.csv"
+    flags = ["--strip-self"] if strip else []
+    assert main(["curves", fixture, "--citations", str(citations),
+                 "--horizon", str(horizon), *flags]) == 0
+    mean_rows = [line for line in capsys.readouterr().out.splitlines()
+                 if line.split(",")[1] == ""]
+    with open(citations, encoding="utf-8") as handle:
+        profiles, _ = ledger_mod.read_citation_file(handle)
+    (profile,) = profiles.values()
+    if strip:
+        profile = ledger_mod.strip_self_references(profile)
+    expected = curves_mod.curves_to_csv([metrics_mod.journal_mean_curve(profile, horizon)])
+    assert mean_rows == expected.splitlines()[1:]
+    assert len(mean_rows) == min(horizon, 20) + 1
+
+
+def test_curves_warns_why_a_volume_is_skipped(tmp_path, capsys):
+    # Volume 2000 reached age 2 with no citations; volume 2002 is observed
+    # only through age 1, whatever it was cited.
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\nX,2000,J,2000,0\nX,2003,J,2000,4\nX,2003,J,2002,1\n")
+    assert main(["curves", "J", "--citations", str(citations)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: volume 2000 has no citations through age 2; skipped from standardized output",
+        "warning: volume 2002 is observed only through age 1; skipped from standardized output",
+    ]
+
+
 # 40 volumes: one spiked cell (AccrualDeviation over the rest of 1975's
 # life), two self-citation bursts (SelfCitationSpike), two volumes too young
 # to standardize, and two rescaled volumes that standardization absorbs.
@@ -612,13 +648,15 @@ def test_curves_svg_golden(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "SelfCitationSpike in volume 1971 at age 0 (+60.5 points)" in captured.err
     assert "AccrualDeviation in volume 1975 at age 6 (+137.0 points)" in captured.err
+    assert ("warning: volume 1998 is observed only through age 1; "
+            "skipped from standardized output") in captured.err
     digests = [
         hashlib.sha256(text.encode("utf-8")).hexdigest()
         for text in (captured.out, captured.err, chart.read_text(encoding="utf-8"))
     ]
     assert digests == [
         "44c3a72a8811f2e7c0216ee43c0a0075b2f0c1692a0d06567a0c7813d1373ee5",
-        "f9b441b42d7a62cd29d50afe397a4daf063eb20bf3551a156420cdfbaf7e43fe",
+        "3e176afaaf7c279cd995eab2ef23f3d540b8550d4aa70f2fc1aaa40defe0d773",
         "27caff91993125a0e934959913653cfa1653b5d2bf6790bbd0c08c2ae81ee692",
     ]
 

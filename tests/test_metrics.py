@@ -4,6 +4,8 @@ import json
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -17,8 +19,10 @@ from citemetrics.curves import (
     clamp_horizon,
     classify_journal,
     classify_ratio,
+    cumulative,
     mean_accrual_curve,
     observe,
+    standardize_to_age2,
     volume_curves,
 )
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
@@ -48,7 +52,7 @@ from citemetrics.metrics import (
     window_coverage,
 )
 
-from conftest import make_profile
+from conftest import assert_one_form, make_profile
 
 
 def pubs_for(journal, items_by_year):
@@ -222,7 +226,10 @@ def test_half_life_ignores_cell_order_and_cells_without_an_age(counts, rng):
 
 
 def mean_curve(values, journal="J"):
-    return AccrualCurve(journal, None, KIND_RAW, tuple(values))
+    """A mean curve of exact `values`: ints over the lcm of their denominators."""
+    scale = lcm(1, *(Fraction(v).denominator for v in values))
+    return AccrualCurve(journal, None, KIND_RAW, tuple(int(v * scale) for v in values),
+                        scale=scale)
 
 
 def test_coverage_hand_case():
@@ -575,7 +582,49 @@ def test_journal_mean_curve_matches_volume_mean(cells, horizon):
     assert result == expected
     if isinstance(result, AccrualCurve):
         assert result.observations == expected.observations
-        assert all(type(v) is Fraction for v in result.values)
+        volumes = list(volume_curves(profile).values())
+        assert_one_form(result, exact_ragged_mean(volumes, len(result.numerators)))
+
+
+def exact_ragged_mean(volumes, width):
+    """Per-age Fraction means of raw volume curves, each over the volumes observing it."""
+    return [
+        Fraction(sum(c.values[age] for c in volumes if age <= c.max_age()),
+                 sum(age <= c.max_age() for c in volumes))
+        for age in range(width)
+    ]
+
+
+@given(kernel_cells, st.booleans(), st.integers(-2, 14))
+def test_every_curve_holds_int_numerators_over_one_scale(cells, strip, horizon):
+    # Volume, cumulative, standardized and mean curves, and the cumulative and
+    # standardized forms of a mean (whose scale the standardizing cancels).
+    profile = kernel_profile(cells)
+    if strip:
+        profile = strip_self_references(profile)
+    volumes = volume_curves(profile)
+    for year, curve in volumes.items():
+        counts = [profile.cells[key].total if key in profile.cells else 0
+                  for key in ((year, year + age) for age in range(curve.max_age() + 1))]
+        cells_through = list(accumulate(counts))
+        assert_one_form(curve, counts)
+        assert_one_form(cumulative(curve), cells_through)
+        if len(counts) >= 3 and cells_through[2]:
+            assert_one_form(standardize_to_age2(cumulative(curve)),
+                            [Fraction(100 * c, cells_through[2]) for c in cells_through])
+    if not volumes:
+        return
+    oldest = max(curve.max_age() for curve in volumes.values())
+    exact = exact_ragged_mean(list(volumes.values()), clamp_horizon(horizon, oldest) + 1)
+    means = [mean_accrual_curve(list(volumes.values()), clamp_horizon(horizon, oldest)),
+             journal_mean_curve(profile, horizon)]
+    for mean in means:
+        assert_one_form(mean, exact)
+        running = list(accumulate(exact))
+        assert_one_form(cumulative(mean), running)
+        if len(running) >= 3 and running[2]:
+            assert_one_form(standardize_to_age2(cumulative(mean)),
+                            [100 * r / running[2] for r in running])
 
 
 @st.composite
