@@ -231,8 +231,19 @@ def cmd_curves(args) -> int:
                   else "has no citations through age 2")
         print(f"warning: volume {year} {reason}; skipped from standardized output",
               file=sys.stderr)
-    if args.svg and not standardized:
-        raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
+    if args.svg:  # before the table, so an unwritable chart path leaves no table
+        if not standardized:
+            raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
+        from .svg import emit_svg_chart  # only here, so other runs never compile it
+
+        # No local holds the series or the chart: both are freed before the table is built.
+        Path(args.svg).write_text(emit_svg_chart(
+            [(str(year), list(enumerate(standardized[year].floats())))
+             for year in sorted(standardized)],
+            x_label="age (years since publication)",
+            y_label="cumulative citations (% of age-2 count)",
+            title=f"{profile.journal}: standardized citation accrual",
+        ), encoding="utf-8")
 
     out: list[curves_mod.AccrualCurve] = []
     for year in sorted(volumes):
@@ -245,31 +256,20 @@ def cmd_curves(args) -> int:
     ))
     _emit(args.output, curves_mod.curves_to_csv(out))
 
-    if len(standardized) >= 3:
-        findings = curves_mod.detect_anomalous_volumes(
-            standardized, ledger.volume_self_rates(profile), anomaly
+    if len(standardized) < 3:
+        print(f"warning: {profile.journal!r} has {len(standardized)} standardized "
+              f"volumes, fewer than 3; {curves_mod.ACCRUAL_DEVIATION} and "
+              f"{curves_mod.SELF_CITATION_SPIKE} tests skipped", file=sys.stderr)
+        return 0
+    findings = curves_mod.detect_anomalous_volumes(
+        standardized, ledger.volume_self_rates(profile), anomaly
+    )
+    for f in findings:
+        print(
+            f"warning: {f.reason} in volume {f.pub_year} at age {f.age} "
+            f"({float(f.deviation):+.1f} points)",
+            file=sys.stderr,
         )
-        for f in findings:
-            print(
-                f"warning: {f.reason} in volume {f.pub_year} at age {f.age} "
-                f"({float(f.deviation):+.1f} points)",
-                file=sys.stderr,
-            )
-
-    if args.svg:
-        from .svg import emit_svg_chart  # only here, so other runs never compile it
-
-        series = [
-            (str(year), list(enumerate(standardized[year].floats())))
-            for year in sorted(standardized)
-        ]
-        chart = emit_svg_chart(
-            series,
-            x_label="age (years since publication)",
-            y_label="cumulative citations (% of age-2 count)",
-            title=f"{profile.journal}: standardized citation accrual",
-        )
-        Path(args.svg).write_text(chart, encoding="utf-8")
     return 0
 
 

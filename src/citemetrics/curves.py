@@ -21,8 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, chain, repeat
+from operator import add, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateVolumeError
@@ -391,20 +391,17 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     """Curve table: journal,pub_year,kind,age,value,observations.
 
     pub_year is blank for averaged curves; observations is blank everywhere
-    else.  Values print as floats (repr), deterministically.
+    else.  Each value prints as repr(numerator / scale), which is
+    repr(float(value)) because int / int is correctly rounded.
     """
-    lines = ["journal,pub_year,kind,age,value,observations"]
+    curves = list(curves)
+    ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]
+    parts = ["journal,pub_year,kind,age,value,observations\n"]
     for curve in curves:
-        year = "" if curve.pub_year is None else str(curve.pub_year)
-        prefix = f"{curve.journal},{year},{curve.kind},"
-        if curve.scale == 1:  # an int within +-2**53 is an exact float: its digits + ".0"
-            texts = [f"{v}.0" if -2**53 <= v <= 2**53 else repr(float(v))
-                     for v in curve.numerators]
-        else:
-            texts = map(repr, curve.floats())
-        if curve.observations is None:
-            lines.extend(f"{prefix}{age},{text}," for age, text in enumerate(texts))
-        else:
-            lines.extend(f"{prefix}{age},{text},{obs}" for age, (text, obs)
-                         in enumerate(zip(texts, curve.observations, strict=True)))
-    return "\n".join(lines) + "\n"
+        year = "" if curve.pub_year is None else curve.pub_year
+        texts = map(repr, map(truediv, curve.numerators, repeat(curve.scale)))
+        ends = repeat(",\n") if curve.observations is None else [
+            f",{obs}\n" for obs, _ in zip(curve.observations, curve.numerators, strict=True)]
+        prefix = repeat(f"{curve.journal},{year},{curve.kind},")
+        parts += chain.from_iterable(zip(prefix, ages, texts, ends))
+    return "".join(parts)

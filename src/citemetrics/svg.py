@@ -44,12 +44,13 @@ def emit_svg_chart(
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
+    x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
+
     # x - x_min is float(x) - x_min for an int, float or Fraction x.
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
-    def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y_min) / y_span * plot_h
+    x_text = {x: f"{sx(x):.2f}" for x in set(xs)}  # equal x of any type share one text
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -63,7 +64,6 @@ def emit_svg_chart(
             f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
         )
     # axes
-    x0, y0 = MARGIN_LEFT, MARGIN_TOP + plot_h
     out.append(
         f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>'
     )
@@ -76,8 +76,8 @@ def emit_svg_chart(
             f'font-family="sans-serif" font-size="11">{xv:g}</text>'
         )
         out.append(
-            f'<text x="{x0 - 8}" y="{sy(yv) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{yv:g}</text>'
+            f'<text x="{x0 - 8}" y="{y0 - (yv - y_min) / y_span * plot_h + 4:.2f}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="11">{yv:g}</text>'
         )
     out.append(
         f'<text x="{x0 + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
@@ -90,7 +90,9 @@ def emit_svg_chart(
     )
     for index, (name, points) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+        # y is written out, not called, so no Python call runs per point.
+        coords = " ".join([f"{x_text[x]},{y0 - (y - y_min) / y_span * plot_h:.2f}"
+                           for x, y in points])
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citemetrics import curves as curves_mod
@@ -560,6 +560,19 @@ def test_curves_svg_without_standardizable_volume_writes_nothing(tmp_path, capsy
         assert not output.exists() and not chart.exists()
 
 
+def test_curves_unwritable_svg_writes_no_table(tmp_path, capsys, hare_dir):
+    output, chart = tmp_path / "curves.csv", tmp_path / "no" / "such" / "dir" / "hare.svg"
+    base = ["curves", "Hare", "--citations", str(hare_dir / "citations.csv"),
+            "--svg", str(chart)]
+    for argv in (base, [*base, "-o", str(output)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
+        assert "SelfCitationSpike" not in captured.err
+        assert not output.exists() and not chart.exists()
+
+
 def test_curves_strip_self_restores_consistency(capsys, hare_dir):
     main(["curves", "Hare", "--citations", str(hare_dir / "citations.csv")])
     plain_err = capsys.readouterr().err
@@ -615,6 +628,21 @@ def test_curves_warns_why_a_volume_is_skipped(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "warning: volume 2000 has no citations through age 2; skipped from standardized output",
         "warning: volume 2002 is observed only through age 1; skipped from standardized output",
+        "warning: 'J' has 0 standardized volumes, fewer than 3; "
+        "AccrualDeviation and SelfCitationSpike tests skipped",
+    ]
+
+
+def test_curves_names_the_skipped_anomaly_tests(tmp_path, capsys):
+    # Two volumes standardize: too few for either anomaly test.
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\nX,2001,J,2000,2\nX,2002,J,2001,3\nX,2003,J,2001,1\n")
+    assert main(["curves", "J", "--citations", str(citations)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count(",standardized,") == 7  # 2000 through age 3, 2001 through 2
+    assert captured.err.splitlines() == [
+        "warning: 'J' has 2 standardized volumes, fewer than 3; "
+        "AccrualDeviation and SelfCitationSpike tests skipped",
     ]
 
 
@@ -658,6 +686,47 @@ def test_curves_svg_golden(tmp_path, capsys):
         "44c3a72a8811f2e7c0216ee43c0a0075b2f0c1692a0d06567a0c7813d1373ee5",
         "3e176afaaf7c279cd995eab2ef23f3d540b8550d4aa70f2fc1aaa40defe0d773",
         "27caff91993125a0e934959913653cfa1653b5d2bf6790bbd0c08c2ae81ee692",
+    ]
+
+
+# The deep-curves benchmark recipe with fixed values: 340 volumes over
+# 1665-2004, two 80 % self bursts (SelfCitationSpike) and one spike past
+# age 2 (AccrualDeviation through the rest of 1851's life).
+DEEP_SPEC = """\
+journal = Deep
+pub_years = 1665-2004
+kernel = risedecay:3:3/5:23/25:60
+base_citations = 60
+items_per_year = 120
+observation_end = 2004
+self_fraction = 1742,0,4/5
+self_fraction = 1742,1,4/5
+self_fraction = 1913,0,4/5
+self_fraction = 1913,1,4/5
+spike = 1851,7,300
+"""
+
+
+def test_curves_svg_deep_golden(tmp_path, capsys):
+    # 174k table lines and 58k chart points: the text kernels at benchmark scale.
+    spec = tmp_path / "deep.synth"
+    spec.write_text(DEEP_SPEC)
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    chart = tmp_path / "deep.svg"
+    capsys.readouterr()
+    assert main(["curves", "deep", "--citations", str(tmp_path / "citations.csv"),
+                 "--svg", str(chart)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("\n") == 173929
+    assert chart.read_text(encoding="utf-8").count("<polyline") == 338
+    digests = [
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (captured.out, captured.err, chart.read_text(encoding="utf-8"))
+    ]
+    assert digests == [
+        "247ecc4a1015f1789ee57986765997f6b857d17ce6c04963f4422a8ac290665a",
+        "f45262be2853da218a47c9b0380c687bb0bd0ea2d8abcbbcc86d2de0612b4005",
+        "12124f2a447a66a7ce69f9d81b1a5367bf31678d97d3607cb969951330cc2445",
     ]
 
 
@@ -750,7 +819,12 @@ def reference_svg_coordinates(series):
     return ticks, points
 
 
-svg_x = st.one_of(st.integers(-50, 400), st.fractions(-10, 10, max_denominator=7))
+svg_x = st.one_of(
+    st.integers(-50, 400),
+    st.fractions(-10, 10, max_denominator=7),
+    st.floats(-50, 400),
+    st.sampled_from([0.0, -0.0, 2, 2.0, Fraction(2)]),  # equal x, one cached text
+)
 svg_y = st.one_of(
     st.floats(-1e300, 1e300, allow_nan=False),
     st.integers(-(2**60), 2**60),
@@ -758,6 +832,8 @@ svg_y = st.one_of(
 )
 
 
+@example([[(2, 1), (0.0, 3)], [(2.0, 5), (-0.0, 1)], [(Fraction(2), 0), (-0.0, 2)]])
+@example([[(-0.0, 1), (0.0, 2)], [(0.0, 0), (-0.0, 4)]])
 @given(st.lists(st.lists(st.tuples(svg_x, svg_y), min_size=1, max_size=6),
                 min_size=1, max_size=4))
 def test_svg_coordinates_match_per_point_formula(raw_series):

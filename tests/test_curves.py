@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from statistics import median
@@ -343,17 +344,25 @@ edge_counts = st.one_of(
 
 
 @example([[2**53, 2**53 + 1, -(2**53), 10**16], [2**53, 2**53, 2**53]])
+@example([[1], [3, 1, 4, 1, 5, 9]])  # the longest curve comes last
 @given(st.lists(st.lists(edge_counts, min_size=1, max_size=6), min_size=1, max_size=4))
 def test_curves_to_csv_matches_float_repr(rows):
-    # Raw, cumulative (summing past 2**53), standardized and mean curves.
+    # Raw, cumulative (summing past 2**53), standardized and mean curves,
+    # in both orders, so the longest curve is not always first.
     volumes = [raw(row, pub_year=1990 + i) for i, row in enumerate(rows)]
     table = []
     for volume in volumes:
         table += [volume, cumulative(volume)]
         if len(volume.values) >= 3 and cumulative(volume).values[2] != 0:
             table.append(standardize_to_age2(cumulative(volume)))
-    table.append(mean_accrual_curve(volumes, max(len(row) for row in rows) - 1))
+    mean = mean_accrual_curve(volumes, max(len(row) for row in rows) - 1)
+    table.append(mean)
     assert curves_to_csv(table) == reference_curves_to_csv(table)
+    assert curves_to_csv(table[::-1]) == reference_curves_to_csv(table[::-1])
+    assert curves_to_csv([]) == reference_curves_to_csv([])
+    for observations in (mean.observations[:-1], (*mean.observations, 1)):
+        with pytest.raises(ValueError):
+            curves_to_csv([*table, replace(mean, observations=observations)])
 
 
 # --- differential tests: integer kernels vs the Fraction-per-value code --
