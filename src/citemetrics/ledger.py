@@ -150,15 +150,18 @@ def _check_row(
     line: str,
     years: dict[str, int],
     names: dict[str, tuple[str, str]],
+    counts: dict[str, int],
     alias_map: AliasMap,
     source: str | None,
 ) -> tuple[str, str, int, str, str, int, int] | None:
     """The full check of one ledger line, for lines that missed the field caches.
 
     Returns None for a blank line and raises the line's ParseError.  A valid
-    row's year texts are admitted to `years` (text -> year) and its name
-    texts to `names` (text -> canonical name and identity); the result is
-    (citing, citing_id, citing_year, cited, cited_id, cited_year, count).
+    row's year texts are admitted to `years` (text -> year), its name texts
+    to `names` (text -> canonical name and identity) and its count text, as
+    the line holds it with any line end, to `counts` (text -> count); the
+    result is (citing, citing_id, citing_year, cited, cited_id, cited_year,
+    count).
     """
     checked = next(_rows([(number, line)], 5, source), None)
     if checked is None:
@@ -188,6 +191,7 @@ def _check_row(
     cited_id = cited.casefold()
     names[citing_raw] = (citing, citing_id)
     names[cited_raw] = (cited, cited_id)
+    counts[line[line.rindex(",") + 1:]] = count
     return citing, citing_id, citing_year, cited, cited_id, cited_year, count
 
 
@@ -206,6 +210,7 @@ def iter_citation_records(
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
+    counts: dict[str, int] = {}
     for number, line in _data_lines(lines, CITATIONS_HEADER, source):
         try:
             citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
@@ -213,11 +218,11 @@ def iter_citation_records(
             cited = names[cited_raw][0]
             citing_year = years[citing_year_s]
             cited_year = years[cited_year_s]
-            count = int(count_s)
-            if not 0 <= count <= MAX_COUNT or citing_year < cited_year:
+            count = counts[count_s]
+            if citing_year < cited_year:
                 raise ValueError
         except (ValueError, KeyError):
-            row = _check_row(number, line, years, names, alias_map, source)
+            row = _check_row(number, line, years, names, counts, alias_map, source)
             if row is None:  # a blank line
                 continue
             citing, _, citing_year, cited, _, cited_year, count = row
@@ -267,15 +272,22 @@ def parse_publication_csv(
     Journal names pass through the alias map so denominators line up with
     canonicalized ledgers; a name-change that leaves two rows for the same
     canonical (journal, year) is reported as a duplicate for the curator to
-    resolve rather than silently summed.
+    resolve rather than silently summed.  Each name text is resolved once:
+    a cache maps it to its non-empty canonical name and identity, and every
+    key of one journal holds the same identity string.
     """
     entries: dict[tuple[str, int], int] = {}
     journals: dict[str, str] = {}
+    names: dict[str, tuple[str, str]] = {}
     numbered = _data_lines(lines, PUBLICATIONS_HEADER, source)
     for number, (name, year_s, items_s) in _rows(numbered, 3, source):
-        journal = alias_map.resolve(name)
-        if not journal:
-            raise ParseError(number, "journal identifier must be non-empty", source)
+        resolved = names.get(name)
+        if resolved is None:
+            journal = alias_map.resolve(name)
+            if not journal:
+                raise ParseError(number, "journal identifier must be non-empty", source)
+            names[name] = resolved = (journal, journal.casefold())
+        journal, identity = resolved
         try:
             year = int(year_s)
             items = int(items_s)
@@ -285,11 +297,11 @@ def parse_publication_csv(
             raise ParseError(number, "years must be 4-digit integers", source)
         if items < 1:
             raise ParseError(number, "citeable_items must be positive", source)
-        key = (journal.casefold(), year)
+        key = (identity, year)
         if key in entries:
             raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
         entries[key] = items
-        journals.setdefault(key[0], journal)
+        journals.setdefault(identity, journal)
     return PublicationCounts(entries, journals)
 
 
@@ -377,48 +389,60 @@ def _fold(
     counts by identity, data rows, last line number); each journal's totals
     and self counts are int -> int tables keyed by cited_year * YEAR_BASE +
     citing_year, and the self table holds only cells that self rows reached.
-    `number` is the last line number when there are no pairs.  Validation
-    is cached by field text: a year text maps to its in-range year and a
-    name text to its non-empty canonical name and identity, so a row whose
-    four texts are all known only needs its count range and year order
-    checked.  Every other row goes through the one full row check
-    (_check_row), which either raises or admits the row's texts to the
-    caches; iter_citation_records shares it.  A known row needs no UTF-8
-    check: its bytes all lie in its five fields, its four texts passed
-    check_utf8 in _check_row, and int() rejects a lone surrogate in the count.
+    `number` is the last line number when there are no pairs.
+
+    Each field costs one dict read, keyed by its text as the line holds it:
+    a year text maps to its in-range year, a citing name text to its
+    identity, a cited name text to its identity and its journal's two
+    tables, and a count text (with any line end) to its count, between 0
+    and MAX_COUNT.  A row whose five texts are all known only needs its
+    year order checked.  Every other row goes through the one full row
+    check (_check_row), which either raises or admits the row's texts to
+    the caches; iter_citation_records shares it.  A journal's tables are
+    made at the first row that cites it, on that path, so first-seen order
+    and display names are those of build_profiles.  The caches grow with
+    the distinct texts, not with the rows; the count cache has no bound, by
+    design, since a ledger holds few distinct count texts (9 in the seed-7
+    benchmark ledgers ingest-1m and wide-2k, 33 in deep-curves).  A known
+    row needs no UTF-8 check: each of its texts came from a line that
+    passed check_utf8, and UTF-8 text cut or joined at ASCII commas stays
+    UTF-8.
     """
     years: dict[str, int] = {}
     names: dict[str, tuple[str, str]] = {}
+    counts: dict[str, int] = {}
+    tables: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}
     display: dict[str, str] = {}
     totals_by_journal: dict[str, dict[int, int]] = {}
     selfs_by_journal: dict[str, dict[int, int]] = {}
     rows = 0
     for number, line in numbered:
-        # int() ignores the line ending left on the count text.
         try:
             citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = line.split(",")
-            citing, citing_id = names[citing_raw]
-            cited, cited_id = names[cited_raw]
+            citing_id = names[citing_raw][1]
+            cited_id, totals, selfs = tables[cited_raw]
             citing_year = years[citing_year_s]
             cited_year = years[cited_year_s]
-            count = int(count_s)
-            if not 0 <= count <= MAX_COUNT or citing_year < cited_year:
+            count = counts[count_s]
+            if citing_year < cited_year:
                 raise ValueError  # the full row check below raises the error
         except (ValueError, KeyError):
-            row = _check_row(number, line, years, names, alias_map, source)
+            row = _check_row(number, line, years, names, counts, alias_map, source)
             if row is None:  # a blank line
                 continue
-            citing, citing_id, citing_year, cited, cited_id, cited_year, count = row
+            _, citing_id, citing_year, cited, cited_id, cited_year, count = row
+            totals = totals_by_journal.get(cited_id)
+            if totals is None:
+                totals_by_journal[cited_id] = totals = {}
+                selfs_by_journal[cited_id] = {}
+                display[cited_id] = cited
+            selfs = selfs_by_journal[cited_id]
+            # A checked row has five fields, so the split above bound cited_raw.
+            tables[cited_raw] = (cited_id, totals, selfs)
         rows += 1
-        totals = totals_by_journal.get(cited_id)
-        if totals is None:
-            totals_by_journal[cited_id] = totals = {}
-            selfs_by_journal[cited_id] = {}
-            display[cited_id] = cited
         key = cited_year * YEAR_BASE + citing_year
         totals[key] = totals.get(key, 0) + count
         if citing_id == cited_id:
-            selfs = selfs_by_journal[cited_id]
             selfs[key] = selfs.get(key, 0) + count
     return display, totals_by_journal, selfs_by_journal, rows, number
 
@@ -432,8 +456,9 @@ def read_citation_profiles(
 
     Returns what `build_profiles(iter_citation_records(...))` returns, plus
     the number of data rows, and raises the same ParseError on the same
-    line.  Memory grows with the number of profile cells, not with the
-    number of rows.
+    line.  Memory grows with the number of profile cells and of distinct
+    field texts (names, years and counts, which _fold caches), not with
+    the number of rows.
     """
     numbered = _data_lines(lines, CITATIONS_HEADER, source)
     display, totals_by_journal, selfs_by_journal, rows, _ = _fold(numbered, alias_map, source)
@@ -441,11 +466,12 @@ def read_citation_profiles(
 
 
 # read_citation_file cuts a ledger into one byte range per usable CPU, but
-# never into ranges shorter than this.  On 2 CPUs, reading criterion 8's
-# rows (CLI `validate`) in two processes broke even at 1 MB and took 0.88 of
-# the single stream's time at 2-4 MB and 0.75 at 8-16 MB.  A wide ledger
-# (0.84 cells per row) sends far more cells back: at 3.2 MB a `report` took
-# 0.91 of the time but peaked 4 MB (10 %) higher, so below 4 MiB it streams.
+# never into ranges shorter than this.  On 2 CPUs, with every field of a
+# known row read from a cache, reading criterion 8's rows (CLI `validate`)
+# in two processes took 1.06-1.09 of the single stream's time at 1-4 MB,
+# 0.96 at 8 MB and 0.63 at 16 MB (medians of 11 alternating runs).  A wide
+# ledger (0.84 cells per row) sends far more cells back: at 3.2 MB a
+# `report` took 1.08 of the time in two processes, so below 4 MiB it streams.
 MIN_SPLIT_BYTES = 2 << 20
 
 

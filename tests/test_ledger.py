@@ -405,7 +405,8 @@ def ledger_rows(draw):
         draw(year_text).format(citing),
         draw(st.sampled_from(NAME_TEXTS)),
         draw(year_text).format(cited),
-        draw(st.sampled_from(["0", "1", "2", "7", " 3"])),
+        # Spellings that int() accepts, each its own text in the count cache.
+        draw(st.sampled_from(["0", "1", "2", "7", " 3", "+4", "04", "4 ", "\u0664"])),
     ]
 
 
@@ -429,6 +430,21 @@ def corrupt(kind, row):
     raise ValueError(kind)
 
 
+def lay_out(draw, lines, bad_kind):
+    """The text of a header and its data lines, with blank lines, LF or CRLF
+    line ends, maybe a BOM, and for the "utf-8" kind one run of bytes that
+    are not UTF-8 anywhere, the header and blank lines included."""
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), "")
+    if bad_kind == "utf-8":
+        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        cut = draw(st.integers(min_value=0, max_value=len(lines[at])))
+        lines[at] = lines[at][:cut] + draw(st.sampled_from(NOT_UTF8)) + lines[at][cut:]
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
 @st.composite
 def ledger_texts(draw, bad_kind):
     """Ledger text with repeated keys, CRLF/BOM/blank lines and maybe one bad
@@ -443,6 +459,13 @@ def ledger_texts(draw, bad_kind):
             rows.append(row)
             rows.append(row[:4] + [draw(st.sampled_from(["0", "5"]))])
     rows = draw(st.permutations(rows))
+    # Cite a row's citing text later on, so a cited text may be known as a
+    # citing name before the fold has tables for it.
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        at = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        citing, citing_year, cited, cited_year, count = rows[at]
+        later = draw(st.integers(min_value=at + 1, max_value=len(rows)))
+        rows.insert(later, [cited, citing_year, citing, cited_year, count])
     header = HEADER
     if bad_kind == "header":
         header = draw(st.sampled_from(["", "citing,cited", HEADER + ",extra"]))
@@ -455,16 +478,7 @@ def ledger_texts(draw, bad_kind):
             at = draw(st.integers(min_value=0, max_value=len(rows)))
             base = rows[draw(st.integers(min_value=0, max_value=at - 1))] if at else None
             rows.insert(at, corrupt(kind, base or draw(ledger_rows())))
-    lines = [header, *(",".join(row) for row in rows)]
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        lines.insert(draw(st.integers(min_value=1, max_value=len(lines))), "")
-    if bad_kind == "utf-8":
-        at = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-        cut = draw(st.integers(min_value=0, max_value=len(lines[at])))
-        lines[at] = lines[at][:cut] + draw(st.sampled_from(NOT_UTF8)) + lines[at][cut:]
-    bom = draw(st.sampled_from(["", "\ufeff"]))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return bom + ending.join(lines) + draw(st.sampled_from(["", ending]))
+    return lay_out(draw, [header, *(",".join(row) for row in rows)], bad_kind)
 
 
 def reference_parse_row(number, parts, resolved, alias_map, source):
@@ -675,6 +689,20 @@ def test_readers_bound_counts(rows, line):
         assert error == (line, f"count must be at most {MAX_COUNT}")
 
 
+def test_readers_cite_a_text_first_seen_as_citing():
+    # "beta" is a known citing name before it is cited; each cited text
+    # gets the tables of its own journal, and a self row is found by
+    # identity, not by text.
+    rows = ["beta,2004,Alpha,2003,1", "Alpha,2004,beta,2003,2",
+            "ALPHA,2004,Beta,2003,3", "Beta,2004,beta,2003,4", "beta,2004,Alpha,2003,5"]
+    for load in (single_pass_load, record_path_load):
+        (profiles, count), error = load("\n".join([HEADER, *rows]), AliasMap())
+        assert error is None and count == 5
+        assert list(profiles) == ["Alpha", "beta"]
+        assert profiles["Alpha"].cells == {(2003, 2004): CellCount(6, 0)}
+        assert profiles["beta"].cells == {(2003, 2004): CellCount(9, 4)}
+
+
 def test_citation_csv_rows_stay_within_count_bound():
     # A cell may pass MAX_COUNT when its self and external rows each stay
     # within it; a row that would not read back is refused.
@@ -692,6 +720,115 @@ def test_citation_csv_refuses_negative_share(cell):
     profile = make_profile("J", {(1990, 1990): (1, 0), (1990, 1991): cell})
     with pytest.raises(CitemetricsError, match="citations of 1991 to 1990 .* count below 0"):
         profiles_to_citation_csv({"J": profile})
+
+
+# --- publications against the uncached parse ---------------------------------
+
+PUBLICATIONS_HEADER = "journal,year,citeable_items"
+PUBLICATION_KINDS = ["duplicate", "empty", "integer", "range", "items", "fields"]
+
+
+def reference_publications(lines, alias_map, source=None):
+    # parse_publication_csv before it cached names: every row resolves its
+    # name and casefolds it.
+    entries = {}
+    journals = {}
+    numbered = _data_lines(reference_utf8(lines, source), PUBLICATIONS_HEADER, source)
+    for number, (name, year_s, items_s) in _rows(numbered, 3, source):
+        journal = alias_map.resolve(name)
+        if not journal:
+            raise ParseError(number, "journal identifier must be non-empty", source)
+        try:
+            year = int(year_s)
+            items = int(items_s)
+        except ValueError:
+            raise ParseError(number, "year and citeable_items must be integers", source)
+        if not 1000 <= year <= 9999:
+            raise ParseError(number, "years must be 4-digit integers", source)
+        if items < 1:
+            raise ParseError(number, "citeable_items must be positive", source)
+        key = (journal.casefold(), year)
+        if key in entries:
+            raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
+        entries[key] = items
+        journals.setdefault(key[0], journal)
+    return entries, journals
+
+
+def corrupt_publication(kind, row, spelling):
+    """A row that raises `kind`'s ParseError, built from a valid row."""
+    name, year, items = row
+    if kind == "duplicate":
+        # Another spelling of the same journal; with the alias map that may
+        # be a former name, a duplicate only once it is resolved.
+        return [spelling, year, items]
+    if kind == "empty":
+        return [" ", year, items]
+    if kind == "integer":
+        return [name, "x", items]
+    if kind == "range":
+        return [name, "999", items]
+    if kind == "items":
+        return [name, year, "0"]
+    if kind == "fields":
+        return [name, year, items, "9"]
+    raise ValueError(kind)
+
+
+@st.composite
+def publication_texts(draw, bad_kind, aliases):
+    """Publication text over spelling variants with distinct (journal, year)
+    keys under `aliases`, and maybe one bad row."""
+    def identity(name):
+        return aliases.resolve(name).casefold()
+
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(NAME_TEXTS), st.integers(min_value=2000, max_value=2004)),
+        max_size=30, unique_by=lambda key: (identity(key[0]), key[1]),
+    ))
+    rows = [[name, draw(st.sampled_from(["{}", " {}"])).format(year),
+             draw(st.sampled_from(["1", "40", " 7", "+3"]))] for name, year in keys]
+    header = PUBLICATIONS_HEADER
+    if bad_kind == "header":
+        header = draw(st.sampled_from(["", "journal,year", PUBLICATIONS_HEADER + ",extra"]))
+    elif bad_kind in PUBLICATION_KINDS and rows:
+        at = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        name = rows[at][0]
+        spelling = draw(st.sampled_from([text for text in NAME_TEXTS
+                                         if identity(text) == identity(name)]))
+        later = draw(st.integers(min_value=at + 1, max_value=len(rows)))
+        rows.insert(later, corrupt_publication(bad_kind, rows[at], spelling))
+    return lay_out(draw, [header, *(",".join(row) for row in rows)], bad_kind)
+
+
+def publication_outcome(parse, text, aliases):
+    try:
+        return parse(io.StringIO(text), aliases), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+def test_publications_duplicate_after_alias():
+    with pytest.raises(ParseError) as err:
+        parse_publication_csv(["journal,year,citeable_items", "Alpha,2003,4", "",
+                               " old alpha,2003,5"], LEDGER_ALIASES)
+    assert (err.value.line, err.value.reason) == (4, "duplicate entry for 'Alpha', 2003")
+
+
+@pytest.mark.parametrize("bad_kind", [None, *PUBLICATION_KINDS, "header", "utf-8"])
+@given(data=st.data(), use_aliases=st.booleans())
+@settings(max_examples=60)
+def test_parse_publication_csv_matches_reference(bad_kind, data, use_aliases):
+    aliases = LEDGER_ALIASES if use_aliases else AliasMap()
+    text = data.draw(publication_texts(bad_kind, aliases))
+    expected, expected_error = publication_outcome(reference_publications, text, aliases)
+    pubs, error = publication_outcome(parse_publication_csv, text, aliases)
+    assert error == expected_error
+    if expected is None:
+        return
+    entries, journals = expected
+    assert list(pubs.entries.items()) == list(entries.items())
+    assert list(pubs.journals.items()) == list(journals.items())
 
 
 # --- line layout, shared by every reader ----------------------------------------
