@@ -157,13 +157,10 @@ def _emit(output: str | None, text: str) -> None:
 
 
 def _cell(value) -> str:
+    # None, a str, the int eval_year or a float from metrics._row_dict.
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
@@ -188,13 +185,15 @@ def cmd_table(args) -> int:
 
 def _table_rows(args) -> list[dict]:
     # A function of its own, so the profiles are freed before rendering.
+    if not ledger.YEAR_MIN <= args.year <= ledger.YEAR_MAX:
+        raise ConfigError(f"year must be in {ledger.YEAR_MIN}..{ledger.YEAR_MAX}")
     policy = WindowPolicy(args.window, args.horizon, args.quantile)
     classification = ClassificationThresholds(args.hare, args.tortoise)
     aliases = _load_aliases(args.aliases)
     profiles = _load_profiles(args, aliases)
     pubs = _load_publications(args.publications, aliases)
     # Journals with citeable items but no citations report a JIF of 0.
-    cited = {journal.casefold() for journal in profiles}
+    cited = {ledger.journal_identity(journal) for journal in profiles}
     for key, journal in pubs.journals.items():
         if key not in cited:
             profiles[journal] = ledger.CitationProfile(journal)

@@ -82,7 +82,7 @@ class PublicationCounts:
     journals: dict[str, str] = field(default_factory=dict)
 
     def get(self, journal: str, year: int) -> int | None:
-        return self.entries.get((journal.strip().casefold(), year))
+        return self.entries.get((journal_identity(journal), year))
 
 
 @dataclass(frozen=True)
@@ -514,7 +514,7 @@ def find_profile(profiles: dict[str, CitationProfile], name: str) -> CitationPro
     """Look a journal up by name, comparing casefolded identities."""
     wanted = journal_identity(name)
     for journal, profile in profiles.items():
-        if journal.casefold() == wanted:
+        if journal_identity(journal) == wanted:
             return profile
     return None
 

@@ -36,8 +36,6 @@ FLAG_HALF_LIFE_UNRELIABLE = "HalfLifeUnreliable"
 FLAG_MISSING_DENOMINATOR = "MissingDenominator"
 FLAG_ZERO_WINDOW_CITATIONS = "ZeroWindowCitations"
 
-JCR_TRUNCATION_TOKEN = ">10"
-
 
 def half_away_units(value) -> int:
     """Nearest integer to an exact value, halves rounded away from zero."""
@@ -195,18 +193,6 @@ def _half_life(pairs: list[tuple[int, int]], q_num: int, q_den: int) -> tuple[in
     raise AssertionError("quantile target above cumulative total")  # pragma: no cover
 
 
-def jcr_truncate(half_life_exact) -> Fraction | str:
-    """Print-style half-life: values above 10 collapse to the ">10" token."""
-    value = Fraction(half_life_exact)
-    truncated = _jcr(value.as_integer_ratio())
-    return truncated if isinstance(truncated, str) else value
-
-
-def _jcr(half_life: tuple[int, int]) -> tuple[int, int] | str:
-    """jcr_truncate on an (n, d > 0) pair: the token above 10, else the pair."""
-    return JCR_TRUNCATION_TOKEN if half_life[0] > 10 * half_life[1] else half_life
-
-
 def _coverage(journal: str, sums, counts, window_ages) -> tuple[int, int]:
     """Share of the horizon total that falls inside the window ages, as (n, d > 0).
 
@@ -256,29 +242,6 @@ def adjusted_impact(jif, scaling) -> Fraction:
     if factor <= 0:
         raise ValueError("scaling factor must be positive")
     return Fraction(jif) * factor
-
-
-def reliability_flags(
-    profile: CitationProfile, eval_year: int, half_life_exact: Fraction | None
-) -> frozenset[str]:
-    """HalfLifeUnreliable when the journal is younger than twice its half-life.
-
-    A half-life close to the journal's whole observed life says more about
-    the ledger's span than about the journal.  The journal's life starts at
-    its first volume as of eval_year, from curves.observe; a journal with no
-    volume by then is never flagged.
-    """
-    half_life = None if half_life_exact is None else half_life_exact.as_integer_ratio()
-    return _reliability(eval_year, curves_mod.observe(profile, eval_year)[1], half_life)
-
-
-def _reliability(eval_year: int, years: list[int], half_life) -> frozenset[str]:
-    """reliability_flags on a half-life (n, d > 0) pair, cross-multiplied."""
-    if half_life is not None and years and (
-        (eval_year - years[0] + 1) * half_life[1] < 2 * half_life[0]
-    ):
-        return frozenset({FLAG_HALF_LIFE_UNRELIABLE})
-    return frozenset()
 
 
 def _age_sums(journal: str, observation: tuple, horizon: int) -> tuple[list[int], list[int]]:
@@ -357,8 +320,14 @@ def _ratios(
     except ZeroWindowError:
         flags.add(FLAG_ZERO_WINDOW_CITATIONS)
 
-    flags |= _reliability(eval_year, years, half_life)
-    half_life_jcr = None if half_life is None else _jcr(half_life)
+    half_life_jcr = half_life
+    if half_life is not None:
+        # A journal younger than twice its half-life (from its first volume
+        # as of eval_year) says more about the ledger's span than about itself.
+        if (eval_year - years[0] + 1) * half_life[1] < 2 * half_life[0]:
+            flags.add(FLAG_HALF_LIFE_UNRELIABLE)
+        if half_life[0] > 10 * half_life[1]:  # printed as JCR prints it
+            half_life_jcr = ">10"
     return (jif, immediacy, half_life, half_life_jcr, coverage, scaling, adjusted), flags
 
 

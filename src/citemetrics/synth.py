@@ -29,33 +29,13 @@ from .metrics import WindowPolicy, half_away_units
 
 
 @dataclass(frozen=True)
-class Flat:
-    """Constant weight 1 for ages 0..length-1."""
-
-    length: int
-
-    def weights(self) -> tuple[Fraction, ...]:
-        return (Fraction(1),) * self.length
-
-
-@dataclass(frozen=True)
-class Geometric:
-    """Weight rate**age, decaying from 1 at age 0."""
-
-    rate: Fraction
-    length: int
-
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(self.rate**a for a in range(self.length))
-
-
-@dataclass(frozen=True)
 class RiseDecay:
     """Weight 1 at peak_age, rise**(peak-age) before it, decay**(age-peak) after.
 
     rise in (0, 1] makes early ages climb toward the peak; decay in (0, 1]
     tails off after it.  A peak at the last age with rise < 1 gives a
-    slowly growing curve, the slow-accrual shape.
+    slowly growing curve, the slow-accrual shape; a peak at age 0 gives the
+    spec keywords' shapes, flat (decay 1) and geometric (decay = rate).
     """
 
     peak_age: int
@@ -71,9 +51,6 @@ class RiseDecay:
             else:
                 out.append(self.decay ** (a - self.peak_age))
         return tuple(out)
-
-
-Kernel = Flat | Geometric | RiseDecay
 
 
 @dataclass(frozen=True)
@@ -97,7 +74,7 @@ class SynthSpec:
     journal: str
     first_year: int
     last_year: int
-    kernel: Kernel
+    kernel: RiseDecay
     base_citations: Fraction
     items_per_year: int
     observation_end: int
@@ -172,9 +149,10 @@ def generate_profile(spec: SynthSpec) -> tuple[CitationProfile, PublicationCount
             )
             cells[(year, citing_year)] = CellCount(total, self_count)
     profile = CitationProfile(spec.journal, cells)
+    identity = journal_identity(spec.journal)
     pubs = PublicationCounts(
-        {(spec.journal.casefold(), year): spec.items_per_year for year in spec.pub_years()},
-        {spec.journal.casefold(): spec.journal},
+        {(identity, year): spec.items_per_year for year in spec.pub_years()},
+        {identity: spec.journal},
     )
     return profile, pubs
 
@@ -272,13 +250,13 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _parse_kernel(text: str) -> Kernel:
+def _parse_kernel(text: str) -> RiseDecay:
     parts = [p.strip() for p in text.split(":")]
     name = parts[0].lower()
     if name == "flat" and len(parts) == 2:
-        return Flat(int(parts[1]))
+        return RiseDecay(0, Fraction(1), Fraction(1), int(parts[1]))
     if name == "geometric" and len(parts) == 3:
-        return Geometric(_parse_fraction(parts[1]), int(parts[2]))
+        return RiseDecay(0, Fraction(1), _parse_fraction(parts[1]), int(parts[2]))
     if name == "risedecay" and len(parts) == 5:
         return RiseDecay(
             int(parts[1]), _parse_fraction(parts[2]), _parse_fraction(parts[3]), int(parts[4])

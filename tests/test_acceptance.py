@@ -183,15 +183,16 @@ def test_criterion_4_scale_invariance():
 def _admissible_specs(rng):
     """50 specs the oracle accepts: mostly integer-valued, some rounding ones."""
     specs = [
-        (synth.SynthSpec("Flatland", 1984, 2004, synth.Flat(21), Fraction(10), 40, 2004),
-         True),
+        (synth.SynthSpec("Flatland", 1984, 2004, synth.RiseDecay(0, Fraction(1), Fraction(1), 21),
+                         Fraction(10), 40, 2004), True),
     ]
     while len(specs) < 50:
         kind = rng.randrange(4)
         if kind == 0:  # integer flat
             length = rng.randint(4, 30)
             spec = synth.SynthSpec(
-                "S", 2004 - max(length - 1, 2), 2004, synth.Flat(length),
+                "S", 2004 - max(length - 1, 2), 2004,
+                synth.RiseDecay(0, Fraction(1), Fraction(1), length),
                 Fraction(rng.randint(1, 200)), rng.randint(5, 80), 2004,
             )
             exact = True
@@ -200,7 +201,7 @@ def _admissible_specs(rng):
             base = Fraction(2 ** (length - 1) * rng.randint(1, 3))
             spec = synth.SynthSpec(
                 "S", 2004 - max(length - 1, 2), 2004,
-                synth.Geometric(Fraction(1, 2), length), base,
+                synth.RiseDecay(0, Fraction(1), Fraction(1, 2), length), base,
                 rng.randint(5, 80), 2004,
             )
             exact = True
@@ -253,7 +254,8 @@ def test_criterion_5_generator_oracle_agreement():
                 rounded_checked += 1
         # the named flat case is among the exact ones
         flat = synth.SynthSpec(
-            "Flatland", 1984, 2004, synth.Flat(21), Fraction(10), 40, 2004
+            "Flatland", 1984, 2004, synth.RiseDecay(0, Fraction(1), Fraction(1), 21),
+            Fraction(10), 40, 2004,
         )
         expected = synth.expected_metrics(flat, WindowPolicy())
         assert expected["coverage"] == Fraction(2, 21)

@@ -458,6 +458,18 @@ def test_config_errors_precede_io(capsys):
     assert main(["curves", "Hare", "--citations", "missing.csv"]) == 2
 
 
+@pytest.mark.parametrize("command", ["report", "adjust"])
+def test_year_must_have_four_digits(capsys, hare_dir, command):
+    # A year outside 1000..9999 (a typo such as 204) is a config error, before any read.
+    for year in ("999", "204", "10000", "99999", "-2004"):
+        assert main([command, "--citations", "missing.csv", "--year", year]) == 3
+        assert capsys.readouterr().err == "error: year must be in 1000..9999\n"
+    for year in ("1000", "9999"):
+        assert main([command, "--citations", str(hare_dir / "citations.csv"),
+                     "--publications", str(hare_dir / "publications.csv"), "--year", year]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"Hare,{year},")
+
+
 def test_report_output_file(tmp_path, hare_dir):
     target = tmp_path / "report.csv"
     code = main([
@@ -571,6 +583,21 @@ def test_curves_unwritable_svg_writes_no_table(tmp_path, capsys, hare_dir):
         assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
         assert "SelfCitationSpike" not in captured.err
         assert not output.exists() and not chart.exists()
+
+
+def test_curves_unwritable_output_keeps_chart(tmp_path, capsys, hare_dir):
+    # The chart is written and freed before the table is built, so a bad
+    # --output fails after the chart exists.
+    output, chart = tmp_path / "no" / "such" / "dir" / "curves.csv", tmp_path / "hare.svg"
+    assert main(["curves", "Hare", "--citations", str(hare_dir / "citations.csv"),
+                 "--svg", str(chart), "-o", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: [Errno 2]")
+    assert not output.exists()
+    assert main(["curves", "Hare", "--citations", str(hare_dir / "citations.csv"),
+                 "--svg", str(tmp_path / "again.svg")]) == 0
+    assert chart.read_bytes() == (tmp_path / "again.svg").read_bytes()
 
 
 def test_curves_strip_self_restores_consistency(capsys, hare_dir):
@@ -964,6 +991,17 @@ def test_fixture_report_script(tmp_path):
             assert (outdir / f"{name}_report.json").exists()
             assert (outdir / f"{name}_curves.csv").exists()
         assert f"tortoise/hare impact ratio: {ratio}\n" in done.stdout
+
+
+def test_readme_library_example_runs(tmp_path, capsys, monkeypatch):
+    # The README's Library example, run on `citemetrics synth hare` output.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert main(["synth", "hare", "--outdir", str(tmp_path)]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1/5 605869951/2290015728 Hare\n"
 
 
 # --- ledgers read in byte ranges on several processes ---------------------------------

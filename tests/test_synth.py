@@ -11,8 +11,6 @@ from citemetrics.ledger import profiles_to_citation_csv
 from citemetrics.metrics import WindowPolicy
 from citemetrics.synth import (
     FIXTURE_NAMES,
-    Flat,
-    Geometric,
     RiseDecay,
     Spike,
     SynthSpec,
@@ -24,12 +22,17 @@ from citemetrics.synth import (
 )
 
 
+def flat(length):
+    """The spec format's flat:length kernel, weight 1 at ages 0..length-1."""
+    return RiseDecay(0, Fraction(1), Fraction(1), length)
+
+
 def flat_spec(**overrides):
     base = dict(
         journal="Flatland",
         first_year=1984,
         last_year=2004,
-        kernel=Flat(21),
+        kernel=flat(21),
         base_citations=Fraction(10),
         items_per_year=40,
         observation_end=2004,
@@ -59,7 +62,7 @@ def test_spike_adds_to_one_cell():
 
 def test_spike_past_the_kernel_lands_up_to_observation_end():
     # w = 0 past the kernel's last age, so the cell holds the spike alone.
-    spec = flat_spec(first_year=1990, last_year=1990, kernel=Flat(3), observation_end=1995,
+    spec = flat_spec(first_year=1990, last_year=1990, kernel=flat(3), observation_end=1995,
                      spikes=(Spike(1990, 4, 500), Spike(1990, 6, 7)))
     profile, _ = generate_profile(spec)
     assert list(profile.cells) == [(1990, 1990), (1990, 1991), (1990, 1992), (1990, 1994)]
@@ -74,7 +77,7 @@ def test_spike_past_the_kernel_lands_up_to_observation_end():
 ])
 def test_spec_rejects_spike_it_cannot_write(spike):
     with pytest.raises(ValueError, match=f"spike {spike.pub_year},{spike.age},{spike.extra}"):
-        flat_spec(first_year=1990, last_year=1995, kernel=Flat(6), spikes=(spike,))
+        flat_spec(first_year=1990, last_year=1995, kernel=flat(6), spikes=(spike,))
     text = ("journal = J\npub_years = 1990-1995\nkernel = flat:6\nbase_citations = 10\n"
             f"items_per_year = 4\nobservation_end = 2004\n"
             f"spike = {spike.pub_year},{spike.age},{spike.extra}\n")
@@ -126,7 +129,7 @@ def test_spec_validation():
 
 
 def test_geometric_weights():
-    assert Geometric(Fraction(1, 2), 4).weights() == (
+    assert RiseDecay(0, Fraction(1), Fraction(1, 2), 4).weights() == (
         Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
     )
 
@@ -154,7 +157,7 @@ def test_expected_metrics_window_only_kernel():
 
 
 def test_expected_metrics_geometric():
-    spec = flat_spec(kernel=Geometric(Fraction(1, 2), 21))
+    spec = flat_spec(kernel=RiseDecay(0, Fraction(1), Fraction(1, 2), 21))
     out = expected_metrics(spec, WindowPolicy())
     expected = Fraction(3, 4) / sum(Fraction(1, 2) ** a for a in range(21))
     assert out["coverage"] == expected
@@ -216,7 +219,16 @@ def test_parse_spec_decimal_fractions_are_exact():
         "base_citations = 0.72\nitems_per_year = 3\nobservation_end = 2004\n"
     ))
     assert spec.base_citations == Fraction(18, 25)
-    assert spec.kernel == Geometric(Fraction(1, 2), 2)
+    assert spec.kernel == RiseDecay(0, Fraction(1), Fraction(1, 2), 2)
+
+
+def test_parse_spec_flat_and_geometric_keywords_are_risedecay():
+    header = "journal = X\npub_years = 2000-2001\nbase_citations = 1\nitems_per_year = 1\n"
+    for kernel, expected in (("flat:3", (1, 1, 1)),
+                             ("geometric:2/3:3", (1, Fraction(2, 3), Fraction(4, 9)))):
+        spec = parse_synth_spec(io.StringIO(f"{header}kernel = {kernel}\nobservation_end = 2004\n"))
+        assert type(spec.kernel) is RiseDecay and spec.kernel.peak_age == 0
+        assert spec.kernel.weights() == expected
 
 
 def test_parse_spec_missing_key():
@@ -257,6 +269,20 @@ def test_parse_spec_first_line_may_open_with_bom():
     with pytest.raises(ParseError) as err:  # only on line 1
         parse_synth_spec(io.StringIO("# comment\n\ufeff" + text))
     assert err.value.line == 2 and "unknown key" in err.value.reason
+
+
+def test_padded_journal_name_is_one_journal():
+    # generate_profile keys its counts by the trimmed identity that every lookup uses.
+    from citemetrics.ledger import find_profile
+    from citemetrics.metrics import build_indicator_report
+
+    reports = {}
+    for name in ("Hare", " Hare "):
+        profile, pubs = generate_profile(flat_spec(journal=name))
+        reports[name] = build_indicator_report(profile, pubs, 2004)
+        assert find_profile({name: profile}, "hare") is profile
+    assert reports[" Hare "].jif == reports["Hare"].jif == Fraction(1, 4)
+    assert reports[" Hare "].flags == reports["Hare"].flags
 
 
 def test_fixtures_load_and_generate():
