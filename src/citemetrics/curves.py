@@ -17,7 +17,7 @@ takes medians on float keys, ties broken exactly, and cross-multiplies.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -132,16 +132,17 @@ def standardize_to_age2(curve: AccrualCurve) -> AccrualCurve:
     """Rescale a cumulative curve so the count accrued through age 2 is 100.
 
     The anchor is the cumulative value at age 2, i.e. citations at ages
-    0+1+2.  Volumes with a zero anchor (no citations in their first three
-    years) raise DegenerateVolumeError and are excluded from averaged
-    analyses by callers.  The result is over the anchor's numerator, so the
-    input's scale cancels.
+    0+1+2.  Volumes observed only through age 0 or 1, or with a zero anchor,
+    raise DegenerateVolumeError and are excluded from averaged analyses by
+    callers.  The result is over the anchor's numerator, so the input's
+    scale cancels.
     """
     if curve.kind != KIND_CUMULATIVE:
         raise ValueError(f"expected a cumulative curve, got {curve.kind!r}")
     pub_year = curve.pub_year if curve.pub_year is not None else 0
     if len(curve.numerators) < 3:
-        raise DegenerateVolumeError(curve.journal, pub_year)
+        raise DegenerateVolumeError(curve.journal, pub_year,
+                                    f"is observed only through age {curve.max_age()}")
     anchor = curve.numerators[2]
     if anchor == 0:
         raise DegenerateVolumeError(curve.journal, pub_year)
@@ -163,6 +164,8 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
     if not curves:
         raise ValueError("mean_accrual_curve needs at least one curve")
     journal = curves[0].journal
+    width = max(horizon + 1, 0)
+    sums = [0] * width
     seen_years = set()
     for curve in curves:
         if curve.kind != KIND_RAW:
@@ -170,29 +173,23 @@ def mean_accrual_curve(curves: Sequence[AccrualCurve], horizon: int) -> AccrualC
         if curve.pub_year is None or curve.pub_year in seen_years:
             raise ValueError("volume curves must carry distinct pub_years")
         seen_years.add(curve.pub_year)
-    width = max(horizon + 1, 0)
-    sums = [0] * width
-    ending = [0] * (width + 1)  # ending[n]: curves that observe ages 0..n-1 only
-    for curve in curves:
         observed = curve.numerators[:width]
         sums[: len(observed)] = map(add, sums, observed)
-        ending[len(observed)] += 1
-    counts = []
-    count = len(curves)
-    for age in range(width):
-        count -= ending[age]
-        if not count:
-            raise ValueError(f"no volume observes age {age}")
-        counts.append(count)
-    return ragged_mean(journal, sums, counts)
+    return ragged_mean(journal, sums, [len(curve.numerators) for curve in curves])
 
 
-def ragged_mean(journal: str, sums: Sequence[int], counts: Sequence[int]) -> AccrualCurve:
-    """The mean curve whose value at age a is sums[a] / counts[a], each count > 0.
+def ragged_mean(journal: str, sums: Sequence[int], lengths: Iterable[int]) -> AccrualCurve:
+    """The mean curve whose value at age a is sums[a] over the volumes observing a.
 
-    The one constructor of a mean curve: it holds sums[a] * (L // counts[a])
-    over L = lcm(counts), and the counts as its observations.
+    A volume of length n observes ages 0..n-1; an age no volume observes is
+    an error naming that age.  The one constructor of a mean curve: it holds
+    sums[a] * (L // counts[a]) over L = lcm(counts), and the per-age counts
+    of observing volumes as its observations.
     """
+    ordered = sorted(lengths)
+    counts = [len(ordered) - bisect_right(ordered, age) for age in range(len(sums))]
+    if 0 in counts:
+        raise ValueError(f"no volume observes age {counts.index(0)}")
     scale = math.lcm(*counts)
     return AccrualCurve(journal, None, KIND_RAW,
                         tuple(s * (scale // c) for s, c in zip(sums, counts)),

@@ -41,14 +41,13 @@ class UndefinedRateError(CitemetricsError):
 
 
 class DegenerateVolumeError(CitemetricsError):
-    """A volume with no citations through age 2 cannot be standardized."""
+    """A volume too young to reach age 2, or uncited through it, cannot be standardized."""
 
-    def __init__(self, journal: str, pub_year: int):
+    def __init__(self, journal: str, pub_year: int,
+                 reason: str = "has no citations through age 2"):
         self.journal = journal
         self.pub_year = pub_year
-        super().__init__(
-            f"{journal!r} volume {pub_year} has no citations through age 2"
-        )
+        super().__init__(f"{journal!r} volume {pub_year} {reason}")
 
 
 class ZeroWindowError(CitemetricsError):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -193,18 +192,15 @@ def _half_life(pairs: list[tuple[int, int]], q_num: int, q_den: int) -> tuple[in
     raise AssertionError("quantile target above cumulative total")  # pragma: no cover
 
 
-def _coverage(journal: str, sums, counts, window_ages) -> tuple[int, int]:
-    """Share of the horizon total that falls inside the window ages, as (n, d > 0).
+def _coverage(numerators, window_ages) -> tuple[int, int] | None:
+    """Window sum over the total of one curve's numerators, as (n, d > 0).
 
-    Age a's mean is sums[a] / counts[a].  The means are summed as integers
-    over the lcm of the counts.
+    None when the total is 0.  The curve's one scale cancels.
     """
-    common = math.lcm(*counts)
-    scaled = [s * (common // c) for s, c in zip(sums, counts)]
-    total = sum(scaled)
+    total = sum(numerators)
     if total == 0:
-        raise ZeroWindowError(f"{journal!r}: no citations within the horizon")
-    window = sum(scaled[a] for a in window_ages)
+        return None
+    window = sum(numerators[a] for a in window_ages)
     return (window, total) if total > 0 else (-window, -total)
 
 
@@ -214,10 +210,10 @@ def window_coverage(mean_curve: AccrualCurve, policy: WindowPolicy) -> Fraction:
         raise ValueError(
             f"mean curve reaches age {mean_curve.max_age()}, horizon is {policy.horizon}"
         )
-    numerators = mean_curve.numerators[: policy.horizon + 1]
-    return Fraction(*_coverage(
-        mean_curve.journal, numerators, [mean_curve.scale] * len(numerators), policy.window_ages,
-    ))
+    coverage = _coverage(mean_curve.numerators[: policy.horizon + 1], policy.window_ages)
+    if coverage is None:
+        raise ZeroWindowError(f"{mean_curve.journal!r}: no citations within the horizon")
+    return Fraction(*coverage)
 
 
 def scaling_factor(coverage, target_quantile) -> Fraction:
@@ -244,19 +240,18 @@ def adjusted_impact(jif, scaling) -> Fraction:
     return Fraction(jif) * factor
 
 
-def _age_sums(journal: str, observation: tuple, horizon: int) -> tuple[list[int], list[int]]:
-    """Per-age citation sums and observing-volume counts for ages 0..h.
+def _mean_as_of(journal: str, observation: tuple, horizon: int) -> AccrualCurve | None:
+    """The journal's ragged mean curve over ages 0..h, from a curves.observe result.
 
-    The integer core of the journal's ragged mean curve (age a's mean is
-    sums[a] / counts[a]), from a curves.observe result.  h is `horizon`
-    clamped to the oldest volume.
+    h is `horizon` clamped to the oldest volume.  None when no volume is
+    observed: no cells, or none a volume's own life observes.
     """
     end, years, totals, _ = observation
-    if not years:  # no cells, or none a volume's own life observes
-        raise ZeroWindowError(f"{journal!r}: profile has no citations")
+    if not years:
+        return None
     width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
     # A volume published in year y observes ages 0..end - y.
-    return totals[:width], [bisect_right(years, end - age) for age in range(width)]
+    return curves_mod.ragged_mean(journal, totals[:width], [end - y + 1 for y in years])
 
 
 def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
@@ -266,8 +261,10 @@ def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     horizon is capped at the oldest observed age so that reports for young
     journals still produce a (shorter) curve rather than failing.
     """
-    sums, counts = _age_sums(profile.journal, curves_mod.observe(profile), horizon)
-    return curves_mod.ragged_mean(profile.journal, sums, counts)
+    mean = _mean_as_of(profile.journal, curves_mod.observe(profile), horizon)
+    if mean is None:
+        raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
+    return mean
 
 
 def _ratios(
@@ -299,25 +296,19 @@ def _ratios(
     observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
     half_life = _half_life(pairs, 1, 2)
 
+    if mean_curve is None:
+        mean_curve = _mean_as_of(profile.journal, observation, policy.horizon)
     coverage = scaling = adjusted = None
-    try:
-        if mean_curve is None:
-            sums, counts = _age_sums(profile.journal, observation, policy.horizon)
-        else:
-            horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
-            sums = mean_curve.numerators[: horizon + 1]
-            counts = [mean_curve.scale] * len(sums)
-        if len(sums) <= policy.window_ages[-1]:
-            raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
-        coverage = _coverage(profile.journal, sums, counts, policy.window_ages)
-        if coverage[0] > 0:
-            q = policy.target_quantile
-            scaling = _scaling(*coverage, q.numerator, q.denominator)
-            if jif is not None:
-                adjusted = jif[0] * scaling[0], jif[1] * scaling[1]
-        else:
-            flags.add(FLAG_ZERO_WINDOW_CITATIONS)
-    except ZeroWindowError:
+    if mean_curve is not None:
+        horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
+        if horizon >= policy.window_ages[-1]:
+            coverage = _coverage(mean_curve.numerators[: horizon + 1], policy.window_ages)
+    if coverage is not None and coverage[0] > 0:
+        q = policy.target_quantile
+        scaling = _scaling(*coverage, q.numerator, q.denominator)
+        if jif is not None:
+            adjusted = jif[0] * scaling[0], jif[1] * scaling[1]
+    else:
         flags.add(FLAG_ZERO_WINDOW_CITATIONS)
 
     half_life_jcr = half_life

@@ -102,12 +102,14 @@ class SynthSpec:
             raise ValueError("kernel must have at least one positive weight")
         if any(w < 0 for w in weights):
             raise ValueError("kernel weights must be non-negative")
-        for key, frac in self.self_fraction.items():
-            if not 0 <= frac <= 1:
-                raise ValueError(f"self_fraction {key} outside [0, 1]")
-        for scale in self.volume_scale.values():
-            if scale <= 0:
-                raise ValueError("volume_scale entries must be positive")
+        for (year, age), frac in self.self_fraction.items():
+            if not 0 <= frac <= 1 or age < 0 or year not in self.pub_years():
+                raise ValueError(f"self_fraction {year},{age},{frac} needs a year in pub_years, "
+                                 "an age >= 0 and a fraction in [0, 1]")
+        for year, scale in self.volume_scale.items():
+            if scale <= 0 or year not in self.pub_years():
+                raise ValueError(f"volume_scale {year},{scale} needs a year in pub_years "
+                                 "and a scale > 0")
         for spike in self.spikes:
             if spike.extra < 0 or spike.age < 0 or spike.pub_year not in self.pub_years():
                 raise ValueError(f"spike {spike.pub_year},{spike.age},{spike.extra} needs "
@@ -297,9 +299,14 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
         try:
             if key == "volume_scale":
                 year, scale = value.split(",")
+                if int(year) in volume_scale:
+                    raise ParseError(number, f"duplicate volume_scale year {int(year)}", source)
                 volume_scale[int(year)] = _parse_fraction(scale)
             elif key == "self_fraction":
                 year, age, frac = value.split(",")
+                if (int(year), int(age)) in self_fraction:
+                    raise ParseError(number, f"duplicate self_fraction year and age "
+                                     f"{int(year)},{int(age)}", source)
                 self_fraction[(int(year), int(age))] = _parse_fraction(frac)
             elif key == "spike":
                 year, age, extra = value.split(",")

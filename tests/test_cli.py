@@ -947,17 +947,20 @@ def test_unreadable_input_is_input_error(tmp_path, capsys, kind, problem):
 
 
 def test_publication_only_journal_gets_a_row(tmp_path, capsys):
-    # The ledger cites only B; the publications file also lists Z (through
-    # an alias) and Y (with a year missing).  Every journal gets a row, under
-    # the ledger's spelling if it has one, else the publications file's.
+    # The ledger cites B, and W only at ages 6 and 14: W's coverage is 0,
+    # printed and classed, with no scaling.  The publications file also lists
+    # Z (through an alias) and Y (with a year missing).  Every journal gets a
+    # row, under the ledger's spelling if it has one, else the publications file's.
     citations = tmp_path / "c.csv"
-    citations.write_text(HEADER + "\nA,2004,B,2003,5\nA,2004,B,2002,1\n")
+    citations.write_text(HEADER + "\nA,2004,B,2003,5\nA,2004,B,2002,1\n"
+                         "A,1996,W,1990,4\nA,2004,W,1990,2\n")
     publications = tmp_path / "p.csv"
     publications.write_text(
         "journal,year,citeable_items\n"
         "b,2002,10\nb,2003,10\nb,2004,10\n"
         "z-old,2002,4\nZ,2003,4\nz,2004,4\n"
         "y,2003,4\ny,2004,4\n"
+        "w,2002,3\nw,2003,3\nw,2004,3\n"
     )
     aliases = tmp_path / "a.csv"
     aliases.write_text("alias,canonical\nZ-Old,Z\n")
@@ -966,11 +969,14 @@ def test_publication_only_journal_gets_a_row(tmp_path, capsys):
     assert main(["report", *inputs]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         "B,2004,0.3,0.0,1.6,1.6,1.0,0.5,0.15,Hare,HalfLifeUnreliable",
+        "W,2004,0.0,0.0,14.5,>10,0.0,,,Tortoise,HalfLifeUnreliable|ZeroWindowCitations",
         "y,2004,,0.0,,,,,,,MissingDenominator|ZeroWindowCitations",
         "Z,2004,0.0,0.0,,,,,,,ZeroWindowCitations",
     ]
     assert main(["adjust", *inputs, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)[1:] == [
+        {"journal": "W", "eval_year": 2004, "jif": 0.0, "coverage": 0.0,
+         "scaling_factor": None, "adjusted_jif": None, "class": "Tortoise"},
         {"journal": "y", "eval_year": 2004, "jif": None, "coverage": None,
          "scaling_factor": None, "adjusted_jif": None, "class": ""},
         {"journal": "Z", "eval_year": 2004, "jif": 0.0, "coverage": None,

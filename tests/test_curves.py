@@ -105,7 +105,7 @@ def test_standardize_zero_anchor_rejected():
 
 
 def test_standardize_short_curve_rejected():
-    with pytest.raises(DegenerateVolumeError):
+    with pytest.raises(DegenerateVolumeError, match="'J' volume 1990 is observed only through age 1"):
         standardize_to_age2(cumulative(raw([5, 5])))
 
 

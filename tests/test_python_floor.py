@@ -1,0 +1,22 @@
+"""Every module parses under the oldest Python that pyproject.toml allows."""
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_sources_parse_at_the_python_floor():
+    """ast.parse(feature_version=floor) rejects syntax newer than the floor, such
+    as `except*` below 3.11.  It checks grammar only: a library call or an
+    annotation evaluated at run time that the floor lacks still passes."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    version = (int(floor[1]), int(floor[2]))
+    paths = sorted([*(ROOT / "src" / "citemetrics").rglob("*.py"),
+                    *(ROOT / "scripts").rglob("*.py")])
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -83,6 +84,37 @@ def test_spec_rejects_spike_it_cannot_write(spike):
             f"spike = {spike.pub_year},{spike.age},{spike.extra}\n")
     with pytest.raises(ParseError, match="needs a year in pub_years"):
         parse_synth_spec(io.StringIO(text))
+
+
+@pytest.mark.parametrize("line, error", [
+    ("self_fraction = 1939,0,38/44", "self_fraction 1939,0,19/22 needs a year in pub_years"),
+    ("self_fraction = 1993,-1,1/2", "self_fraction 1993,-1,1/2 needs a year in pub_years"),
+    ("volume_scale = 2010,2", "volume_scale 2010,2 needs a year in pub_years"),
+], ids=["self-fraction-year", "self-fraction-age", "volume-scale-year"])
+def test_spec_rejects_keyed_entry_it_cannot_apply(line, error):
+    # The hare fixture with one more entry, naming a year outside 1984-2004
+    # or a negative age: it used to be accepted and never applied.
+    text = fixture_text("hare") + line + "\n"
+    with pytest.raises(ParseError, match=error) as err:
+        parse_synth_spec(io.StringIO(text), source="hare.synth")
+    assert err.value.line == 0
+
+
+@pytest.mark.parametrize("line, error", [
+    ("volume_scale = 1993,5", "duplicate volume_scale year 1993"),
+    ("self_fraction = 1993, 1 ,1/2", "duplicate self_fraction year and age 1993,1"),
+], ids=["volume-scale", "self-fraction"])
+def test_spec_repeated_keyed_entry_names_its_line(line, error):
+    # A second entry for the same key used to override the first in silence.
+    text = fixture_text("hare") + "# one more\n" + line + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_synth_spec(io.StringIO(text), source="hare.synth")
+    assert (err.value.line, err.value.reason) == (len(text.splitlines()), error)
+
+
+def fixture_text(name):
+    path = resources.files("citemetrics.fixtures").joinpath(f"{name}.synth")
+    return path.read_text(encoding="utf-8")
 
 
 def test_self_fraction_rounds_half_away():
