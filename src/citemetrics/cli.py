@@ -224,11 +224,8 @@ def cmd_curves(args) -> int:
     volumes = curves_mod.volume_curves(profile)
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
     standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
-    for year in skipped:
-        age = volumes[year].max_age()
-        reason = (f"is observed only through age {age}" if age < 2
-                  else "has no citations through age 2")
-        print(f"warning: volume {year} {reason}; skipped from standardized output",
+    for error in skipped:
+        print(f"warning: volume {error.pub_year} {error.reason}; skipped from standardized output",
               file=sys.stderr)
     if args.svg:  # before the table, so an unwritable chart path leaves no table
         if not standardized:

@@ -241,21 +241,21 @@ def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
 
 def standardized_volume_curves(
     volumes: Mapping[int, AccrualCurve]
-) -> tuple[dict[int, AccrualCurve], list[int]]:
-    """Standardize each volume curve, raw or cumulative; returns (curves, skipped pub_years).
+) -> tuple[dict[int, AccrualCurve], list[DegenerateVolumeError]]:
+    """Standardize each raw or cumulative volume curve; returns (curves, skip errors).
 
     Volumes too young to reach age 2 or with a zero anchor are skipped, not
     fatal: one empty volume should not sink the whole journal.
     """
     result: dict[int, AccrualCurve] = {}
-    skipped: list[int] = []
+    skipped: list[DegenerateVolumeError] = []
     for year, curve in volumes.items():
         try:
             result[year] = standardize_to_age2(
                 cumulative(curve) if curve.kind == KIND_RAW else curve
             )
-        except DegenerateVolumeError:
-            skipped.append(year)
+        except DegenerateVolumeError as error:
+            skipped.append(error)
     return result, skipped
 
 
@@ -389,16 +389,28 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
 
     pub_year is blank for averaged curves; observations is blank everywhere
     else.  Each value prints as repr(numerator / scale), which is
-    repr(float(value)) because int / int is correctly rounded.
+    repr(float(value)) because int / int is correctly rounded.  Each
+    distinct float is formatted once per call.  Of equal floats only 0.0 and
+    -0.0 print apart, and n / scale is -0.0 only for a negative value of at
+    most 2**-1075 in size, which no curve of ledger counts holds.
     """
+    text = _Reprs()
     curves = list(curves)
     ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]
     parts = ["journal,pub_year,kind,age,value,observations\n"]
     for curve in curves:
         year = "" if curve.pub_year is None else curve.pub_year
-        texts = map(repr, map(truediv, curve.numerators, repeat(curve.scale)))
+        texts = map(text.__getitem__, map(truediv, curve.numerators, repeat(curve.scale)))
         ends = repeat(",\n") if curve.observations is None else [
             f",{obs}\n" for obs, _ in zip(curve.observations, curve.numerators, strict=True)]
         prefix = repeat(f"{curve.journal},{year},{curve.kind},")
         parts += chain.from_iterable(zip(prefix, ages, texts, ends))
     return "".join(parts)
+
+
+class _Reprs(dict):
+    """value -> repr(value), formatted on the first lookup only."""
+
+    def __missing__(self, value):
+        self[value] = text = repr(value)
+        return text

@@ -47,6 +47,7 @@ class DegenerateVolumeError(CitemetricsError):
                  reason: str = "has no citations through age 2"):
         self.journal = journal
         self.pub_year = pub_year
+        self.reason = reason
         super().__init__(f"{journal!r} volume {pub_year} {reason}")
 
 

@@ -28,6 +28,8 @@ def emit_svg_chart(
 
     Series are drawn (and listed in the legend) in the order given; callers
     wanting stable output across runs should pass a stably ordered sequence.
+    Each distinct x and y is formatted once per call.  Equal values of any
+    type share the text: subtracting a float minimum makes them one float.
     """
     if not series:
         raise ValueError("chart needs at least one series")
@@ -50,7 +52,8 @@ def emit_svg_chart(
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
-    x_text = {x: f"{sx(x):.2f}" for x in set(xs)}  # equal x of any type share one text
+    x_text = {x: f"{sx(x):.2f}" for x in set(xs)}
+    y_text = {y: f"{y0 - (y - y_min) / y_span * plot_h:.2f}" for y in set(ys)}
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -90,9 +93,7 @@ def emit_svg_chart(
     )
     for index, (name, points) in enumerate(series):
         color = PALETTE[index % len(PALETTE)]
-        # y is written out, not called, so no Python call runs per point.
-        coords = " ".join([f"{x_text[x]},{y0 - (y - y_min) / y_span * plot_h:.2f}"
-                           for x, y in points])
+        coords = " ".join([f"{x_text[x]},{y_text[y]}" for x, y in points])
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{coords}"/>'

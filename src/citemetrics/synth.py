@@ -102,10 +102,14 @@ class SynthSpec:
             raise ValueError("kernel must have at least one positive weight")
         if any(w < 0 for w in weights):
             raise ValueError("kernel weights must be non-negative")
+        spiked = {(spike.pub_year, spike.age) for spike in self.spikes}
         for (year, age), frac in self.self_fraction.items():
-            if not 0 <= frac <= 1 or age < 0 or year not in self.pub_years():
+            if (not 0 <= frac <= 1 or age < 0 or year not in self.pub_years()
+                    or year + age > self.observation_end
+                    or age >= len(weights) and (year, age) not in spiked):
                 raise ValueError(f"self_fraction {year},{age},{frac} needs a year in pub_years, "
-                                 "an age >= 0 and a fraction in [0, 1]")
+                                 "an age >= 0, a fraction in [0, 1] and a cell the spec writes: "
+                                 "by observation_end, and in the kernel or on a spike")
         for year, scale in self.volume_scale.items():
             if scale <= 0 or year not in self.pub_years():
                 raise ValueError(f"volume_scale {year},{scale} needs a year in pub_years "

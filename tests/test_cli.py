@@ -861,6 +861,9 @@ svg_y = st.one_of(
 
 @example([[(2, 1), (0.0, 3)], [(2.0, 5), (-0.0, 1)], [(Fraction(2), 0), (-0.0, 2)]])
 @example([[(-0.0, 1), (0.0, 2)], [(0.0, 0), (-0.0, 4)]])
+@example([[(0, 2), (1, 5)], [(0, 2.0), (1, 2)], [(3, Fraction(2)), (4, 2.0)]])  # equal y
+@example([[(0, -0.0), (1, 0.0), (2, 3)], [(0, 0.0), (1, -0.0)]])
+@example([[(0, 2**60), (1, 2**60 + 1)], [(0, 2**60 + 1), (1, 2**60), (2, 0)]])
 @given(st.lists(st.lists(st.tuples(svg_x, svg_y), min_size=1, max_size=6),
                 min_size=1, max_size=4))
 def test_svg_coordinates_match_per_point_formula(raw_series):

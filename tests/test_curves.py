@@ -316,7 +316,8 @@ def test_standardized_volume_curves_skips_degenerates():
     )
     std, skipped = standardized_volume_curves(volume_curves(profile))
     assert list(std) == [1990]
-    assert skipped == [1992]
+    assert [(error.pub_year, error.reason) for error in skipped] == [
+        (1992, "is observed only through age 0")]
 
 
 def test_curves_csv_layout():
@@ -343,26 +344,46 @@ edge_counts = st.one_of(
 )
 
 
-@example([[2**53, 2**53 + 1, -(2**53), 10**16], [2**53, 2**53, 2**53]])
-@example([[1], [3, 1, 4, 1, 5, 9]])  # the longest curve comes last
-@given(st.lists(st.lists(edge_counts, min_size=1, max_size=6), min_size=1, max_size=4))
-def test_curves_to_csv_matches_float_repr(rows):
-    # Raw, cumulative (summing past 2**53), standardized and mean curves,
-    # in both orders, so the longest curve is not always first.
+def curve_table(rows):
+    """Raw, cumulative (summing past 2**53), standardized and mean curves."""
     volumes = [raw(row, pub_year=1990 + i) for i, row in enumerate(rows)]
     table = []
     for volume in volumes:
         table += [volume, cumulative(volume)]
         if len(volume.values) >= 3 and cumulative(volume).values[2] != 0:
             table.append(standardize_to_age2(cumulative(volume)))
-    mean = mean_accrual_curve(volumes, max(len(row) for row in rows) - 1)
-    table.append(mean)
+    return table + [mean_accrual_curve(volumes, max(len(row) for row in rows) - 1)]
+
+
+@example([[2**53, 2**53 + 1, -(2**53), 10**16], [2**53, 2**53, 2**53]])
+@example([[1], [3, 1, 4, 1, 5, 9]])  # the longest curve comes last
+@given(st.lists(st.lists(edge_counts, min_size=1, max_size=6), min_size=1, max_size=4))
+def test_curves_to_csv_matches_float_repr(rows):
+    # Both orders, so the longest curve is not always first.
+    table = curve_table(rows)
+    mean = table[-1]
     assert curves_to_csv(table) == reference_curves_to_csv(table)
     assert curves_to_csv(table[::-1]) == reference_curves_to_csv(table[::-1])
     assert curves_to_csv([]) == reference_curves_to_csv([])
     for observations in (mean.observations[:-1], (*mean.observations, 1)):
         with pytest.raises(ValueError):
             curves_to_csv([*table, replace(mean, observations=observations)])
+
+
+@example([2**53, 2**53 + 1, 7], 3, [[2**53 + 1, 2**53], [7, 7, 7]])
+@example([1, 2, 3], 2, [[4, 5, 6]])
+@given(st.lists(edge_counts, min_size=1, max_size=6), st.integers(2, 5),
+       st.lists(st.lists(edge_counts, min_size=1, max_size=6), max_size=3))
+def test_curves_to_csv_reuses_each_value_text(shared, copies, others):
+    # `copies` volumes share one raw row, so most values recur within a call
+    # and are printed from the text of their first occurrence; 2**53 and
+    # 2**53 + 1 are two numerators that round to one float.
+    table = curve_table([shared] * copies + others)
+    other = curve_table([[n + 1 for n in row] for row in [shared, *others]])
+    for first, second in ((table, other), (other, table), (table[::-1], other[::-1])):
+        # No text carries over from one call to the next.
+        assert curves_to_csv(first) == reference_curves_to_csv(first)
+        assert curves_to_csv(second) == reference_curves_to_csv(second)
 
 
 # --- differential tests: integer kernels vs the Fraction-per-value code --

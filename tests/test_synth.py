@@ -100,6 +100,31 @@ def test_spec_rejects_keyed_entry_it_cannot_apply(line, error):
     assert err.value.line == 0
 
 
+@pytest.mark.parametrize("year, age", [(1993, 25), (2004, 1)],
+                         ids=["past-the-kernel", "past-observation-end"])
+def test_spec_rejects_self_fraction_on_a_cell_it_never_writes(year, age):
+    # The hare kernel covers ages 0-20 and its spikes sit at 1993 ages 0 and
+    # 1, so neither cell is generated and the fraction would apply to nothing.
+    error = f"self_fraction {year},{age},1/2 needs .* a cell the spec writes"
+    hare = fixture_spec("hare")
+    with pytest.raises(ValueError, match=error):
+        replace(hare, self_fraction={**hare.self_fraction, (year, age): Fraction(1, 2)})
+    text = fixture_text("hare") + f"self_fraction = {year},{age},1/2\n"
+    with pytest.raises(ParseError, match=error) as err:
+        parse_synth_spec(io.StringIO(text), source="hare.synth")
+    assert err.value.line == 0
+
+
+def test_self_fraction_past_the_kernel_needs_a_spike():
+    # Age 8 is past flat(5) but cites 1998, by observation_end: only a spike
+    # on that cell makes the generator write it.
+    entry = {(1990, 8): Fraction(1, 2)}
+    with pytest.raises(ValueError, match="self_fraction 1990,8,1/2 needs"):
+        flat_spec(kernel=flat(5), self_fraction=entry)
+    spec = flat_spec(kernel=flat(5), spikes=(Spike(1990, 8, 10),), self_fraction=entry)
+    assert generate_profile(spec)[0].cells[(1990, 1998)] == (10, 5)
+
+
 @pytest.mark.parametrize("line, error", [
     ("volume_scale = 1993,5", "duplicate volume_scale year 1993"),
     ("self_fraction = 1993, 1 ,1/2", "duplicate self_fraction year and age 1993,1"),
