@@ -14,9 +14,10 @@ Reruns on unchanged inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import add
 from pathlib import Path
 
 from . import curves as curves_mod
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str, parse, *args):
-    """`parse(lines, *args, source=path)` over the input file at path.
+def _read(path: str, parse, *args, **options):
+    """`parse(lines, *args, source=path, **options)` over the input file at path.
 
     Every input is opened here, as UTF-8 text read line by line, so all of
     them split lines alike (a large ledger is read from the same file in
@@ -129,7 +130,7 @@ def _read(path: str, parse, *args):
     a lone surrogate, and the reader rejects its line with a ParseError.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return parse(handle, *args, source=path)
+        return parse(handle, *args, source=path, **options)
 
 
 def _load_aliases(path: str | None) -> ledger.AliasMap:
@@ -137,9 +138,8 @@ def _load_aliases(path: str | None) -> ledger.AliasMap:
 
 
 def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
-    profiles, _ = _read(args.citations, ledger.read_citation_file, aliases)
-    if args.strip_self:
-        profiles = {j: ledger.strip_self_references(p) for j, p in profiles.items()}
+    profiles, _ = _read(args.citations, ledger.read_citation_file, aliases,
+                        strip_self=args.strip_self)
     return profiles
 
 
@@ -163,9 +163,35 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
+def _json_list(items: list[str]) -> str:
+    # The flags, at the depth of a row's values.
+    if not items:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(encode_basestring_ascii, items)) + "\n    ]"
+
+
+# The JSON text of each type a row's values have (metrics._row_dict plus the
+# class), written by the same C-level functions as json's own encoder.
+_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+              type(None): lambda _: "null", list: _json_list}
+
+
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
+    """Rows, each holding exactly `columns` in that order, as CSV or JSON.
+
+    The JSON is the text json.dumps writes at indent 2, plus a line end,
+    byte for byte.  Each value is encoded by its type's entry in _JSON_TEXT
+    and the indent-2 layout is written here, so json's pure-Python indent
+    encoder never runs.
+    """
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        if not rows:
+            return "[]\n"
+        heads = [f"{encode_basestring_ascii(column)}: " for column in columns]
+        objects = [",\n    ".join(map(add, heads, [_JSON_TEXT[type(value)](value)
+                                                    for value in map(row.__getitem__, columns)]))
+                   for row in rows]
+        return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
     lines = [",".join(columns)]
     for row in rows:
         cells = []

@@ -26,7 +26,7 @@ from operator import add, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateVolumeError
-from .ledger import YEAR_MAX, CitationProfile
+from .ledger import YEAR_MAX, CitationProfile, _Memo
 
 KIND_RAW = "raw"
 KIND_CUMULATIVE = "cumulative"
@@ -384,6 +384,11 @@ def classify_ratio(numerator: int, denominator: int, thresholds: ClassificationT
     return CLASS_INTERMEDIATE
 
 
+# Over a scale up to this, int / int never rounds to -0.0: |n| / scale is at
+# least 2**-1074, the smallest subnormal.
+_NO_NEGATIVE_ZERO = 2**1074
+
+
 def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     """Curve table: journal,pub_year,kind,age,value,observations.
 
@@ -391,26 +396,20 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     else.  Each value prints as repr(numerator / scale), which is
     repr(float(value)) because int / int is correctly rounded.  Each
     distinct float is formatted once per call.  Of equal floats only 0.0 and
-    -0.0 print apart, and n / scale is -0.0 only for a negative value of at
-    most 2**-1075 in size, which no curve of ledger counts holds.
+    -0.0 print apart, and n / scale is -0.0 only for a negative n over a
+    scale above 2**1074, which no curve of ledger counts has; such a curve's
+    values skip the shared texts and are each formatted by repr.
     """
-    text = _Reprs()
+    text = _Memo(repr)
     curves = list(curves)
     ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]
     parts = ["journal,pub_year,kind,age,value,observations\n"]
     for curve in curves:
         year = "" if curve.pub_year is None else curve.pub_year
-        texts = map(text.__getitem__, map(truediv, curve.numerators, repeat(curve.scale)))
+        format_value = text.__getitem__ if curve.scale <= _NO_NEGATIVE_ZERO else repr
+        texts = map(format_value, map(truediv, curve.numerators, repeat(curve.scale)))
         ends = repeat(",\n") if curve.observations is None else [
             f",{obs}\n" for obs, _ in zip(curve.observations, curve.numerators, strict=True)]
         prefix = repeat(f"{curve.journal},{year},{curve.kind},")
         parts += chain.from_iterable(zip(prefix, ages, texts, ends))
     return "".join(parts)
-
-
-class _Reprs(dict):
-    """value -> repr(value), formatted on the first lookup only."""
-
-    def __missing__(self, value):
-        self[value] = text = repr(value)
-        return text

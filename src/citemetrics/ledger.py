@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import CitemetricsError, ParseError, UndefinedRateError
 
@@ -272,37 +272,83 @@ def parse_publication_csv(
     Journal names pass through the alias map so denominators line up with
     canonicalized ledgers; a name-change that leaves two rows for the same
     canonical (journal, year) is reported as a duplicate for the curator to
-    resolve rather than silently summed.  Each name text is resolved once:
-    a cache maps it to its non-empty canonical name and identity, and every
-    key of one journal holds the same identity string.
+    resolve rather than silently summed.  Fields are cached by text as in
+    _fold: a name text maps to its non-empty canonical name and identity,
+    a year text to its in-range year and an items text (with any line end)
+    to its positive count.  A row whose three texts are all known and whose
+    key is new costs three dict reads; every other row goes through one
+    full row check (_check_publication), which raises its ParseError or
+    admits its texts.  Every key of one journal holds the same identity
+    string.
     """
     entries: dict[tuple[str, int], int] = {}
     journals: dict[str, str] = {}
     names: dict[str, tuple[str, str]] = {}
-    numbered = _data_lines(lines, PUBLICATIONS_HEADER, source)
-    for number, (name, year_s, items_s) in _rows(numbered, 3, source):
-        resolved = names.get(name)
-        if resolved is None:
-            journal = alias_map.resolve(name)
-            if not journal:
-                raise ParseError(number, "journal identifier must be non-empty", source)
-            names[name] = resolved = (journal, journal.casefold())
-        journal, identity = resolved
+    years: dict[str, int] = {}
+    counts: dict[str, int] = {}
+    for number, line in _data_lines(lines, PUBLICATIONS_HEADER, source):
         try:
-            year = int(year_s)
-            items = int(items_s)
-        except ValueError:
-            raise ParseError(number, "year and citeable_items must be integers", source)
-        if not YEAR_MIN <= year <= YEAR_MAX:
-            raise ParseError(number, "years must be 4-digit integers", source)
-        if items < 1:
-            raise ParseError(number, "citeable_items must be positive", source)
-        key = (identity, year)
-        if key in entries:
-            raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
+            name, year_s, items_s = line.split(",")
+            key = (names[name][1], years[year_s])
+            items = counts[items_s]
+            if key in entries:
+                raise ValueError  # the full row check below raises the error
+        except (ValueError, KeyError):
+            row = _check_publication(number, line, entries, names, years, counts,
+                                     alias_map, source)
+            if row is None:  # a blank line
+                continue
+            journal, key, items = row
+            # A known name text was admitted by a row that set its journal.
+            journals.setdefault(key[0], journal)
         entries[key] = items
-        journals.setdefault(identity, journal)
     return PublicationCounts(entries, journals)
+
+
+def _check_publication(
+    number: int,
+    line: str,
+    entries: dict[tuple[str, int], int],
+    names: dict[str, tuple[str, str]],
+    years: dict[str, int],
+    counts: dict[str, int],
+    alias_map: AliasMap,
+    source: str | None,
+) -> tuple[str, tuple[str, int], int] | None:
+    """The full check of one publication line, for lines that missed the
+    field caches or repeat a key.
+
+    Returns None for a blank line and raises the line's ParseError.  A
+    valid row's texts are admitted to the caches of parse_publication_csv;
+    the result is (canonical name, (identity, year), citeable items).
+    """
+    checked = next(_rows([(number, line)], 3, source), None)
+    if checked is None:
+        return None
+    name, year_s, items_s = checked[1]
+    resolved = names.get(name)
+    if resolved is None:
+        journal = alias_map.resolve(name)
+        if not journal:
+            raise ParseError(number, "journal identifier must be non-empty", source)
+        resolved = (journal, journal.casefold())
+    journal, identity = resolved
+    try:
+        year = int(year_s)
+        items = int(items_s)
+    except ValueError:
+        raise ParseError(number, "year and citeable_items must be integers", source)
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise ParseError(number, "years must be 4-digit integers", source)
+    if items < 1:
+        raise ParseError(number, "citeable_items must be positive", source)
+    key = (identity, year)
+    if key in entries:
+        raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
+    names[name] = resolved
+    years[year_s] = year
+    counts[line[line.rindex(",") + 1:]] = items
+    return journal, key, items
 
 
 def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfile]:
@@ -350,30 +396,52 @@ def _freeze_profiles(
     display: dict[str, str],
     totals_by_journal: dict[str, dict[int, int]],
     selfs_by_journal: dict[str, dict[int, int]],
+    *,
+    strip_self: bool = False,
 ) -> dict[str, CitationProfile]:
     """Profiles from the fold's tables, in first-seen journal and cell order.
 
-    Each journal's tables are dropped as it is frozen.  Profiles share one
-    (cited_year, citing_year) key per distinct int key and one CellCount per
-    distinct (total, self) pair; both are immutable.
+    With strip_self, each journal's self counts are subtracted from its
+    totals first, so every cell is (total - self, 0): the profiles equal
+    strip_self_references mapped over the unstripped ones, which are never
+    built.  Each journal's tables are dropped as it is frozen.  Profiles
+    share one (cited_year, citing_year) key per distinct int key, one
+    self-free CellCount per distinct total and one CellCount per distinct
+    (total, self) pair with a self share; all are immutable.
     """
-    pairs: dict[int, tuple[int, int]] = {}
-    shared: dict[tuple[int, int], CellCount] = {}
+    pairs = _Memo(lambda key: divmod(key, YEAR_BASE))
+    clean = _Memo(lambda total: CellCount(total, 0))
+    with_self = _Memo(CellCount._make)
     profiles: dict[str, CitationProfile] = {}
     for jid, name in display.items():
+        totals = totals_by_journal.pop(jid)
         selfs = selfs_by_journal.pop(jid)
-        cells: dict[tuple[int, int], CellCount] = {}
-        for key, total in totals_by_journal.pop(jid).items():
-            pair = pairs.get(key)
-            if pair is None:
-                pairs[key] = pair = divmod(key, YEAR_BASE)
-            counts = (total, selfs.get(key, 0))
-            cell = shared.get(counts)
-            if cell is None:
-                shared[counts] = cell = CellCount._make(counts)
-            cells[pair] = cell
+        if strip_self:
+            for key, self_count in selfs.items():
+                totals[key] -= self_count
+            selfs = {}
+        cells = dict(zip(map(pairs.__getitem__, totals), map(clean.__getitem__, totals.values())))
+        for key, self_count in selfs.items():
+            if self_count:  # a cell reached only by count-0 self rows stays self-free
+                cells[pairs[key]] = with_self[totals[key], self_count]
         profiles[name] = CitationProfile(name, cells)
     return profiles
+
+
+class _Memo(dict):
+    """key -> make(key), made on the first lookup only.
+
+    A hit is a C-level dict read, so `map(memo.__getitem__, keys)` runs
+    Python only for a key it has not seen.
+    """
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
 def _fold(
@@ -451,18 +519,23 @@ def read_citation_profiles(
     lines: Iterable[str],
     alias_map: AliasMap = EMPTY_ALIASES,
     source: str | None = None,
+    *,
+    strip_self: bool = False,
 ) -> tuple[dict[str, CitationProfile], int]:
     """Parse a citation ledger and fold it into profiles in one streaming pass.
 
     Returns what `build_profiles(iter_citation_records(...))` returns, plus
     the number of data rows, and raises the same ParseError on the same
-    line.  Memory grows with the number of profile cells and of distinct
-    field texts (names, years and counts, which _fold caches), not with
-    the number of rows.
+    line.  With strip_self, each profile is what strip_self_references
+    returns for it, made without building the unstripped one.  Memory grows
+    with the number of profile cells and of distinct field texts (names,
+    years and counts, which _fold caches), not with the number of rows.
     """
     numbered = _data_lines(lines, CITATIONS_HEADER, source)
     display, totals_by_journal, selfs_by_journal, rows, _ = _fold(numbered, alias_map, source)
-    return _freeze_profiles(display, totals_by_journal, selfs_by_journal), rows
+    profiles = _freeze_profiles(display, totals_by_journal, selfs_by_journal,
+                                strip_self=strip_self)
+    return profiles, rows
 
 
 # read_citation_file cuts a ledger into one byte range per usable CPU, but
@@ -479,9 +552,11 @@ def read_citation_file(
     handle: TextIO,
     alias_map: AliasMap = EMPTY_ALIASES,
     source: str | None = None,
+    *,
+    strip_self: bool = False,
 ) -> tuple[dict[str, CitationProfile], int]:
-    """read_citation_profiles over a ledger file opened as UTF-8 text with
-    errors="surrogateescape", as the CLI opens it.
+    """read_citation_profiles (strip_self included) over a ledger file opened
+    as UTF-8 text with errors="surrogateescape", as the CLI opens it.
 
     A file of at least 2 * MIN_SPLIT_BYTES, on a host with os.fork and two or
     more usable CPUs, is cut into up to one byte range per CPU, each at
@@ -496,11 +571,12 @@ def read_citation_file(
     size = os.fstat(fd).st_size
     parts = min(_usable_cpus(), size // MIN_SPLIT_BYTES) if hasattr(os, "fork") else 1
     if parts < 2:
-        return read_citation_profiles(handle, alias_map, source)
+        return read_citation_profiles(handle, alias_map, source, strip_self=strip_self)
     # Imported here, so a run that streams never compiles the process code.
     from .parallel import read_ranges
 
-    return read_ranges(fd, [k * size // parts for k in range(1, parts)], alias_map, source)
+    offsets = [k * size // parts for k in range(1, parts)]
+    return read_ranges(fd, offsets, alias_map, source, strip_self=strip_self)
 
 
 def _usable_cpus() -> int:

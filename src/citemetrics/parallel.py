@@ -20,7 +20,12 @@ from .errors import CitemetricsError, ParseError
 
 
 def read_ranges(
-    fd: int, offsets: list[int], alias_map: ledger.AliasMap, source: str | None
+    fd: int,
+    offsets: list[int],
+    alias_map: ledger.AliasMap,
+    source: str | None,
+    *,
+    strip_self: bool = False,
 ) -> tuple[dict[str, ledger.CitationProfile], int]:
     """Read the ledger at `fd` in parts split at the end of the line holding
     each offset; parts after the first are folded by child processes.
@@ -29,6 +34,7 @@ def read_ranges(
     each child's tables in file order, so first-seen journal and cell order
     and display names are those of one stream.  The earliest part with an
     error raises it, with its line number counted from the top of the file.
+    strip_self strips the merged tables as ledger.read_citation_profiles does.
     """
     size = os.fstat(fd).st_size
     ends = sorted({_line_end(fd, offset, size) for offset in offsets} | {size})
@@ -78,7 +84,9 @@ def read_ranges(
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return ledger._freeze_profiles(display, totals_by_journal, selfs_by_journal), rows
+    profiles = ledger._freeze_profiles(display, totals_by_journal, selfs_by_journal,
+                                       strip_self=strip_self)
+    return profiles, rows
 
 
 def _fork_range(

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from citemetrics import curves as curves_mod
 from citemetrics import ledger as ledger_mod
 from citemetrics import metrics as metrics_mod
-from citemetrics.cli import main
+from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, main
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.svg import (
     HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, emit_svg_chart,
@@ -326,6 +326,32 @@ def test_report_quantile_moves_only_scaling(request, capsys, fixture):
     changed = {key for key in default if default[key] != ninety[key]}
     assert changed == {"scaling_factor", "adjusted_jif"}
     assert ninety["scaling_factor"] == pytest.approx(default["scaling_factor"] * 9 / 5)
+
+
+# What metrics._row_dict and the class put in a row: str, the int
+# eval_year, finite floats or None (">10" too for half_life_jcr) and flags.
+json_names = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["Zeitschrift für Physik", "物理学报", 'Quote " and \\ slash', "tab\tnew\nline", "\x7f\u2028"]))
+json_floats = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1e16, 5e-324, 2.2250738585072014e-308 / 3, 0.1]))
+json_rows = st.fixed_dictionaries({
+    "journal": json_names,
+    "eval_year": st.integers(ledger_mod.YEAR_MIN, ledger_mod.YEAR_MAX),
+    **{name: json_floats for name in metrics_mod._RATIO_FIELDS},
+    "half_life_jcr": st.one_of(json_floats, st.just(">10")),
+    "class": st.sampled_from(["", "Hare", "Tortoise", "Intermediate"]),
+    "flags": st.lists(st.one_of(json_names, st.sampled_from(
+        [metrics_mod.FLAG_HALF_LIFE_UNRELIABLE, metrics_mod.FLAG_MISSING_DENOMINATOR])),
+        max_size=3),
+})
+
+
+@pytest.mark.parametrize("columns", [REPORT_COLUMNS, ADJUST_COLUMNS], ids=["report", "adjust"])
+@example(rows=[])
+@given(rows=st.lists(json_rows, max_size=4))
+def test_json_rows_match_json_dumps(columns, rows):
+    rows = [{column: row[column] for column in columns} for row in rows]
+    assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2) + "\n"
 
 
 def test_report_csv_json_field_equality(capsys, hare_dir):
@@ -1097,6 +1123,35 @@ def test_split_read_matches_stream(tmp_path, capfd, request, bad_row):
     assert len(pids) == len(commands)
     assert exited() == [f"{pid} 0" for pid in pids]
     _assert_reaped(pids)
+
+
+def test_split_read_strips_self_citations(tmp_path, capfd, request):
+    # --strip-self strips the split read's merged tables as they are frozen:
+    # the outputs of the stream, and the profiles of strip_self_references
+    # mapped over a plain read, in the same journal and cell order.
+    citations, publications = _big_ledger(tmp_path)
+    with open(citations, encoding="utf-8") as handle:
+        plain, rows = ledger_mod.read_citation_profiles(handle)
+    expected = {name: ledger_mod.strip_self_references(p) for name, p in plain.items()}
+    assert expected != plain
+    commands = [[*_commands(citations, publications)[1], "--strip-self"],
+                ["curves", "Journal 1", "--citations", str(citations), "--strip-self"]]
+    stream = _run_all(capfd, commands)
+    assert [outcome[0] for outcome in stream] == [0, 0]
+    pids, exited = request.getfixturevalue("split_in_two")
+    assert _run_all(capfd, commands) == stream
+    with open(citations, encoding="utf-8", errors="surrogateescape") as handle:
+        split = ledger_mod.read_citation_file(handle, strip_self=True)
+    assert len(pids) == 3
+    assert exited() == [f"{pid} 0" for pid in pids]
+    _assert_reaped(pids)
+    streamed = ledger_mod.read_citation_profiles(citations.read_text().splitlines(),
+                                                 strip_self=True)
+    for profiles, count in (split, streamed):
+        assert count == rows
+        assert list(profiles) == list(expected)
+        for name, profile in profiles.items():
+            assert list(profile.cells.items()) == list(expected[name].cells.items())
 
 
 def test_split_read_not_utf8_in_child_part(tmp_path, capfd, request):

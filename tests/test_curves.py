@@ -386,6 +386,19 @@ def test_curves_to_csv_reuses_each_value_text(shared, copies, others):
         assert curves_to_csv(second) == reference_curves_to_csv(second)
 
 
+@pytest.mark.parametrize("numerators", [(0, -1), (-1, 0)])
+def test_curves_to_csv_keeps_negative_zero(numerators):
+    # Over a scale above 2**1074, -1 / scale rounds to -0.0, which equals
+    # 0.0 as a float key but prints apart; in either value order, and beside
+    # a curve whose 0.0 is formatted first, each keeps its own text.
+    tiny = AccrualCurve("J", 1990, "raw", numerators, scale=10**400)
+    plain = AccrualCurve("J", 1991, "raw", (0, 1))
+    for table in ([tiny], [plain, tiny], [tiny, plain]):
+        text = curves_to_csv(table)
+        assert text == reference_curves_to_csv(table)
+        assert f"J,1990,raw,{numerators.index(-1)},-0.0," in text.splitlines()
+
+
 # --- differential tests: integer kernels vs the Fraction-per-value code --
 #
 # Each reference_* function is the implementation the integer kernels

@@ -606,6 +606,41 @@ def test_read_citation_profiles_matches_reference(bad_kind, data, use_aliases):
         )
 
 
+def strip_load(text, aliases):
+    try:
+        return read_citation_profiles(io.StringIO(text), aliases, strip_self=True), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+def mapped_strip(outcome):
+    """A load's outcome with strip_self_references mapped over its profiles."""
+    loaded, error = outcome
+    if loaded is None:
+        return outcome
+    profiles, rows = loaded
+    return ({name: strip_self_references(p) for name, p in profiles.items()}, rows), error
+
+
+@pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
+@given(data=st.data(), use_aliases=st.booleans())
+@settings(max_examples=40)
+def test_read_time_strip_matches_mapped_strip(bad_kind, data, use_aliases):
+    # Stripping while the fold is frozen gives the profiles, journal order,
+    # cell order and row count of stripping after the read, and a bad row
+    # raises the same ParseError on the same line.
+    text = data.draw(ledger_texts(bad_kind))
+    aliases = LEDGER_ALIASES if use_aliases else AliasMap()
+    expected = mapped_strip(single_pass_load(text, aliases))
+    if bad_kind is not None:
+        assert expected[1] is not None
+    outcome = strip_load(text, aliases)
+    assert_same_load(outcome, expected)
+    if outcome[0] is not None:
+        assert all(not cell.self_count for profile in outcome[0][0].values()
+                   for cell in profile.cells.values())
+
+
 # --- the split file reader against the reference ----------------------------
 
 LINE_BREAK = re.compile(rb"\r\n|\r|\n")
@@ -639,16 +674,17 @@ def split_offsets(raw, error_line):
     return sorted(at for at in near if 0 <= at <= len(raw))
 
 
-def split_load(path, aliases, parts=None, offsets=None):
+def split_load(path, aliases, parts=None, offsets=None, strip_self=False):
     """read_citation_file forced into `parts` parts, or read_ranges at `offsets`."""
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             if offsets is not None:
-                return parallel.read_ranges(handle.fileno(), offsets, aliases, None), None
+                return parallel.read_ranges(handle.fileno(), offsets, aliases, None,
+                                            strip_self=strip_self), None
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(ledger, "MIN_SPLIT_BYTES", 1)
                 patch.setattr(ledger, "_usable_cpus", lambda: parts)
-                return ledger.read_citation_file(handle, aliases), None
+                return ledger.read_citation_file(handle, aliases, strip_self=strip_self), None
     except ParseError as exc:
         return None, (exc.line, exc.reason)
 
@@ -674,6 +710,26 @@ def test_split_file_read_matches_reference(tmp_path, bad_kind, data, use_aliases
     offsets = data.draw(st.lists(st.sampled_from(split_offsets(raw, error_line)),
                                  min_size=1, max_size=2))
     assert_same_load(split_load(path, aliases, offsets=offsets), expected)
+
+
+@pytest.mark.parametrize("bad_kind", [None, *BAD_ROW_KINDS])
+@given(data=st.data(), use_aliases=st.booleans())
+@settings(max_examples=10, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_split_read_time_strip_matches_mapped_strip(tmp_path, bad_kind, data, use_aliases):
+    # The split read strips the merged tables as they are frozen: the same
+    # outcome as strip_self_references mapped over one stream's profiles.
+    text = data.draw(split_texts(bad_kind))
+    aliases = LEDGER_ALIASES if use_aliases else AliasMap()
+    path = tmp_path / "citations.csv"
+    raw = text.encode("utf-8", "surrogateescape")
+    path.write_bytes(raw)
+    expected = mapped_strip(reference_load(text.replace("\r\n", "\n").replace("\r", "\n"),
+                                           aliases))
+    assert_same_load(split_load(path, aliases, parts=2, strip_self=True), expected)
+    error_line = expected[1][0] if expected[1] else None
+    offsets = data.draw(st.lists(st.sampled_from(split_offsets(raw, error_line)),
+                                 min_size=1, max_size=2))
+    assert_same_load(split_load(path, aliases, offsets=offsets, strip_self=True), expected)
 
 
 @pytest.mark.parametrize("rows,line", [
@@ -726,6 +782,9 @@ def test_citation_csv_refuses_negative_share(cell):
 
 PUBLICATIONS_HEADER = "journal,year,citeable_items"
 PUBLICATION_KINDS = ["duplicate", "empty", "integer", "range", "items", "fields"]
+# A bad row whose other two texts are cached, and a duplicate row whose
+# three texts are all cached.
+CACHED_KINDS = ["cached bad", "cached duplicate"]
 
 
 def reference_publications(lines, alias_map, source=None):
@@ -784,7 +843,8 @@ def publication_texts(draw, bad_kind, aliases):
 
     keys = draw(st.lists(
         st.tuples(st.sampled_from(NAME_TEXTS), st.integers(min_value=2000, max_value=2004)),
-        max_size=30, unique_by=lambda key: (identity(key[0]), key[1]),
+        min_size=1 if bad_kind in CACHED_KINDS else 0, max_size=30,
+        unique_by=lambda key: (identity(key[0]), key[1]),
     ))
     rows = [[name, draw(st.sampled_from(["{}", " {}"])).format(year),
              draw(st.sampled_from(["1", "40", " 7", "+3"]))] for name, year in keys]
@@ -798,6 +858,19 @@ def publication_texts(draw, bad_kind, aliases):
                                          if identity(text) == identity(name)]))
         later = draw(st.integers(min_value=at + 1, max_value=len(rows)))
         rows.insert(later, corrupt_publication(bad_kind, rows[at], spelling))
+    elif bad_kind in CACHED_KINDS and rows:
+        # Each text but a corrupted one comes from an earlier valid row, so
+        # the field caches know it when the bad row is read.
+        first, second = (draw(st.integers(min_value=0, max_value=len(rows) - 1))
+                         for _ in range(2))
+        if bad_kind == "cached duplicate":
+            bad = [rows[first][0], rows[first][1], rows[second][2]]
+        else:
+            kind = draw(st.sampled_from(["empty", "integer", "range", "items"]))
+            bad = corrupt_publication(kind, [rows[first][0], rows[second][1], rows[first][2]],
+                                      None)
+        later = draw(st.integers(min_value=max(first, second) + 1, max_value=len(rows)))
+        rows.insert(later, bad)
     return lay_out(draw, [header, *(",".join(row) for row in rows)], bad_kind)
 
 
@@ -815,7 +888,8 @@ def test_publications_duplicate_after_alias():
     assert (err.value.line, err.value.reason) == (4, "duplicate entry for 'Alpha', 2003")
 
 
-@pytest.mark.parametrize("bad_kind", [None, *PUBLICATION_KINDS, "header", "utf-8"])
+@pytest.mark.parametrize("bad_kind",
+                         [None, *PUBLICATION_KINDS, "header", "utf-8", *CACHED_KINDS])
 @given(data=st.data(), use_aliases=st.booleans())
 @settings(max_examples=60)
 def test_parse_publication_csv_matches_reference(bad_kind, data, use_aliases):
@@ -823,6 +897,9 @@ def test_parse_publication_csv_matches_reference(bad_kind, data, use_aliases):
     text = data.draw(publication_texts(bad_kind, aliases))
     expected, expected_error = publication_outcome(reference_publications, text, aliases)
     pubs, error = publication_outcome(parse_publication_csv, text, aliases)
+    if bad_kind in CACHED_KINDS:
+        assert expected_error is not None
+        assert expected_error[1].startswith("duplicate") == (bad_kind == "cached duplicate")
     assert error == expected_error
     if expected is None:
         return
