@@ -283,9 +283,11 @@ def cmd_curves(args) -> int:
               f"volumes, fewer than 3; {curves_mod.ACCRUAL_DEVIATION} and "
               f"{curves_mod.SELF_CITATION_SPIKE} tests skipped", file=sys.stderr)
         return 0
-    findings = curves_mod.detect_anomalous_volumes(
-        standardized, ledger.volume_self_rates(profile), anomaly
-    )
+    if args.strip_self:  # the stripped profile has no self-citations to rate
+        print(f"warning: --strip-self removes self-citations; "
+              f"{curves_mod.SELF_CITATION_SPIKE} test skipped", file=sys.stderr)
+    rates = {} if args.strip_self else ledger.volume_self_rates(profile)
+    findings = curves_mod.detect_anomalous_volumes(standardized, rates, anomaly)
     for f in findings:
         print(
             f"warning: {f.reason} in volume {f.pub_year} at age {f.age} "

@@ -32,6 +32,9 @@ YEAR_MIN, YEAR_MAX = 1000, 9999
 # While rows are folded, a (cited_year, citing_year) cell is keyed by the one
 # int cited_year * YEAR_BASE + citing_year, exact for years in range.
 YEAR_BASE = YEAR_MAX + 1
+# A journal's fold record: (display name, cell totals, cell self counts), int
+# tables by those int keys; the self table holds only cells self rows reached.
+_Journal = tuple[str, dict[int, int], dict[int, int]]
 
 # The largest count one ledger row may carry.  Counts up to 2**53 are exact
 # as floats, and their sums stay far below the largest float for any ledger
@@ -365,46 +368,39 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
     fold loop from a generator shared by both paths made the 1e6-row read
     about 11 % slower.
     """
-    display: dict[str, str] = {}
-    totals_by_journal: dict[str, dict[int, int]] = {}
-    selfs_by_journal: dict[str, dict[int, int]] = {}
-    identity_cache: dict[str, str] = {}
+    journals: dict[str, _Journal] = {}
+    tables: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}  # by cited name
+    identities: dict[str, str] = {}
     for citing, citing_year, cited, cited_year, count in records:
         if not (YEAR_MIN <= citing_year <= YEAR_MAX and YEAR_MIN <= cited_year <= YEAR_MAX):
             record = CitationRecord(citing, citing_year, cited, cited_year, count)
             raise ValueError(f"{record!r}: years must be in {YEAR_MIN}..{YEAR_MAX}")
-        cited_id = identity_cache.get(cited)
-        if cited_id is None:
-            identity_cache[cited] = cited_id = cited.casefold()
-        citing_id = identity_cache.get(citing)
+        try:
+            cited_id, totals, selfs = tables[cited]
+        except KeyError:
+            cited_id = cited.casefold()
+            _, totals, selfs = journals.setdefault(cited_id, (cited, {}, {}))
+            tables[cited] = (cited_id, totals, selfs)
+        citing_id = identities.get(citing)
         if citing_id is None:
-            identity_cache[citing] = citing_id = citing.casefold()
-        totals = totals_by_journal.get(cited_id)
-        if totals is None:
-            totals_by_journal[cited_id] = totals = {}
-            selfs_by_journal[cited_id] = {}
-            display[cited_id] = cited
+            identities[citing] = citing_id = citing.casefold()
         key = cited_year * YEAR_BASE + citing_year
         totals[key] = totals.get(key, 0) + count
         if citing_id == cited_id:
-            selfs = selfs_by_journal[cited_id]
             selfs[key] = selfs.get(key, 0) + count
-    return _freeze_profiles(display, totals_by_journal, selfs_by_journal)
+    return _freeze_profiles(journals)
 
 
 def _freeze_profiles(
-    display: dict[str, str],
-    totals_by_journal: dict[str, dict[int, int]],
-    selfs_by_journal: dict[str, dict[int, int]],
-    *,
-    strip_self: bool = False,
+    journals: dict[str, _Journal], *, strip_self: bool = False
 ) -> dict[str, CitationProfile]:
-    """Profiles from the fold's tables, in first-seen journal and cell order.
+    """Profiles from the fold's records by identity, in first-seen journal
+    and cell order, each keyed and named by its record's display name.
 
     With strip_self, each journal's self counts are subtracted from its
     totals first, so every cell is (total - self, 0): the profiles equal
     strip_self_references mapped over the unstripped ones, which are never
-    built.  Each journal's tables are dropped as it is frozen.  Profiles
+    built.  Each record is popped from `journals` as it is frozen.  Profiles
     share one (cited_year, citing_year) key per distinct int key, one
     self-free CellCount per distinct total and one CellCount per distinct
     (total, self) pair with a self share; all are immutable.
@@ -413,9 +409,8 @@ def _freeze_profiles(
     clean = _Memo(lambda total: CellCount(total, 0))
     with_self = _Memo(CellCount._make)
     profiles: dict[str, CitationProfile] = {}
-    for jid, name in display.items():
-        totals = totals_by_journal.pop(jid)
-        selfs = selfs_by_journal.pop(jid)
+    for jid in [*journals]:
+        name, totals, selfs = journals.pop(jid)
         if strip_self:
             for key, self_count in selfs.items():
                 totals[key] -= self_count
@@ -449,15 +444,14 @@ def _fold(
     alias_map: AliasMap,
     source: str | None,
     number: int = 0,
-) -> tuple[dict[str, str], dict[str, dict[int, int]], dict[str, dict[int, int]], int, int]:
+) -> tuple[dict[str, _Journal], int, int]:
     """Parse (line number, line) pairs and fold their rows: the one per-row
     loop behind read_citation_profiles and read_citation_file.
 
-    Returns (display name by identity, cell totals by identity, cell self
-    counts by identity, data rows, last line number); each journal's totals
-    and self counts are int -> int tables keyed by cited_year * YEAR_BASE +
-    citing_year, and the self table holds only cells that self rows reached.
-    `number` is the last line number when there are no pairs.
+    Returns (journals, data rows, last line number), where journals maps
+    each cited journal's identity to its record (display name, cell totals,
+    cell self counts), the tables keyed by cited_year * YEAR_BASE +
+    citing_year.  `number` is the last line number when there are no pairs.
 
     Each field costs one dict read, keyed by its text as the line holds it:
     a year text maps to its in-range year, a citing name text to its
@@ -466,7 +460,7 @@ def _fold(
     and MAX_COUNT.  A row whose five texts are all known only needs its
     year order checked.  Every other row goes through the one full row
     check (_check_row), which either raises or admits the row's texts to
-    the caches; iter_citation_records shares it.  A journal's tables are
+    the caches; iter_citation_records shares it.  A journal's record is
     made at the first row that cites it, on that path, so first-seen order
     and display names are those of build_profiles.  The caches grow with
     the distinct texts, not with the rows; the count cache has no bound, by
@@ -480,9 +474,7 @@ def _fold(
     names: dict[str, tuple[str, str]] = {}
     counts: dict[str, int] = {}
     tables: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}
-    display: dict[str, str] = {}
-    totals_by_journal: dict[str, dict[int, int]] = {}
-    selfs_by_journal: dict[str, dict[int, int]] = {}
+    journals: dict[str, _Journal] = {}
     rows = 0
     for number, line in numbered:
         try:
@@ -499,12 +491,7 @@ def _fold(
             if row is None:  # a blank line
                 continue
             _, citing_id, citing_year, cited, cited_id, cited_year, count = row
-            totals = totals_by_journal.get(cited_id)
-            if totals is None:
-                totals_by_journal[cited_id] = totals = {}
-                selfs_by_journal[cited_id] = {}
-                display[cited_id] = cited
-            selfs = selfs_by_journal[cited_id]
+            _, totals, selfs = journals.setdefault(cited_id, (cited, {}, {}))
             # A checked row has five fields, so the split above bound cited_raw.
             tables[cited_raw] = (cited_id, totals, selfs)
         rows += 1
@@ -512,7 +499,18 @@ def _fold(
         totals[key] = totals.get(key, 0) + count
         if citing_id == cited_id:
             selfs[key] = selfs.get(key, 0) + count
-    return display, totals_by_journal, selfs_by_journal, rows, number
+    return journals, rows, number
+
+
+def _merge_journal(journals: dict[str, _Journal], identity: str, record: _Journal) -> None:
+    """Add the record of a journal folded from later rows to `journals`, as
+    one fold of both parts' rows would: a known journal keeps its display
+    name and cell order and adds each count, new cells after its own."""
+    merged = journals.setdefault(identity, record)
+    if merged is not record:
+        for into, part in zip(merged[1:], record[1:]):
+            for key, count in part.items():
+                into[key] = into.get(key, 0) + count
 
 
 def read_citation_profiles(
@@ -532,10 +530,8 @@ def read_citation_profiles(
     years and counts, which _fold caches), not with the number of rows.
     """
     numbered = _data_lines(lines, CITATIONS_HEADER, source)
-    display, totals_by_journal, selfs_by_journal, rows, _ = _fold(numbered, alias_map, source)
-    profiles = _freeze_profiles(display, totals_by_journal, selfs_by_journal,
-                                strip_self=strip_self)
-    return profiles, rows
+    journals, rows, _ = _fold(numbered, alias_map, source)
+    return _freeze_profiles(journals, strip_self=strip_self), rows
 
 
 # read_citation_file cuts a ledger into one byte range per usable CPU, but
@@ -570,7 +566,7 @@ def read_citation_file(
     fd = handle.fileno()
     size = os.fstat(fd).st_size
     parts = min(_usable_cpus(), size // MIN_SPLIT_BYTES) if hasattr(os, "fork") else 1
-    if parts < 2:
+    if parts < 2:  # a pipe or other unseekable ledger has size 0 and cannot be pread
         return read_citation_profiles(handle, alias_map, source, strip_self=strip_self)
     # Imported here, so a run that streams never compiles the process code.
     from .parallel import read_ranges
@@ -638,14 +634,11 @@ def strip_self_references(profile: CitationProfile) -> CitationProfile:
     stripped cells with equal totals share one, the copy's own if it has one.
     """
     cells = profile.cells.copy()
-    shared = {cell.total: cell for cell in cells.values() if not cell.self_count}
+    shared = _Memo(lambda total: CellCount(total, 0))
+    shared.update((cell.total, cell) for cell in cells.values() if not cell.self_count)
     for key, cell in profile.cells.items():
         if cell.self_count:
-            other = cell.total - cell.self_count
-            stripped = shared.get(other)
-            if stripped is None:
-                shared[other] = stripped = CellCount(other, 0)
-            cells[key] = stripped
+            cells[key] = shared[cell.total - cell.self_count]
     return CitationProfile(profile.journal, cells)
 
 

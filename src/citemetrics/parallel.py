@@ -3,8 +3,8 @@
 ledger.read_citation_file reads a large ledger here.  The file is cut just
 after a line end near each given offset; this process folds the first
 part, one child made with os.fork folds each other part through the same
-row loop (ledger._fold), and the tables come back through a pipe with
-marshal.
+row loop (ledger._fold), and each journal's fold record comes back through
+a pipe with marshal.
 """
 from __future__ import annotations
 
@@ -31,10 +31,11 @@ def read_ranges(
     each offset; parts after the first are folded by child processes.
 
     This process folds the first part, which holds the header, then merges
-    each child's tables in file order, so first-seen journal and cell order
-    and display names are those of one stream.  The earliest part with an
-    error raises it, with its line number counted from the top of the file.
-    strip_self strips the merged tables as ledger.read_citation_profiles does.
+    each child's journal records in file order (ledger._merge_journal), so
+    first-seen journal and cell order and display names are those of one
+    stream.  The earliest part with an error raises it, with its line
+    number counted from the top of the file.
+    strip_self strips the merged records as ledger.read_citation_profiles does.
     """
     size = os.fstat(fd).st_size
     ends = sorted({_line_end(fd, offset, size) for offset in offsets} | {size})
@@ -45,9 +46,7 @@ def read_ranges(
             children.append(_fork_range(fd, start, end, alias_map, source))
         numbered = ledger._data_lines(_range_lines(fd, 0, ends[0]),
                                       ledger.CITATIONS_HEADER, source)
-        display, totals_by_journal, selfs_by_journal, rows, lines_before = ledger._fold(
-            numbered, alias_map, source, 1
-        )
+        journals, rows, lines_before = ledger._fold(numbered, alias_map, source, 1)
         for pid, pipe in children:
             with pipe:
                 data = pipe.read()
@@ -62,21 +61,12 @@ def read_ranges(
             del data  # only the journal records are kept while they merge
             if kind == "line":
                 raise ParseError(lines_before + head[0], head[1], source)
-            part_rows, part_lines, journals = head
-            # Each journal is a record of its own, dropped as it is loaded,
-            # so only one journal's cells are ever loaded and not yet merged.
-            journals.reverse()
-            while journals:
-                jid, name, totals, selfs = marshal.loads(journals.pop())
-                merged = totals_by_journal.get(jid)
-                if merged is None:
-                    totals_by_journal[jid] = totals
-                    selfs_by_journal[jid] = selfs
-                    display[jid] = name
-                    continue
-                for into, part in ((merged, totals), (selfs_by_journal[jid], selfs)):
-                    for key, count in part.items():
-                        into[key] = into.get(key, 0) + count
+            part_rows, part_lines, records = head
+            # Each journal is a marshal record of its own, dropped as it is
+            # loaded, so only one journal's cells are ever loaded and not yet merged.
+            records.reverse()
+            while records:
+                ledger._merge_journal(journals, *marshal.loads(records.pop()))
             rows += part_rows
             lines_before += part_lines
     finally:
@@ -84,9 +74,7 @@ def read_ranges(
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    profiles = ledger._freeze_profiles(display, totals_by_journal, selfs_by_journal,
-                                       strip_self=strip_self)
-    return profiles, rows
+    return ledger._freeze_profiles(journals, strip_self=strip_self), rows
 
 
 def _fork_range(
@@ -96,9 +84,9 @@ def _fork_range(
 
     Returns the child's pid and the read end of a pipe on which it sends,
     with marshal, ("rows", data rows, lines, [one marshal record (identity,
-    display name, cell totals, cell self counts) per journal, the two int
-    tables as ledger._fold returns them]) or ("line", line number within the
-    part, reason), then exits with status 0.
+    (display name, cell totals, cell self counts)) per journal, as
+    ledger._fold returns them]) or ("line", line number within the part,
+    reason), then exits with status 0.
     The child writes nothing else and leaves only by os._exit, so it never
     runs the parent's cleanup or flushes its buffers.
     """
@@ -109,13 +97,9 @@ def _fork_range(
         try:
             os.close(read_fd)
             try:
-                display, totals_by_journal, selfs_by_journal, rows, number = ledger._fold(
-                    enumerate(_range_lines(fd, start, end), 1), alias_map, source
-                )
-                journals = [marshal.dumps((jid, name, totals_by_journal[jid],
-                                           selfs_by_journal[jid]))
-                            for jid, name in display.items()]
-                result = ("rows", rows, number, journals)
+                numbered = enumerate(_range_lines(fd, start, end), 1)
+                journals, rows, number = ledger._fold(numbered, alias_map, source)
+                result = ("rows", rows, number, [*map(marshal.dumps, journals.items())])
             except ParseError as exc:
                 result = ("line", exc.line, exc.reason)
             with open(write_fd, "wb") as pipe:

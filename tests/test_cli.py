@@ -626,6 +626,9 @@ def test_curves_unwritable_output_keeps_chart(tmp_path, capsys, hare_dir):
     assert chart.read_bytes() == (tmp_path / "again.svg").read_bytes()
 
 
+STRIP_SKIPS_SPIKES = "warning: --strip-self removes self-citations; SelfCitationSpike test skipped"
+
+
 def test_curves_strip_self_restores_consistency(capsys, hare_dir):
     main(["curves", "Hare", "--citations", str(hare_dir / "citations.csv")])
     plain_err = capsys.readouterr().err
@@ -634,8 +637,25 @@ def test_curves_strip_self_restores_consistency(capsys, hare_dir):
     stripped_err = capsys.readouterr().err
     assert "SelfCitationSpike" in plain_err
     assert "AccrualDeviation" in plain_err
-    assert "SelfCitationSpike" not in stripped_err
+    # The stripped profile has no self-citations, so the spike test is
+    # skipped, and said to be.
+    assert STRIP_SKIPS_SPIKES in stripped_err.splitlines()
+    assert "SelfCitationSpike in volume" not in stripped_err
     assert "AccrualDeviation" not in stripped_err
+
+
+def test_curves_strip_self_warns_before_findings(tmp_path, capsys):
+    spec = tmp_path / "golden.synth"
+    spec.write_text(GOLDEN_SPEC)
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["curves", "golden", "--citations", str(tmp_path / "citations.csv"),
+                 "--strip-self"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines.count(STRIP_SKIPS_SPIKES) == 1
+    findings = [line for line in lines if " in volume " in line]
+    assert findings and all("AccrualDeviation" in line for line in findings)
+    assert lines.index(STRIP_SKIPS_SPIKES) < lines.index(findings[0])
 
 
 def test_curves_horizon_needs_no_window(capsys, hare_dir):
@@ -690,13 +710,14 @@ def test_curves_names_the_skipped_anomaly_tests(tmp_path, capsys):
     # Two volumes standardize: too few for either anomaly test.
     citations = tmp_path / "c.csv"
     citations.write_text(HEADER + "\nX,2001,J,2000,2\nX,2002,J,2001,3\nX,2003,J,2001,1\n")
-    assert main(["curves", "J", "--citations", str(citations)]) == 0
-    captured = capsys.readouterr()
-    assert captured.out.count(",standardized,") == 7  # 2000 through age 3, 2001 through 2
-    assert captured.err.splitlines() == [
-        "warning: 'J' has 2 standardized volumes, fewer than 3; "
-        "AccrualDeviation and SelfCitationSpike tests skipped",
-    ]
+    for flags in ([], ["--strip-self"]):  # one warning names both skipped tests
+        assert main(["curves", "J", "--citations", str(citations), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count(",standardized,") == 7  # 2000 through age 3, 2001 through 2
+        assert captured.err.splitlines() == [
+            "warning: 'J' has 2 standardized volumes, fewer than 3; "
+            "AccrualDeviation and SelfCitationSpike tests skipped",
+        ]
 
 
 # 40 volumes: one spiked cell (AccrualDeviation over the rest of 1975's

@@ -1,4 +1,4 @@
-"""Every module parses under the oldest Python that pyproject.toml allows."""
+"""Every module and test parses under the oldest Python that pyproject.toml allows."""
 from __future__ import annotations
 
 import ast
@@ -16,7 +16,8 @@ def test_sources_parse_at_the_python_floor():
     floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
     version = (int(floor[1]), int(floor[2]))
     paths = sorted([*(ROOT / "src" / "citemetrics").rglob("*.py"),
-                    *(ROOT / "scripts").rglob("*.py")])
+                    *(ROOT / "scripts").rglob("*.py"),
+                    *(ROOT / "tests").rglob("*.py")])
     assert paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
