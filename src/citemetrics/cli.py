@@ -225,7 +225,7 @@ def _table_rows(args) -> list[dict]:
             profiles[journal] = ledger.CitationProfile(journal)
     rows = []
     coverage_at = metrics._RATIO_FIELDS.index("coverage")
-    for journal in sorted(profiles, key=str.casefold):
+    for journal in sorted(profiles, key=ledger.journal_identity):
         profile = profiles[journal]
         # build_indicator_report's exact ratios, printed without building a Fraction.
         ratios, flags = metrics._ratios(profile, pubs, args.year, policy)

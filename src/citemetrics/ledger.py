@@ -23,9 +23,9 @@ CITATIONS_HEADER = "citing_journal,citing_year,cited_journal,cited_year,count"
 PUBLICATIONS_HEADER = "journal,year,citeable_items"
 ALIASES_HEADER = "alias,canonical"
 
-# Citing-journal label used when a profile is serialized back to ledger CSV:
-# the non-self share of a cell has no recorded origin, so it is attributed to
-# this reserved name.  It must never collide with a real (casefolded) journal.
+# Citing-journal label for the non-self share of a cell, which has no recorded
+# origin, when a profile is written back to ledger CSV.  No journal identity may
+# equal it: SynthSpec and profiles_to_citation_csv refuse a journal that does.
 EXTERNAL_SOURCE = "(external)"
 
 YEAR_MIN, YEAR_MAX = 1000, 9999
@@ -61,7 +61,7 @@ class CellCount(NamedTuple):
 class AliasMap:
     """Single-step journal name resolution (old name / merged name -> canonical).
 
-    Keys are casefolded; values keep the canonical spelling as written.
+    Keys are alias identities; values keep the canonical spelling as written.
     Unmapped names resolve to themselves (trimmed).  Chains are rejected at
     parse time, so resolution order can never matter.
     """
@@ -69,8 +69,7 @@ class AliasMap:
     entries: dict[str, str] = field(default_factory=dict)
 
     def resolve(self, name: str) -> str:
-        trimmed = name.strip()
-        return self.entries.get(trimmed.casefold(), trimmed)
+        return self.entries.get(journal_identity(name), name.strip())
 
 
 EMPTY_ALIASES = AliasMap()
@@ -78,8 +77,8 @@ EMPTY_ALIASES = AliasMap()
 
 @dataclass(frozen=True)
 class PublicationCounts:
-    """Citeable-item counts keyed by (casefolded journal, year); `journals`
-    maps each casefolded journal to its first canonical spelling."""
+    """Citeable-item counts keyed by (journal identity, year); `journals`
+    maps each journal identity to its first canonical spelling."""
 
     entries: dict[tuple[str, int], int] = field(default_factory=dict)
     journals: dict[str, str] = field(default_factory=dict)
@@ -100,7 +99,7 @@ class CitationProfile:
 
 
 def journal_identity(name: str) -> str:
-    """Casefolded, trimmed form used for all journal-name comparisons."""
+    """Trim, then casefold: the one rule for when two journal names are one journal."""
     return name.strip().casefold()
 
 
@@ -190,8 +189,8 @@ def _check_row(
         raise ParseError(number, "journal identifiers must be non-empty", source)
     years[citing_year_s] = citing_year
     years[cited_year_s] = cited_year
-    citing_id = citing.casefold()
-    cited_id = cited.casefold()
+    citing_id = journal_identity(citing)
+    cited_id = journal_identity(cited)
     names[citing_raw] = (citing, citing_id)
     names[cited_raw] = (cited, cited_id)
     counts[line[line.rindex(",") + 1:]] = count
@@ -247,12 +246,12 @@ def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap
         canonical = canonical.strip()
         if not alias or not canonical:
             raise ParseError(number, "alias and canonical must be non-empty", source)
-        alias_key = alias.casefold()
-        canonical_key = canonical.casefold()
+        alias_key = journal_identity(alias)
+        canonical_key = journal_identity(canonical)
         if alias_key == canonical_key:
             raise ParseError(number, f"alias {alias!r} maps to itself", source)
         existing = entries.get(alias_key)
-        if existing is not None and existing.casefold() != canonical_key:
+        if existing is not None and journal_identity(existing) != canonical_key:
             raise ParseError(
                 number, f"alias {alias!r} maps to both {existing!r} and {canonical!r}", source
             )
@@ -334,7 +333,7 @@ def _check_publication(
         journal = alias_map.resolve(name)
         if not journal:
             raise ParseError(number, "journal identifier must be non-empty", source)
-        resolved = (journal, journal.casefold())
+        resolved = (journal, journal_identity(journal))
     journal, identity = resolved
     try:
         year = int(year_s)
@@ -358,8 +357,8 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
     """Fold records into one CitationProfile per cited journal.
 
     Aggregation is lossless: the sum of all cell totals equals the sum of
-    ingested counts.  The mapping key is the canonical display name under
-    which the journal was first seen; lookups elsewhere compare casefolded.
+    ingested counts.  Records of one journal identity fold together, keyed
+    and named by its first-seen cited name, trimmed as the readers trim it.
     A record with a year outside YEAR_MIN..YEAR_MAX raises ValueError.
 
     This is the reference fold: the tests compare _fold, which parses and
@@ -370,7 +369,7 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
     """
     journals: dict[str, _Journal] = {}
     tables: dict[str, tuple[str, dict[int, int], dict[int, int]]] = {}  # by cited name
-    identities: dict[str, str] = {}
+    identities = _Memo(journal_identity)
     for citing, citing_year, cited, cited_year, count in records:
         if not (YEAR_MIN <= citing_year <= YEAR_MAX and YEAR_MIN <= cited_year <= YEAR_MAX):
             record = CitationRecord(citing, citing_year, cited, cited_year, count)
@@ -378,15 +377,12 @@ def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfi
         try:
             cited_id, totals, selfs = tables[cited]
         except KeyError:
-            cited_id = cited.casefold()
-            _, totals, selfs = journals.setdefault(cited_id, (cited, {}, {}))
+            cited_id = identities[cited]
+            _, totals, selfs = journals.setdefault(cited_id, (cited.strip(), {}, {}))
             tables[cited] = (cited_id, totals, selfs)
-        citing_id = identities.get(citing)
-        if citing_id is None:
-            identities[citing] = citing_id = citing.casefold()
         key = cited_year * YEAR_BASE + citing_year
         totals[key] = totals.get(key, 0) + count
-        if citing_id == cited_id:
+        if identities[citing] == cited_id:
             selfs[key] = selfs.get(key, 0) + count
     return _freeze_profiles(journals)
 
@@ -583,7 +579,7 @@ def _usable_cpus() -> int:
 
 
 def find_profile(profiles: dict[str, CitationProfile], name: str) -> CitationProfile | None:
-    """Look a journal up by name, comparing casefolded identities."""
+    """Look a journal up by name, comparing journal identities."""
     wanted = journal_identity(name)
     for journal, profile in profiles.items():
         if journal_identity(journal) == wanted:
@@ -648,13 +644,15 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
     The self share is attributed to the journal itself, the remainder to the
     reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row so
     re-parsing reproduces the profiles exactly.  A row whose count the
-    ledger readers would reject (below 0 or above MAX_COUNT) raises
-    CitemetricsError.
+    ledger readers would reject (below 0 or above MAX_COUNT), or a profile
+    whose identity is EXTERNAL_SOURCE, raises CitemetricsError.
     """
     lines = [CITATIONS_HEADER]
-    for journal in sorted(profiles, key=str.casefold):
+    for journal in sorted(profiles, key=journal_identity):
         profile = profiles[journal]
         name = profile.journal
+        if journal_identity(name) == EXTERNAL_SOURCE:
+            raise CitemetricsError(f"{name!r}: the journal name {EXTERNAL_SOURCE!r} is reserved")
         for (cited_year, citing_year) in sorted(profile.cells):
             cell = profile.cells[(cited_year, citing_year)]
             other = cell.total - cell.self_count

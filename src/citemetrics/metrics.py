@@ -134,18 +134,24 @@ def impact_factor(
     volume's denominator must be present: a guessed item count would
     silently skew the ratio.
     """
-    return Fraction(*_impact(profile, pubs, eval_year, sorted(set(ages))))
+    ages = sorted(set(ages))
+    impact = _impact(profile, pubs, eval_year, ages)
+    if impact is None:
+        years = (eval_year - age for age in ages)
+        missing = (year for year in years if pubs.get(profile.journal, year) is None)
+        raise MissingDenominatorError(profile.journal, tuple(missing))
+    return Fraction(*impact)
 
 
 def _impact(
     profile: CitationProfile, pubs: PublicationCounts, eval_year: int, ages: Iterable[int]
-) -> tuple[int, int]:
-    """impact_factor over sorted distinct ages, as (cited cells' total, items)."""
+) -> tuple[int, int] | None:
+    """impact_factor over sorted distinct ages, as (cited cells' total, items);
+    None when an item count is missing."""
     years = [eval_year - age for age in ages]
     items = [pubs.get(profile.journal, year) for year in years]
-    missing = [year for year, count in zip(years, items) if count is None]
-    if missing:
-        raise MissingDenominatorError(profile.journal, tuple(missing))
+    if None in items:
+        return None
     numerator = 0
     for year in years:
         cell = profile.cells.get((year, eval_year))
@@ -283,14 +289,9 @@ def _ratios(
     """
     flags: set[str] = set()
 
-    jif = immediacy = None
-    try:
-        jif = _impact(profile, pubs, eval_year, policy.window_ages)
-    except MissingDenominatorError:
-        flags.add(FLAG_MISSING_DENOMINATOR)
-    try:
-        immediacy = _impact(profile, pubs, eval_year, (0,))
-    except MissingDenominatorError:
+    jif = _impact(profile, pubs, eval_year, policy.window_ages)
+    immediacy = _impact(profile, pubs, eval_year, (0,))
+    if jif is None or immediacy is None:
         flags.add(FLAG_MISSING_DENOMINATOR)
 
     observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)

@@ -465,6 +465,21 @@ def test_report_config_error_exit_3(tmp_path, capsys):
     assert main(args + ["--nonsense"]) == 3
 
 
+@pytest.mark.parametrize("extra, code, error", [
+    (["--quantile", "abc"], 3, "not a number: 'abc'"),
+    (["--window", "1,x"], 3, "expected comma-separated ages: '1,x'"),
+    (["--aliases", "{aliases}"], 2, "aliases.csv:2: alias and canonical must be non-empty"),
+], ids=["quantile", "window", "alias"])
+def test_report_names_a_bad_value(tmp_path, capsys, extra, code, error):
+    citations = tmp_path / "c.csv"
+    citations.write_text(HEADER + "\n")
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("alias,canonical\n ,Beta\n")
+    args = ["report", "--citations", str(citations), "--year", "2004"]
+    assert main(args + [arg.format(aliases=aliases) for arg in extra]) == code
+    assert capsys.readouterr().err.endswith(f"{error}\n")
+
+
 def test_config_errors_precede_io(capsys):
     # Bad flags exit 3 even though the ledger does not exist; alone, the
     # missing file is an input error.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -107,6 +108,18 @@ def test_standardize_zero_anchor_rejected():
 def test_standardize_short_curve_rejected():
     with pytest.raises(DegenerateVolumeError, match="'J' volume 1990 is observed only through age 1"):
         standardize_to_age2(cumulative(raw([5, 5])))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: standardize_to_age2(raw([1, 2, 3])),
+     f"expected a cumulative curve, got {KIND_RAW!r}"),
+    (lambda: mean_accrual_curve([], 2), "mean_accrual_curve needs at least one curve"),
+    (lambda: mean_accrual_curve([cumulative(raw([1, 2, 3]))], 2),
+     f"expected raw curves, got {KIND_CUMULATIVE!r}"),
+], ids=["standardize-raw", "mean-of-none", "mean-of-cumulative"])
+def test_curve_functions_reject_the_wrong_curves(call, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        call()
 
 
 @given(st.lists(st.one_of(st.integers(-40, 240), st.integers(-(2**60), 2**60)), min_size=3,

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from citemetrics import ledger, parallel
@@ -277,11 +277,11 @@ journal_names = st.sampled_from(["Alpha", "Beta", "Gamma Project", "Delta"])
 
 
 @st.composite
-def citation_records(draw):
+def citation_records(draw, names=journal_names):
     cited = draw(st.integers(min_value=1985, max_value=2004))
     age = draw(st.integers(min_value=0, max_value=15))
     return CitationRecord(
-        draw(journal_names), cited + age, draw(journal_names), cited,
+        draw(names), cited + age, draw(names), cited,
         draw(st.integers(min_value=0, max_value=50)),
     )
 
@@ -335,6 +335,23 @@ def test_profile_csv_round_trip(records):
     text = profiles_to_citation_csv(profiles)
     reparsed = build_profiles(iter_citation_records(text.splitlines()))
     assert reparsed == profiles
+
+
+@given(st.lists(citation_records(st.sampled_from(["Alpha", " Alpha", "ALPHA ", "alpha", "Beta"])),
+                max_size=60))
+@example([CitationRecord("X", 2000, " Hare ", 1999, 1), CitationRecord("X", 2000, "hare", 1999, 2),
+          CitationRecord("Hare", 2000, " Hare ", 1999, 4)])
+def test_build_profiles_folds_names_as_the_readers_do(records):
+    # Padded and case variants are one journal to every fold, named by its
+    # first-seen cited spelling, trimmed.
+    profiles = build_profiles(records)
+    rows = [",".join(map(str, record)) for record in records]
+    read, count = read_citation_profiles(lines(*rows))
+    assert (read, count) == (profiles, len(records))
+    assert [(name, list(p.cells)) for name, p in read.items()] == [
+        (name, list(p.cells)) for name, p in profiles.items()]
+    text = profiles_to_citation_csv(profiles)
+    assert read_citation_profiles(text.splitlines())[0] == profiles
 
 
 def reference_strip(profile):
@@ -776,6 +793,17 @@ def test_citation_csv_refuses_negative_share(cell):
     profile = make_profile("J", {(1990, 1990): (1, 0), (1990, 1991): cell})
     with pytest.raises(CitemetricsError, match="citations of 1991 to 1990 .* count below 0"):
         profiles_to_citation_csv({"J": profile})
+
+
+def test_citation_csv_refuses_the_reserved_name():
+    # Written back under the reserved citing name, A's five citations would
+    # read as the journal's own.
+    profiles, _ = read_citation_profiles(
+        lines("A,2004,(External),2003,5", "(External),2004,(External),2003,2"))
+    assert profiles == {"(External)": make_profile("(External)", {(2003, 2004): (7, 2)})}
+    with pytest.raises(CitemetricsError,
+                       match=re.escape("'(External)': the journal name '(external)' is reserved")):
+        profiles_to_citation_csv(profiles)
 
 
 # --- publications against the uncached parse ---------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -317,6 +318,17 @@ def test_adjusted_impact_values():
     assert round_half_away(adjusted_impact(Fraction(2, 10), Fraction(13158, 10000))) == 0.3
     assert abs(float(adjusted_impact(Fraction(13, 10), Fraction(77, 10))) - 10.1) <= 0.15
     assert adjusted_impact(Fraction(7, 3), 1) == Fraction(7, 3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cited_half_life(profile_from_ages([4, 2]), 2004, quantile=0),
+     "quantile must be in (0, 1]"),
+    (lambda: scaling_factor(Fraction(1, 2), 0), "target_quantile must be in (0, 1]"),
+    (lambda: adjusted_impact(1, 0), "scaling factor must be positive"),
+], ids=["half-life-quantile", "scaling-quantile", "adjusted-scaling"])
+def test_indicator_helpers_reject_out_of_range_arguments(call, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        call()
 
 
 def test_round_half_away_breaks_ties_upward():

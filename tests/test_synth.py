@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
@@ -18,6 +19,7 @@ from citemetrics.synth import (
     expected_metrics,
     fixture_spec,
     generate_profile,
+    _parse_kernel,
     parse_synth_spec,
     rounding_bounds,
 )
@@ -182,6 +184,27 @@ def test_spec_validation():
             flat_spec(journal=name)
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("journal", "", "journal name must be non-empty"),
+    ("journal", "A,B", "journal name must not contain commas"),
+    ("items_per_year", 0, "items_per_year must be >= 1"),
+    ("kernel", _parse_kernel("risedecay:2:0:0:2"),
+     "kernel must have at least one positive weight"),
+    ("kernel", _parse_kernel("risedecay:1:-1/2:1/2:5"), "kernel weights must be non-negative"),
+], ids=["empty-journal", "comma-journal", "no-items", "zero-kernel", "negative-weight"])
+def test_spec_rejects_bad_field(field, value, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        flat_spec(**{field: value})
+
+
+def test_spec_file_and_fixture_name_errors():
+    text = fixture_text("hare") + "volume_scale = 1990\n"
+    with pytest.raises(ParseError, match="bad value for 'volume_scale'"):
+        parse_synth_spec(io.StringIO(text), source="hare.synth")
+    with pytest.raises(ValueError, match="unknown fixture 'nope'"):
+        fixture_spec("nope")
+
+
 # --- kernels ----------------------------------------------------------------
 
 
@@ -233,6 +256,17 @@ def test_expected_metrics_geometric():
 def test_oracle_refuses_out_of_form_specs(overrides):
     with pytest.raises(OracleError):
         expected_metrics(flat_spec(**overrides), WindowPolicy())
+
+
+@pytest.mark.parametrize("oracle, kernel, base, error", [
+    (expected_metrics, "risedecay:25:0:1/2:30", 10, "no weight inside the horizon"),
+    (expected_metrics, "risedecay:5:0:1/2:30", 10, "no weight inside the window"),
+    (rounding_bounds, "geometric:1/10:25", 3, "half-life bound needs every kernel age above 1/2"),
+], ids=["horizon", "window", "half-life-bound"])
+def test_oracle_refuses_kernel_it_cannot_bound(oracle, kernel, base, error):
+    spec = flat_spec(first_year=1960, kernel=_parse_kernel(kernel), base_citations=Fraction(base))
+    with pytest.raises(OracleError, match=error):
+        oracle(spec, WindowPolicy())
 
 
 def test_oracle_half_life_ignores_target_quantile():
