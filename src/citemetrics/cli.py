@@ -19,6 +19,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from operator import add
 from pathlib import Path
+from typing import Iterable
 
 from . import curves as curves_mod
 from . import ledger, metrics
@@ -149,11 +150,24 @@ def _load_publications(path: str | None, aliases) -> ledger.PublicationCounts:
     return ledger.PublicationCounts()
 
 
-def _emit(output: str | None, text: str) -> None:
+def _emit(output: str | None, chunks: Iterable[str]) -> None:
+    """Write the text chunks as UTF-8 to the file at output, or to stdout.
+
+    stdout gets the bytes the file would, whatever the locale's encoding.
+    A stdout with no byte layer (an io.StringIO put in its place) gets the
+    text.
+    """
     if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        with open(output, "wb") as handle:
+            handle.writelines(map(str.encode, chunks))
+        return
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is None:
+        sys.stdout.writelines(chunks)
+        return
+    sys.stdout.flush()
+    stream.writelines(map(str.encode, chunks))
+    stream.flush()
 
 
 def _cell(value) -> str:
@@ -205,7 +219,7 @@ def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
 def cmd_table(args) -> int:
     """report and adjust: one row per journal, restricted to args.columns."""
     rows = _table_rows(args)
-    _emit(args.output, _render_rows(rows, args.columns, args.format))
+    _emit(args.output, [_render_rows(rows, args.columns, args.format)])
     return 0
 
 
@@ -247,7 +261,12 @@ def cmd_curves(args) -> int:
     profile = ledger.find_profile(profiles, aliases.resolve(args.journal))
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
+    journal = profile.journal
     volumes = curves_mod.volume_curves(profile)
+    # The stripped profile has no self-citations to rate.  Nothing after this
+    # reads the ledger, so it is freed before the curves are built.
+    rates = {} if args.strip_self else ledger.volume_self_rates(profile)
+    del profiles, profile
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
     standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
     for error in skipped:
@@ -255,17 +274,16 @@ def cmd_curves(args) -> int:
               file=sys.stderr)
     if args.svg:  # before the table, so an unwritable chart path leaves no table
         if not standardized:
-            raise CitemetricsError(f"{profile.journal!r} has no standardizable volumes")
-        from .svg import emit_svg_chart  # only here, so other runs never compile it
+            raise CitemetricsError(f"{journal!r} has no standardizable volumes")
+        from .svg import _chart_lines  # only here, so other runs never compile it
 
-        # No local holds the series or the chart: both are freed before the table is built.
-        Path(args.svg).write_text(emit_svg_chart(
-            [(str(year), list(enumerate(standardized[year].floats())))
-             for year in sorted(standardized)],
+        _emit(args.svg, _chart_lines(
+            [(str(year), range(len(curve.numerators)), curve.floats())
+             for year, curve in sorted(standardized.items())],
             x_label="age (years since publication)",
             y_label="cumulative citations (% of age-2 count)",
-            title=f"{profile.journal}: standardized citation accrual",
-        ), encoding="utf-8")
+            title=f"{journal}: standardized citation accrual",
+        ))
 
     out: list[curves_mod.AccrualCurve] = []
     for year in sorted(volumes):
@@ -276,17 +294,16 @@ def cmd_curves(args) -> int:
     out.append(curves_mod.mean_accrual_curve(
         list(volumes.values()), curves_mod.clamp_horizon(args.horizon, oldest)
     ))
-    _emit(args.output, curves_mod.curves_to_csv(out))
+    _emit(args.output, curves_mod._csv_chunks(out))
 
     if len(standardized) < 3:
-        print(f"warning: {profile.journal!r} has {len(standardized)} standardized "
+        print(f"warning: {journal!r} has {len(standardized)} standardized "
               f"volumes, fewer than 3; {curves_mod.ACCRUAL_DEVIATION} and "
               f"{curves_mod.SELF_CITATION_SPIKE} tests skipped", file=sys.stderr)
         return 0
-    if args.strip_self:  # the stripped profile has no self-citations to rate
+    if args.strip_self:
         print(f"warning: --strip-self removes self-citations; "
               f"{curves_mod.SELF_CITATION_SPIKE} test skipped", file=sys.stderr)
-    rates = {} if args.strip_self else ledger.volume_self_rates(profile)
     findings = curves_mod.detect_anomalous_volumes(standardized, rates, anomaly)
     for f in findings:
         print(
@@ -325,12 +342,12 @@ def cmd_validate(args) -> int:
     aliases = _load_aliases(args.aliases)
     if args.citations:
         _, count = _read(args.citations, ledger.read_citation_file, aliases)
-        print(f"{args.citations}: {count} records")
+        _emit(None, [f"{args.citations}: {count} records\n"])
     if args.publications:
         pubs = _load_publications(args.publications, aliases)
-        print(f"{args.publications}: {len(pubs.entries)} entries")
+        _emit(None, [f"{args.publications}: {len(pubs.entries)} entries\n"])
     if args.aliases:
-        print(f"{args.aliases}: {len(aliases.entries)} aliases")
+        _emit(None, [f"{args.aliases}: {len(aliases.entries)} aliases\n"])
     return 0
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, repeat
 from operator import add, truediv
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, DegenerateVolumeError
 from .ledger import YEAR_MAX, CitationProfile, _Memo
@@ -399,11 +399,19 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     -0.0 print apart, and n / scale is -0.0 only for a negative n over a
     scale above 2**1074, which no curve of ledger counts has; such a curve's
     values skip the shared texts and are each formatted by repr.
+
+    The text is the join of _csv_chunks(curves), which `curves` writes
+    chunk by chunk instead of holding the table.
     """
+    return "".join(_csv_chunks(curves))
+
+
+def _csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
+    """curves_to_csv's text: the header line, then one chunk per curve."""
     text = _Memo(repr)
     curves = list(curves)
     ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]
-    parts = ["journal,pub_year,kind,age,value,observations\n"]
+    yield "journal,pub_year,kind,age,value,observations\n"
     for curve in curves:
         year = "" if curve.pub_year is None else curve.pub_year
         format_value = text.__getitem__ if curve.scale <= _NO_NEGATIVE_ZERO else repr
@@ -411,5 +419,4 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
         ends = repeat(",\n") if curve.observations is None else [
             f",{obs}\n" for obs, _ in zip(curve.observations, curve.numerators, strict=True)]
         prefix = repeat(f"{curve.journal},{year},{curve.kind},")
-        parts += chain.from_iterable(zip(prefix, ages, texts, ends))
-    return "".join(parts)
+        yield "".join(chain.from_iterable(zip(prefix, ages, texts, ends)))

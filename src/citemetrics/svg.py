@@ -6,7 +6,8 @@ cached like any other build artifact.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 65, 150, 30, 55
@@ -30,17 +31,33 @@ def emit_svg_chart(
     wanting stable output across runs should pass a stably ordered sequence.
     Each distinct x and y is formatted once per call.  Equal values of any
     type share the text: subtracting a float minimum makes them one float.
+
+    The text is the join of _chart_lines over the series as (name, xs, ys)
+    columns, which `curves --svg` writes line by line instead of holding
+    the chart.
     """
-    if not series:
+    columns = [(name, [x for x, _ in points], [y for _, y in points]) for name, points in series]
+    return "".join(_chart_lines(columns, x_label, y_label, title))
+
+
+def _chart_lines(
+    columns: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    x_label: str,
+    y_label: str,
+    title: str,
+) -> Iterator[str]:
+    """emit_svg_chart's text, one line at a time, from (name, xs, ys) columns."""
+    if not columns:
         raise ValueError("chart needs at least one series")
-    for name, points in series:
-        if not points:
+    for name, column, _ in columns:
+        if not column:
             raise ValueError(f"series {name!r} is empty")
 
-    xs = [x for _, pts in series for x, _ in pts]
-    ys = [y for _, pts in series for _, y in pts]
-    x_min, x_max = float(min(xs)), float(max(xs))
-    y_min, y_max = min(float(min(ys)), 0.0), float(max(ys))
+    def every(at: int) -> Iterator[float]:  # each series' xs (at 1) or ys (at 2), in order
+        return chain.from_iterable(column[at] for column in columns)
+
+    x_min, x_max = float(min(every(1))), float(max(every(1)))
+    y_min, y_max = min(float(min(every(2))), 0.0), float(max(every(2)))
     x_span = (x_max - x_min) or 1.0
     y_span = (y_max - y_min) or 1.0
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -52,64 +69,59 @@ def emit_svg_chart(
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
-    x_text = {x: f"{sx(x):.2f}" for x in set(xs)}
-    y_text = {y: f"{y0 - (y - y_min) / y_span * plot_h:.2f}" for y in set(ys)}
+    x_text = {x: f"{sx(x):.2f}" for x in set(every(1))}
+    y_text = {y: f"{y0 - (y - y_min) / y_span * plot_h:.2f}" for y in set(every(2))}
 
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-    ]
+    yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">\n')
+    yield f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>\n'
     if title:
-        out.append(
+        yield (
             f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
+            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n'
         )
     # axes
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>'
-    )
-    out.append(f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="black"/>')
+    yield f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>\n'
+    yield f'<line x1="{x0}" y1="{MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="black"/>\n'
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_min + frac * x_span
         yv = y_min + frac * y_span
-        out.append(
+        yield (
             f'<text x="{sx(xv):.2f}" y="{y0 + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{xv:g}</text>'
+            f'font-family="sans-serif" font-size="11">{xv:g}</text>\n'
         )
-        out.append(
+        yield (
             f'<text x="{x0 - 8}" y="{y0 - (yv - y_min) / y_span * plot_h + 4:.2f}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11">{yv:g}</text>'
+            f'text-anchor="end" font-family="sans-serif" font-size="11">{yv:g}</text>\n'
         )
-    out.append(
+    yield (
         f'<text x="{x0 + plot_w // 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>\n'
     )
-    out.append(
+    yield (
         f'<text x="18" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{_escape(y_label)}</text>\n'
     )
-    for index, (name, points) in enumerate(series):
+    for index, (name, x_column, y_column) in enumerate(columns):
         color = PALETTE[index % len(PALETTE)]
-        coords = " ".join([f"{x_text[x]},{y_text[y]}" for x, y in points])
-        out.append(
+        coords = " ".join([f"{x_text[x]},{y_text[y]}" for x, y in zip(x_column, y_column)])
+        yield (
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{coords}"/>'
+            f'points="{coords}"/>\n'
         )
         ly = MARGIN_TOP + 14 + index * 16
         lx = WIDTH - MARGIN_RIGHT + 12
-        out.append(
+        yield (
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
+            f'stroke="{color}" stroke-width="1.5"/>\n'
         )
-        out.append(
+        yield (
             f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_escape(name)}</text>'
+            f'font-size="11">{_escape(name)}</text>\n'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield "</svg>\n"
 
 
 def _escape(text: str) -> str:

@@ -42,12 +42,12 @@ def assert_one_form(curve, exact):
     assert curve.values == tuple(exact)
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
+def run_python(*args, env=None, text=True) -> subprocess.CompletedProcess:
     """Run `python *args` in a child that imports this process's citemetrics,
-    installed or not."""
+    installed or not, with the variables in `env` added to its environment."""
     package_root = str(Path(citemetrics.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=text, env={**os.environ, **(env or {}), "PYTHONPATH": path},
     )

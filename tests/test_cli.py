@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import signal
 import subprocess
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +22,8 @@ from citemetrics import metrics as metrics_mod
 from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, main
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.svg import (
-    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, emit_svg_chart,
+    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _chart_lines,
+    emit_svg_chart,
 )
 
 from conftest import run_python
@@ -522,6 +526,35 @@ def test_report_output_file(tmp_path, hare_dir):
     assert target.read_text().startswith("journal,")
 
 
+def test_stdout_is_utf8_whatever_the_locale(tmp_path):
+    # Under an ASCII stdout encoding, a journal name outside ASCII still
+    # prints, and stdout holds the bytes -o writes; validate prints a file
+    # name outside ASCII as UTF-8 too.
+    journal = "Zeitschrift für X"
+    citations, publications = tmp_path / "c.csv", tmp_path / "p.csv"
+    citations.write_text(HEADER + "".join(
+        f"\nOther,{year + age},{journal},{year},{age + 1}"
+        for year in (2000, 2001, 2002) for age in range(3)) + "\n", encoding="utf-8")
+    publications.write_text(f"journal,year,citeable_items\n{journal},2002,10\n"
+                            f"{journal},2003,10\n", encoding="utf-8")
+    output = tmp_path / "out.txt"
+    for argv in (["report", "--citations", str(citations), "--publications", str(publications),
+                  "--year", "2004"],
+                 ["curves", journal, "--citations", str(citations)]):
+        to_file = run_python("-m", "citemetrics", *argv, "-o", str(output),
+                             env={"PYTHONIOENCODING": "ascii"}, text=False)
+        to_stdout = run_python("-m", "citemetrics", *argv,
+                               env={"PYTHONIOENCODING": "ascii"}, text=False)
+        assert (to_file.returncode, to_stdout.returncode) == (0, 0), to_stdout.stderr
+        assert to_stdout.stdout == output.read_bytes()
+        assert f"\n{journal},".encode("utf-8") in to_stdout.stdout
+    named = tmp_path / f"{journal}.csv"
+    named.write_bytes(citations.read_bytes())
+    done = run_python("-m", "citemetrics", "validate", "--citations", str(named),
+                      env={"PYTHONIOENCODING": "ascii"}, text=False)
+    assert (done.returncode, done.stdout) == (0, f"{named}: 9 records\n".encode("utf-8"))
+
+
 # --- adjust ---------------------------------------------------------------------
 
 
@@ -819,6 +852,85 @@ def test_curves_svg_deep_golden(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("strip", [False, True], ids=["plain", "strip-self"])
+@pytest.mark.parametrize("fixture", ["hare", "tortoise"])
+def test_curves_streams_what_the_formatters_return(request, tmp_path, capsys, fixture, strip):
+    # curves writes its table and chart chunk by chunk: the bytes must be
+    # those curves_to_csv and emit_svg_chart return on the same curves and
+    # (age, value) pairs, on stdout, with -o and on a text-only stdout.
+    citations = request.getfixturevalue(f"{fixture}_dir") / "citations.csv"
+    with open(citations, encoding="utf-8") as handle:
+        profiles, _ = ledger_mod.read_citation_file(
+            handle, ledger_mod.EMPTY_ALIASES, source=str(citations), strip_self=strip)
+    profile = ledger_mod.find_profile(profiles, fixture)
+    volumes = curves_mod.volume_curves(profile)
+    cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
+    standardized, _ = curves_mod.standardized_volume_curves(cumulatives)
+    chart = emit_svg_chart(
+        [(str(year), list(enumerate(standardized[year].floats())))
+         for year in sorted(standardized)],
+        x_label="age (years since publication)",
+        y_label="cumulative citations (% of age-2 count)",
+        title=f"{profile.journal}: standardized citation accrual",
+    ).encode("utf-8")
+    oldest = max(curve.max_age() for curve in volumes.values())
+    svg, output = tmp_path / "chart.svg", tmp_path / "table.csv"
+    for horizon in (0, 5, 40):
+        table = []
+        for year in sorted(volumes):
+            table += [volumes[year], cumulatives[year]]
+            table += [standardized[year]] if year in standardized else []
+        table.append(curves_mod.mean_accrual_curve(
+            list(volumes.values()), curves_mod.clamp_horizon(horizon, oldest)))
+        expected = curves_mod.curves_to_csv(table).encode("utf-8")
+        argv = ["curves", fixture, "--citations", str(citations), "--horizon", str(horizon),
+                "--svg", str(svg), *(["--strip-self"] if strip else [])]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        assert svg.read_bytes() == chart
+        svg.unlink()
+        assert main([*argv, "-o", str(output)]) == 0
+        assert capsys.readouterr().out == ""
+        assert (output.read_bytes(), svg.read_bytes()) == (expected, chart)
+        with contextlib.redirect_stdout(io.StringIO()) as text_only:
+            assert main(argv) == 0
+        assert text_only.getvalue().encode("utf-8") == expected
+
+
+# 200 volumes under a name of ordinary length.  Each table line repeats the
+# name, while the curves that must be held to write the table cost about the
+# same per value whatever the name, so here the table text outweighs them.
+LONG_NAME_SPEC = """\
+journal = Journal of the American Chemical Society
+pub_years = 1805-2004
+kernel = risedecay:3:3/5:23/25:30
+base_citations = 60
+items_per_year = 120
+observation_end = 2004
+"""
+
+
+def test_curves_never_holds_its_table(tmp_path, capfd):
+    # capfd sends stdout to a file, so the printed table is not traced.  A
+    # run that built the table (or a list of its parts) before writing it
+    # would trace at least the table's size.
+    spec = tmp_path / "long.synth"
+    spec.write_text(LONG_NAME_SPEC)
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    argv = ["curves", "journal of the american chemical society",
+            "--citations", str(tmp_path / "citations.csv"), "--svg", str(tmp_path / "chart.svg")]
+    capfd.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = capfd.readouterr().out.encode("utf-8")
+    assert code == 0
+    assert peak < len(table)
+
+
 # --- validate ----------------------------------------------------------------------
 
 
@@ -874,6 +986,26 @@ def test_svg_rejects_empty_input():
         emit_svg_chart([], "x", "y")
     with pytest.raises(ValueError):
         emit_svg_chart([("a", [])], "x", "y")
+
+
+def test_streamed_texts_keep_the_memo_edge_cases():
+    # The generators curves writes from: a curve over a scale above 2**1074
+    # keeps its -0.0, equal y values of any type share one text, and an
+    # empty chart or series raises before any line.
+    tiny = curves_mod.AccrualCurve("J", 1990, "raw", (0, -1), scale=10**400)
+    chunks = list(curves_mod._csv_chunks([tiny]))
+    assert chunks == ["journal,pub_year,kind,age,value,observations\n",
+                      "J,1990,raw,0,0.0,\nJ,1990,raw,1,-0.0,\n"]
+    assert "".join(chunks) == curves_mod.curves_to_csv([tiny])
+    ys = [2, 2.0, Fraction(2), 0]
+    lines = list(_chart_lines([("a", range(4), ys)], "x", "y", ""))
+    assert "".join(lines) == emit_svg_chart([("a", list(enumerate(ys)))], "x", "y")
+    (polyline,) = [line for line in lines if line.startswith("<polyline")]
+    points = polyline.split('points="')[1].split('"')[0].split()
+    assert len({point.split(",")[1] for point in points[:3]}) == 1
+    for columns in ([], [("a", range(0), [])]):
+        with pytest.raises(ValueError):
+            next(_chart_lines(columns, "x", "y", ""))
 
 
 def test_svg_escapes_labels():
