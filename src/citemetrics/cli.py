@@ -16,17 +16,16 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from operator import add
-from pathlib import Path
 from typing import Iterable
 
-from . import curves as curves_mod
-from . import ledger, metrics
-from .curves import AnomalyThresholds, ClassificationThresholds
+from . import ledger
 from .errors import CitemetricsError, ConfigError
 from .fixtures import FIXTURE_NAMES
-from .metrics import WindowPolicy
+from .settings import AnomalyThresholds, ClassificationThresholds, WindowPolicy
+
+# Each command imports the modules only it runs (curves, metrics, svg, synth,
+# json) in its own body, so no run loads code it does not use.
 
 REPORT_COLUMNS = (
     "journal", "eval_year", "jif", "immediacy", "half_life_exact",
@@ -68,19 +67,25 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--publications", help="citeable-item counts CSV")
         p.add_argument("--aliases", help="journal alias CSV")
 
+    # Every default is the settings class's own; the help texts print it.
+    policy, classification, anomaly = (
+        WindowPolicy(), ClassificationThresholds(), AnomalyThresholds())
+
     def add_policy(p):
         p.add_argument("--year", type=int, required=True, help="evaluation year")
-        p.add_argument("--window", type=_ages, default=WindowPolicy.window_ages,
-                       help="item ages in the citation window (default 1,2)")
-        p.add_argument("--horizon", type=int, default=WindowPolicy.horizon,
-                       help="age horizon for coverage (default 20)")
-        p.add_argument("--quantile", type=_fraction, default=WindowPolicy.target_quantile,
-                       help="target quantile for scaling (default 0.5)")
+        p.add_argument("--window", type=_ages, default=policy.window_ages,
+                       help="item ages in the citation window "
+                            f"(default {','.join(map(str, policy.window_ages))})")
+        p.add_argument("--horizon", type=int, default=policy.horizon,
+                       help=f"age horizon for coverage (default {policy.horizon})")
+        p.add_argument("--quantile", type=_fraction, default=policy.target_quantile,
+                       help="target quantile for scaling "
+                            f"(default {float(policy.target_quantile):g})")
         p.add_argument("--strip-self", action="store_true",
                        help="remove self-references before computing")
-        p.add_argument("--hare", type=_fraction, default=ClassificationThresholds.hare,
+        p.add_argument("--hare", type=_fraction, default=classification.hare,
                        help="coverage at or above which a journal is a Hare")
-        p.add_argument("--tortoise", type=_fraction, default=ClassificationThresholds.tortoise,
+        p.add_argument("--tortoise", type=_fraction, default=classification.tortoise,
                        help="coverage at or below which a journal is a Tortoise")
 
     for name, columns, summary in (("report", REPORT_COLUMNS, "full indicator table"),
@@ -95,14 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves = sub.add_parser("curves", help="accrual curves for one journal")
     p_curves.add_argument("journal", help="journal name (case-insensitive)")
     add_inputs(p_curves, publications=False)
-    p_curves.add_argument("--horizon", type=int, default=WindowPolicy.horizon)
+    p_curves.add_argument("--horizon", type=int, default=policy.horizon)
     p_curves.add_argument("--strip-self", action="store_true")
-    p_curves.add_argument("--self-threshold", type=_fraction,
-                          default=AnomalyThresholds.self_rate,
-                          help="self-rate flagged as a spike (default 0.5)")
+    p_curves.add_argument("--self-threshold", type=_fraction, default=anomaly.self_rate,
+                          help="self-rate flagged as a spike "
+                               f"(default {float(anomaly.self_rate):g})")
     p_curves.add_argument("--deviation-threshold", type=_fraction,
-                          default=AnomalyThresholds.deviation_pp,
-                          help="standardized deviation flagged, in points (default 25)")
+                          default=anomaly.deviation_pp,
+                          help="standardized deviation flagged, in points "
+                               f"(default {float(anomaly.deviation_pp):g})")
     p_curves.add_argument("--svg", help="also draw standardized curves to this file")
     p_curves.add_argument("-o", "--output", help="write here instead of stdout")
     p_curves.set_defaults(run=cmd_curves)
@@ -177,35 +183,10 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else repr(value)
 
 
-def _json_list(items: list[str]) -> str:
-    # The flags, at the depth of a row's values.
-    if not items:
-        return "[]"
-    return "[\n      " + ",\n      ".join(map(encode_basestring_ascii, items)) + "\n    ]"
-
-
-# The JSON text of each type a row's values have (metrics._row_dict plus the
-# class), written by the same C-level functions as json's own encoder.
-_JSON_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
-              type(None): lambda _: "null", list: _json_list}
-
-
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
-    """Rows, each holding exactly `columns` in that order, as CSV or JSON.
-
-    The JSON is the text json.dumps writes at indent 2, plus a line end,
-    byte for byte.  Each value is encoded by its type's entry in _JSON_TEXT
-    and the indent-2 layout is written here, so json's pure-Python indent
-    encoder never runs.
-    """
+    """Rows, each holding exactly `columns` in that order, as CSV or JSON."""
     if fmt == "json":
-        if not rows:
-            return "[]\n"
-        heads = [f"{encode_basestring_ascii(column)}: " for column in columns]
-        objects = [",\n    ".join(map(add, heads, [_JSON_TEXT[type(value)](value)
-                                                    for value in map(row.__getitem__, columns)]))
-                   for row in rows]
-        return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
+        return _json_rows(rows, columns)
     lines = [",".join(columns)]
     for row in rows:
         cells = []
@@ -214,6 +195,32 @@ def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
             cells.append("|".join(value) if column == "flags" else _cell(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _json_rows(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """The text json.dumps writes for the rows at indent 2, plus a line end, byte for byte.
+
+    Each value is encoded by the entry for its type in `text`, with the
+    C-level functions json's own encoder uses, and the indent-2 layout is
+    written here, so json's pure-Python indent encoder never runs.
+    """
+    from json.encoder import encode_basestring_ascii as string  # only JSON output loads json
+
+    def string_list(items: list[str]) -> str:  # the flags, at the depth of a row's values
+        if not items:
+            return "[]"
+        return "[\n      " + ",\n      ".join(map(string, items)) + "\n    ]"
+
+    # Each type a row's values have: metrics._row_dict's plus the class.
+    text = {str: string, int: int.__repr__, float: float.__repr__,
+            type(None): lambda _: "null", list: string_list}
+    if not rows:
+        return "[]\n"
+    heads = [f"{string(column)}: " for column in columns]
+    objects = [",\n    ".join(map(add, heads, [text[type(value)](value)
+                                                for value in map(row.__getitem__, columns)]))
+               for row in rows]
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
 
 
 def cmd_table(args) -> int:
@@ -225,6 +232,8 @@ def cmd_table(args) -> int:
 
 def _table_rows(args) -> list[dict]:
     # A function of its own, so the profiles are freed before rendering.
+    from . import curves, metrics
+
     if not ledger.YEAR_MIN <= args.year <= ledger.YEAR_MAX:
         raise ConfigError(f"year must be in {ledger.YEAR_MIN}..{ledger.YEAR_MAX}")
     policy = WindowPolicy(args.window, args.horizon, args.quantile)
@@ -246,13 +255,15 @@ def _table_rows(args) -> list[dict]:
         data = metrics._row_dict(profile.journal, args.year, ratios, flags)
         coverage = ratios[coverage_at]
         data["class"] = (
-            "" if coverage is None else curves_mod.classify_ratio(*coverage, classification)
+            "" if coverage is None else curves.classify_ratio(*coverage, classification)
         )
         rows.append({key: data[key] for key in args.columns})
     return rows
 
 
 def cmd_curves(args) -> int:
+    from . import curves
+
     anomaly = AnomalyThresholds(args.self_threshold, args.deviation_threshold)
     if args.horizon < 0:
         raise ConfigError("horizon must be >= 0")
@@ -262,13 +273,13 @@ def cmd_curves(args) -> int:
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
     journal = profile.journal
-    volumes = curves_mod.volume_curves(profile)
+    volumes = curves.volume_curves(profile)
     # The stripped profile has no self-citations to rate.  Nothing after this
     # reads the ledger, so it is freed before the curves are built.
     rates = {} if args.strip_self else ledger.volume_self_rates(profile)
     del profiles, profile
-    cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
-    standardized, skipped = curves_mod.standardized_volume_curves(cumulatives)
+    cumulatives = {year: curves.cumulative(raw) for year, raw in volumes.items()}
+    standardized, skipped = curves.standardized_volume_curves(cumulatives)
     for error in skipped:
         print(f"warning: volume {error.pub_year} {error.reason}; skipped from standardized output",
               file=sys.stderr)
@@ -285,26 +296,26 @@ def cmd_curves(args) -> int:
             title=f"{journal}: standardized citation accrual",
         ))
 
-    out: list[curves_mod.AccrualCurve] = []
+    out: list[curves.AccrualCurve] = []
     for year in sorted(volumes):
         out += [volumes[year], cumulatives[year]]
         if year in standardized:
             out.append(standardized[year])
     oldest = max(curve.max_age() for curve in volumes.values())
-    out.append(curves_mod.mean_accrual_curve(
-        list(volumes.values()), curves_mod.clamp_horizon(args.horizon, oldest)
+    out.append(curves.mean_accrual_curve(
+        list(volumes.values()), curves.clamp_horizon(args.horizon, oldest)
     ))
-    _emit(args.output, curves_mod._csv_chunks(out))
+    _emit(args.output, curves._csv_chunks(out))
 
     if len(standardized) < 3:
         print(f"warning: {journal!r} has {len(standardized)} standardized "
-              f"volumes, fewer than 3; {curves_mod.ACCRUAL_DEVIATION} and "
-              f"{curves_mod.SELF_CITATION_SPIKE} tests skipped", file=sys.stderr)
+              f"volumes, fewer than 3; {curves.ACCRUAL_DEVIATION} and "
+              f"{curves.SELF_CITATION_SPIKE} tests skipped", file=sys.stderr)
         return 0
     if args.strip_self:
         print(f"warning: --strip-self removes self-citations; "
-              f"{curves_mod.SELF_CITATION_SPIKE} test skipped", file=sys.stderr)
-    findings = curves_mod.detect_anomalous_volumes(standardized, rates, anomaly)
+              f"{curves.SELF_CITATION_SPIKE} test skipped", file=sys.stderr)
+    findings = curves.detect_anomalous_volumes(standardized, rates, anomaly)
     for f in findings:
         print(
             f"warning: {f.reason} in volume {f.pub_year} at age {f.age} "
@@ -315,6 +326,8 @@ def cmd_curves(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from pathlib import Path
+
     from . import synth  # only here, so other commands never compile it
 
     if args.spec in FIXTURE_NAMES:

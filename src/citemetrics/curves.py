@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate, chain, repeat
 from operator import add, truediv
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateVolumeError
+from .errors import DegenerateVolumeError
 from .ledger import YEAR_MAX, CitationProfile, _Memo
+from .settings import AnomalyThresholds, ClassificationThresholds
 
 KIND_RAW = "raw"
 KIND_CUMULATIVE = "cumulative"
@@ -40,8 +40,7 @@ CLASS_TORTOISE = "Tortoise"
 CLASS_INTERMEDIATE = "Intermediate"
 
 
-@dataclass(frozen=True)
-class AccrualCurve:
+class AccrualCurve(NamedTuple):
     """Citations per age for one volume (pub_year None = averaged curve).
 
     Each value is numerator / scale: int numerators over one positive int
@@ -70,54 +69,12 @@ class AccrualCurve:
         return len(self.numerators) - 1
 
 
-@dataclass(frozen=True)
-class AnomalyFinding:
+class AnomalyFinding(NamedTuple):
     journal: str
     pub_year: int
     age: int
     deviation: Fraction  # signed percentage points vs the reference
     reason: str
-
-
-def _coerce_fractions(instance, names: tuple[str, ...]) -> None:
-    # Thresholds may arrive as ints or floats; holding them as Fractions keeps
-    # every comparison exact and gives the integer kernels a numerator and
-    # denominator to cross-multiply.
-    for name in names:
-        object.__setattr__(instance, name, Fraction(getattr(instance, name)))
-
-
-@dataclass(frozen=True)
-class AnomalyThresholds:
-    """Detection thresholds: self-rate as a fraction, deviation in percentage points."""
-
-    self_rate: Fraction = Fraction(1, 2)
-    deviation_pp: Fraction = Fraction(25)
-
-    def __post_init__(self):
-        _coerce_fractions(self, ("self_rate", "deviation_pp"))
-        if not 0 < self.self_rate <= 1:
-            raise ConfigError("self-rate threshold must be in (0, 1]")
-        if self.deviation_pp <= 0:
-            raise ConfigError("deviation threshold must be positive")
-
-
-@dataclass(frozen=True)
-class ClassificationThresholds:
-    """Coverage cutoffs separating fast-accruing from slow-accruing journals.
-
-    Coverage lies in [0, 1], so the cutoffs must satisfy 0 <= tortoise < hare <= 1.
-    """
-
-    hare: Fraction = Fraction(1, 4)
-    tortoise: Fraction = Fraction(3, 20)
-
-    def __post_init__(self):
-        _coerce_fractions(self, ("hare", "tortoise"))
-        if self.hare <= self.tortoise:
-            raise ConfigError("hare threshold must exceed tortoise threshold")
-        if self.tortoise < 0 or self.hare > 1:
-            raise ConfigError("hare and tortoise thresholds must lie in [0, 1]")
 
 
 def cumulative(curve: AccrualCurve) -> AccrualCurve:

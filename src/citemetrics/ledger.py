@@ -6,16 +6,16 @@ n times".  Profiles aggregate those rows into a (cited_year, citing_year)
 matrix per cited journal, keeping the self-referencing portion (citing
 journal == cited journal) separate so it can be reported or stripped.
 
-All profile values are exact integers; nothing here rounds.  Profiles are
-returned as plain frozen dataclasses and are treated as immutable: every
-transformation returns a new value.
+All profile values are exact integers; nothing here rounds.  Records and
+profiles are NamedTuples and are treated as immutable: every transformation
+returns a new value.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 from .errors import CitemetricsError, ParseError, UndefinedRateError
 
@@ -57,8 +57,12 @@ class CellCount(NamedTuple):
     self_count: int
 
 
-@dataclass(frozen=True)
-class AliasMap:
+# The default of every dict-valued record field: empty and read-only, so no
+# two records share a dict that one of them could change.
+_EMPTY = MappingProxyType({})
+
+
+class AliasMap(NamedTuple):
     """Single-step journal name resolution (old name / merged name -> canonical).
 
     Keys are alias identities; values keep the canonical spelling as written.
@@ -66,7 +70,7 @@ class AliasMap:
     parse time, so resolution order can never matter.
     """
 
-    entries: dict[str, str] = field(default_factory=dict)
+    entries: Mapping[str, str] = _EMPTY
 
     def resolve(self, name: str) -> str:
         return self.entries.get(journal_identity(name), name.strip())
@@ -75,24 +79,22 @@ class AliasMap:
 EMPTY_ALIASES = AliasMap()
 
 
-@dataclass(frozen=True)
-class PublicationCounts:
+class PublicationCounts(NamedTuple):
     """Citeable-item counts keyed by (journal identity, year); `journals`
     maps each journal identity to its first canonical spelling."""
 
-    entries: dict[tuple[str, int], int] = field(default_factory=dict)
-    journals: dict[str, str] = field(default_factory=dict)
+    entries: Mapping[tuple[str, int], int] = _EMPTY
+    journals: Mapping[str, str] = _EMPTY
 
     def get(self, journal: str, year: int) -> int | None:
         return self.entries.get((journal_identity(journal), year))
 
 
-@dataclass(frozen=True)
-class CitationProfile:
+class CitationProfile(NamedTuple):
     """All citations received by one journal: (cited_year, citing_year) -> counts."""
 
     journal: str
-    cells: dict[tuple[int, int], CellCount] = field(default_factory=dict)
+    cells: Mapping[tuple[int, int], CellCount] = _EMPTY
 
     def total_citations(self) -> int:
         return sum(c.total for c in self.cells.values())

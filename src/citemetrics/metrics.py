@@ -17,19 +17,14 @@ division, which equals float(Fraction).
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import curves as curves_mod
 from .curves import AccrualCurve
-from .errors import (
-    ConfigError,
-    MissingDenominatorError,
-    ZeroWindowError,
-)
+from .errors import MissingDenominatorError, ZeroWindowError
 from .ledger import CitationProfile, PublicationCounts
+from .settings import WindowPolicy
 
 FLAG_HALF_LIFE_UNRELIABLE = "HalfLifeUnreliable"
 FLAG_MISSING_DENOMINATOR = "MissingDenominator"
@@ -48,41 +43,7 @@ def round_half_away(value, ndigits: int = 1) -> float:
     return half_away_units(Fraction(value) * 10**ndigits) / 10**ndigits
 
 
-@dataclass(frozen=True)
-class WindowPolicy:
-    """Which ages count toward the indicator, and how far coverage looks.
-
-    window_ages: item ages whose citations feed the impact factor.
-    horizon: age through which "lifetime" citations are accumulated.
-    target_quantile: the share of lifetime citations the scaled impact
-    factor should represent (0.5 = half-life scaling).  It is at least the
-    smallest normal float, so a scaling factor (never below it) does not
-    print as 0.0.
-    """
-
-    window_ages: tuple[int, ...] = (1, 2)
-    horizon: int = 20
-    target_quantile: Fraction = Fraction(1, 2)
-
-    def __post_init__(self):
-        ages = tuple(sorted(set(self.window_ages)))
-        if not ages:
-            raise ConfigError("window_ages must be non-empty")
-        if any(a < 0 for a in ages):
-            raise ConfigError("window ages must be >= 0")
-        object.__setattr__(self, "window_ages", ages)
-        if self.horizon < max(ages):
-            raise ConfigError("horizon must cover every window age")
-        q = Fraction(self.target_quantile)
-        if not 0 < q <= 1:
-            raise ConfigError("target_quantile must be in (0, 1]")
-        if q < sys.float_info.min:
-            raise ConfigError(f"target_quantile must be at least {sys.float_info.min!r}")
-        object.__setattr__(self, "target_quantile", q)
-
-
-@dataclass(frozen=True)
-class IndicatorReport:
+class IndicatorReport(NamedTuple):
     """All computed indicators for one (journal, evaluation year)."""
 
     journal: str
@@ -94,7 +55,7 @@ class IndicatorReport:
     coverage: Fraction | None
     scaling_factor: Fraction | None
     adjusted_jif: Fraction | None
-    flags: frozenset[str] = field(default_factory=frozenset)
+    flags: frozenset[str] = frozenset()
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form; exact values become floats, ">10" stays literal."""

@@ -36,7 +36,8 @@ def emit_svg_chart(
     columns, which `curves --svg` writes line by line instead of holding
     the chart.
     """
-    columns = [(name, [x for x, _ in points], [y for _, y in points]) for name, points in series]
+    # zip(*points) gives the x and y columns, or nothing for an empty series.
+    columns = [(name, *(list(zip(*points)) or [(), ()])) for name, points in series]
     return "".join(_chart_lines(columns, x_label, y_label, title))
 
 

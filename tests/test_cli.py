@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import tracemalloc
@@ -19,8 +21,9 @@ from hypothesis import strategies as st
 from citemetrics import curves as curves_mod
 from citemetrics import ledger as ledger_mod
 from citemetrics import metrics as metrics_mod
-from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, main
+from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, build_parser, main
 from citemetrics.ledger import MAX_COUNT
+from citemetrics.settings import AnomalyThresholds, ClassificationThresholds, WindowPolicy
 from citemetrics.svg import (
     HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _chart_lines,
     emit_svg_chart,
@@ -1409,12 +1412,86 @@ def test_ledger_from_a_pipe_is_streamed(tmp_path, capfd, monkeypatch):
         assert (code, out.replace(str(fifo), str(citations)), err) == outcome
 
 
-def test_validate_imports_neither_synth_nor_svg(tmp_path):
-    citations = tmp_path / "c.csv"
-    citations.write_text(HEADER + "\n")
-    done = run_python("-X", "importtime", "-m", "citemetrics", "validate",
-                      "--citations", str(citations))
-    assert done.returncode == 0
-    modules = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()}
-    assert "citemetrics.ledger" in modules
-    assert not modules & {"citemetrics.synth", "citemetrics.svg", "citemetrics.parallel"}
+# Run in a fresh interpreter: import the CLI, run one command, and print the
+# modules that appeared in sys.modules meanwhile (not those `site` loaded).
+_LOADED_BY_COMMAND = """
+import sys
+before = set(sys.modules)
+from citemetrics.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command, loads, never", [
+    ("validate", "citemetrics.ledger",
+     {"dataclasses", "inspect", "json", "citemetrics.curves", "citemetrics.metrics",
+      "citemetrics.svg", "citemetrics.synth", "citemetrics.parallel"}),
+    ("curves", "citemetrics.svg", {"citemetrics.metrics", "json", "dataclasses"}),
+    ("report-csv", "citemetrics.metrics", {"json", "dataclasses"}),
+], ids=["validate", "curves", "report-csv"])
+def test_command_loads_only_what_it_runs(tmp_path, hare_dir, command, loads, never):
+    """Each command loads only what it runs: a header-only `validate` no
+    records, curves or JSON, `curves --svg` no report, a CSV report no JSON,
+    and none of them dataclasses (with inspect)."""
+    citations = str(hare_dir / "citations.csv")
+    if command == "validate":
+        header = tmp_path / "c.csv"
+        header.write_text(HEADER + "\n")
+        argv = ["validate", "--citations", str(header)]
+    elif command == "curves":
+        argv = ["curves", "Hare", "--citations", citations, "--svg", str(tmp_path / "c.svg")]
+    else:
+        argv = ["report", "--citations", citations, "--year", "2004", "--format", "csv"]
+    done = run_python("-c", _LOADED_BY_COMMAND, *argv)
+    code, *loaded = done.stderr.splitlines()[-1].split()
+    assert code == "0"
+    assert loads in loaded
+    assert not never & set(loaded)
+
+
+def test_package_exports_load_on_first_use():
+    """`import citemetrics` loads no module; each exported name loads its own."""
+    done = run_python("-c", """
+import sys
+import citemetrics
+assert "citemetrics.ledger" not in sys.modules
+assert citemetrics.WindowPolicy.__module__ == "citemetrics.settings"
+assert "citemetrics.metrics" not in sys.modules
+from citemetrics import *
+from citemetrics import curves, metrics
+assert build_indicator_report is metrics.build_indicator_report
+assert WindowPolicy is metrics.WindowPolicy and classify_journal is curves.classify_journal
+try:
+    citemetrics.nothing
+except AttributeError as exc:
+    print(exc)
+""")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "module 'citemetrics' has no attribute 'nothing'\n", "")
+
+
+def test_parser_defaults_are_the_settings_defaults():
+    """Every policy and threshold option of report, adjust and curves defaults
+    to its settings class's default, and a help text that states a default
+    states that one: parsed by the option's own type it gives the default."""
+    policy, classification, anomaly = (
+        WindowPolicy(), ClassificationThresholds(), AnomalyThresholds())
+    table = {"window": policy.window_ages, "horizon": policy.horizon,
+             "quantile": policy.target_quantile, "hare": classification.hare,
+             "tortoise": classification.tortoise}
+    expected = {"report": table, "adjust": table,
+                "curves": {"horizon": policy.horizon, "self_threshold": anomaly.self_rate,
+                           "deviation_threshold": anomaly.deviation_pp}}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    stated = []
+    for command, defaults in expected.items():
+        actions = {a.dest: a for a in commands.choices[command]._actions}
+        assert {dest: actions[dest].default for dest in defaults} == defaults
+        for action in actions.values():
+            match = re.search(r"\(default (.*)\)", action.help or "")
+            if match:
+                stated.append(match[1])
+                assert action.type(match[1]) == defaults[action.dest]
+    assert stated == ["1,2", "20", "0.5", "1,2", "20", "0.5", "0.5", "25"]

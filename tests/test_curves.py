@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from statistics import median
@@ -380,7 +379,7 @@ def test_curves_to_csv_matches_float_repr(rows):
     assert curves_to_csv([]) == reference_curves_to_csv([])
     for observations in (mean.observations[:-1], (*mean.observations, 1)):
         with pytest.raises(ValueError):
-            curves_to_csv([*table, replace(mean, observations=observations)])
+            curves_to_csv([*table, mean._replace(observations=observations)])
 
 
 @example([2**53, 2**53 + 1, 7], 3, [[2**53 + 1, 2**53], [7, 7, 7]])

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -556,7 +555,7 @@ def reference_build_indicator_report(profile, pubs, eval_year, policy, mean_curv
         if horizon < max(policy.window_ages):
             raise ZeroWindowError(f"{profile.journal!r}: ledger span shorter than the window")
         if horizon < policy.horizon:
-            policy = replace(policy, horizon=horizon)
+            policy = policy._replace(horizon=horizon)
         coverage = reference_window_coverage(mean_curve, policy)
         if coverage > 0:
             scaling = scaling_factor(coverage, policy.target_quantile)
