@@ -177,14 +177,15 @@ def _emit(output: str | None, chunks: Iterable[str]) -> None:
 
 
 def _cell(value) -> str:
-    # None, a str, the int eval_year or a float from metrics._row_dict.
+    # None, a str, the int eval_year or a float, as metrics.report_rows gives.
     if value is None:
         return ""
     return value if isinstance(value, str) else repr(value)
 
 
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
-    """Rows, each holding exactly `columns` in that order, as CSV or JSON."""
+    """Each row's `columns`, in that order, as CSV or JSON: `columns` picks which
+    of the REPORT_COLUMNS keys that metrics.report_rows gives to print."""
     if fmt == "json":
         return _json_rows(rows, columns)
     lines = [",".join(columns)]
@@ -211,7 +212,7 @@ def _json_rows(rows: list[dict], columns: tuple[str, ...]) -> str:
             return "[]"
         return "[\n      " + ",\n      ".join(map(string, items)) + "\n    ]"
 
-    # Each type a row's values have: metrics._row_dict's plus the class.
+    # Each type a row's values have in metrics.report_rows, the class included.
     text = {str: string, int: int.__repr__, float: float.__repr__,
             type(None): lambda _: "null", list: string_list}
     if not rows:
@@ -224,15 +225,14 @@ def _json_rows(rows: list[dict], columns: tuple[str, ...]) -> str:
 
 
 def cmd_table(args) -> int:
-    """report and adjust: one row per journal, restricted to args.columns."""
-    rows = _table_rows(args)
-    _emit(args.output, [_render_rows(rows, args.columns, args.format)])
+    """report and adjust: one row per journal, printing args.columns."""
+    _emit(args.output, [_render_rows(_table_rows(args), args.columns, args.format)])
     return 0
 
 
 def _table_rows(args) -> list[dict]:
     # A function of its own, so the profiles are freed before rendering.
-    from . import curves, metrics
+    from . import metrics
 
     if not ledger.YEAR_MIN <= args.year <= ledger.YEAR_MAX:
         raise ConfigError(f"year must be in {ledger.YEAR_MIN}..{ledger.YEAR_MAX}")
@@ -241,24 +241,7 @@ def _table_rows(args) -> list[dict]:
     aliases = _load_aliases(args.aliases)
     profiles = _load_profiles(args, aliases)
     pubs = _load_publications(args.publications, aliases)
-    # Journals with citeable items but no citations report a JIF of 0.
-    cited = {ledger.journal_identity(journal) for journal in profiles}
-    for key, journal in pubs.journals.items():
-        if key not in cited:
-            profiles[journal] = ledger.CitationProfile(journal)
-    rows = []
-    coverage_at = metrics._RATIO_FIELDS.index("coverage")
-    for journal in sorted(profiles, key=ledger.journal_identity):
-        profile = profiles[journal]
-        # build_indicator_report's exact ratios, printed without building a Fraction.
-        ratios, flags = metrics._ratios(profile, pubs, args.year, policy)
-        data = metrics._row_dict(profile.journal, args.year, ratios, flags)
-        coverage = ratios[coverage_at]
-        data["class"] = (
-            "" if coverage is None else curves.classify_ratio(*coverage, classification)
-        )
-        rows.append({key: data[key] for key in args.columns})
-    return rows
+    return metrics.report_rows(profiles, pubs, args.year, policy, classification)
 
 
 def cmd_curves(args) -> int:
@@ -286,9 +269,9 @@ def cmd_curves(args) -> int:
     if args.svg:  # before the table, so an unwritable chart path leaves no table
         if not standardized:
             raise CitemetricsError(f"{journal!r} has no standardizable volumes")
-        from .svg import _chart_lines  # only here, so other runs never compile it
+        from .svg import chart_lines  # only here, so other runs never compile it
 
-        _emit(args.svg, _chart_lines(
+        _emit(args.svg, chart_lines(
             [(str(year), range(len(curve.numerators)), curve.floats())
              for year, curve in sorted(standardized.items())],
             x_label="age (years since publication)",
@@ -305,7 +288,7 @@ def cmd_curves(args) -> int:
     out.append(curves.mean_accrual_curve(
         list(volumes.values()), curves.clamp_horizon(args.horizon, oldest)
     ))
-    _emit(args.output, curves._csv_chunks(out))
+    _emit(args.output, curves.csv_chunks(out))
 
     if len(standardized) < 3:
         print(f"warning: {journal!r} has {len(standardized)} standardized "

@@ -347,7 +347,13 @@ _NO_NEGATIVE_ZERO = 2**1074
 
 
 def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
-    """Curve table: journal,pub_year,kind,age,value,observations.
+    """The curve table of csv_chunks, joined into one string."""
+    return "".join(csv_chunks(curves))
+
+
+def csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
+    """Curve table: journal,pub_year,kind,age,value,observations, as the header
+    line and then one chunk per curve, which `curves` writes as they come.
 
     pub_year is blank for averaged curves; observations is blank everywhere
     else.  Each value prints as repr(numerator / scale), which is
@@ -356,15 +362,7 @@ def curves_to_csv(curves: Iterable[AccrualCurve]) -> str:
     -0.0 print apart, and n / scale is -0.0 only for a negative n over a
     scale above 2**1074, which no curve of ledger counts has; such a curve's
     values skip the shared texts and are each formatted by repr.
-
-    The text is the join of _csv_chunks(curves), which `curves` writes
-    chunk by chunk instead of holding the table.
     """
-    return "".join(_csv_chunks(curves))
-
-
-def _csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
-    """curves_to_csv's text: the header line, then one chunk per curve."""
     text = _Memo(repr)
     curves = list(curves)
     ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]

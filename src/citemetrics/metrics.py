@@ -11,20 +11,20 @@ the window stands in for a fixed quantile of lifetime citations.
 All arithmetic is exact; rounding happens only in presentation helpers.
 A report row is computed once, by _ratios, as (numerator, denominator) int
 pairs: the public helpers and IndicatorReport build one Fraction per value
-from them, and the CLI prints each value as one correctly rounded int
-division, which equals float(Fraction).
+from them, and report_rows, which builds the rows the CLI prints, writes
+each value as one correctly rounded int division, equal to float(Fraction).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import curves as curves_mod
 from .curves import AccrualCurve
 from .errors import MissingDenominatorError, ZeroWindowError
-from .ledger import CitationProfile, PublicationCounts
-from .settings import WindowPolicy
+from .ledger import CitationProfile, PublicationCounts, journal_identity
+from .settings import ClassificationThresholds, WindowPolicy
 
 FLAG_HALF_LIFE_UNRELIABLE = "HalfLifeUnreliable"
 FLAG_MISSING_DENOMINATOR = "MissingDenominator"
@@ -59,14 +59,12 @@ class IndicatorReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form; exact values become floats, ">10" stays literal."""
-        values = (getattr(self, name) for name in _RATIO_FIELDS)
         return _row_dict(self.journal, self.eval_year, [
-            v if v is None or isinstance(v, str) else v.as_integer_ratio() for v in values
+            v if v is None or isinstance(v, str) else v.as_integer_ratio() for v in self[2:9]
         ], self.flags)
 
 
-_RATIO_FIELDS = ("jif", "immediacy", "half_life_exact", "half_life_jcr", "coverage",
-                 "scaling_factor", "adjusted_jif")
+_RATIO_FIELDS = IndicatorReport._fields[2:9]  # jif .. adjusted_jif
 
 
 def _row_dict(journal: str, eval_year: int, ratios, flags) -> dict:
@@ -245,8 +243,8 @@ def _ratios(
 
     The ratios are the values of _RATIO_FIELDS, in that order: each an
     (n, d > 0) int pair, not reduced, or None; half_life_jcr may be the
-    ">10" token.  The CLI prints them through _row_dict and classifies the
-    coverage pair, so a row builds no Fraction.
+    ">10" token.  report_rows serializes them by _row_dict and classifies
+    the coverage pair, so a row builds no Fraction.
     """
     flags: set[str] = set()
 
@@ -305,3 +303,27 @@ def build_indicator_report(
     return IndicatorReport(profile.journal, eval_year, *(
         r if r is None or isinstance(r, str) else Fraction(*r) for r in ratios
     ), frozenset(flags))
+
+
+def report_rows(profiles: Mapping[str, CitationProfile], pubs: PublicationCounts,
+                eval_year: int, policy: WindowPolicy,
+                classification: ClassificationThresholds) -> list[dict]:
+    """The rows report and adjust print: one per journal, in journal_identity order.
+
+    A journal with citeable items but no citations gets a row too, named as
+    the publications name it.  Each row is _row_dict's, from one _ratios
+    call, plus the class of its exact coverage pair.  profiles is not changed.
+    """
+    cited = set(map(journal_identity, profiles))
+    uncited = {journal: CitationProfile(journal)
+               for key, journal in pubs.journals.items() if key not in cited}
+    rows = []
+    for journal in sorted([*profiles, *uncited], key=journal_identity):
+        profile = profiles[journal] if journal in profiles else uncited[journal]
+        ratios, flags = _ratios(profile, pubs, eval_year, policy)
+        row = _row_dict(profile.journal, eval_year, ratios, flags)
+        coverage = ratios[_RATIO_FIELDS.index("coverage")]
+        row["class"] = "" if coverage is None else curves_mod.classify_ratio(
+            *coverage, classification)
+        rows.append(row)
+    return rows

@@ -25,29 +25,26 @@ def emit_svg_chart(
     y_label: str,
     title: str = "",
 ) -> str:
-    """Render named (x, y) series as a standalone SVG 1.1 document.
-
-    Series are drawn (and listed in the legend) in the order given; callers
-    wanting stable output across runs should pass a stably ordered sequence.
-    Each distinct x and y is formatted once per call.  Equal values of any
-    type share the text: subtracting a float minimum makes them one float.
-
-    The text is the join of _chart_lines over the series as (name, xs, ys)
-    columns, which `curves --svg` writes line by line instead of holding
-    the chart.
-    """
+    """The chart of chart_lines, joined into one string, from named (x, y) point series."""
     # zip(*points) gives the x and y columns, or nothing for an empty series.
     columns = [(name, *(list(zip(*points)) or [(), ()])) for name, points in series]
-    return "".join(_chart_lines(columns, x_label, y_label, title))
+    return "".join(chart_lines(columns, x_label, y_label, title))
 
 
-def _chart_lines(
+def chart_lines(
     columns: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     x_label: str,
     y_label: str,
     title: str,
 ) -> Iterator[str]:
-    """emit_svg_chart's text, one line at a time, from (name, xs, ys) columns."""
+    """Named (name, xs, ys) columns as a standalone SVG 1.1 document, line by line.
+
+    `curves --svg` writes the lines as they come instead of holding the chart.
+    Series are drawn (and listed in the legend) in the order given, so pass a
+    stably ordered sequence for stable output.  Each distinct x and y is
+    formatted once per call; equal values of any type share the text, as
+    subtracting a float minimum makes them one float.
+    """
     if not columns:
         raise ValueError("chart needs at least one series")
     for name, column, _ in columns:

@@ -25,7 +25,7 @@ from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, build_
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.settings import AnomalyThresholds, ClassificationThresholds, WindowPolicy
 from citemetrics.svg import (
-    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, _chart_lines,
+    HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH, chart_lines,
     emit_svg_chart,
 )
 
@@ -248,25 +248,64 @@ def test_curves_observes_the_journal_once(monkeypatch, capsys, hare_dir):
     assert digest == GOLDEN_CURVES[1][2]
 
 
-def test_report_as_of_year_matches_cut_ledger(tmp_path, capsys, hare_dir):
-    # The hare ledger runs through 2004.  Its 1990 row uses only the
-    # citations made through 1990: the row of the ledger cut there.
-    def report_1990(citations):
-        code = main(["report", "--citations", str(citations),
-                     "--publications", str(hare_dir / "publications.csv"), "--year", "1990"])
+def test_report_as_of_year_matches_cut_ledger(tmp_path, capsys, hare_dir, tortoise_dir):
+    # Both fixture ledgers run through 2004.  Each table for year Y uses only
+    # the citations made through Y: it is the table of the ledger cut there.
+    def table(dirpath, command, citations, year, *extra):
+        code = main([command, "--citations", str(citations),
+                     "--publications", str(dirpath / "publications.csv"),
+                     "--year", str(year), *extra])
         assert code == 0
         return capsys.readouterr().out
 
-    header, *rows = (hare_dir / "citations.csv").read_text().splitlines()
     cut = tmp_path / "cut.csv"
-    kept = [row for row in rows if int(row.split(",")[1]) <= 1990]
-    cut.write_text("\n".join([header, *kept]) + "\n")
-    out = report_1990(hare_dir / "citations.csv")
-    assert out == report_1990(cut)
-    row = next(csv.DictReader(out.splitlines()))
+    for dirpath in (hare_dir, tortoise_dir):
+        header, *rows = (dirpath / "citations.csv").read_text().splitlines()
+        for year in range(1984, 2005):
+            kept = [row for row in rows if int(row.split(",")[1]) <= year]
+            cut.write_text("\n".join([header, *kept]) + "\n")
+            for command in ("report", "adjust"):
+                for extra in ([], ["--strip-self"], ["--format", "json"]):
+                    whole = table(dirpath, command, dirpath / "citations.csv", year, *extra)
+                    assert whole == table(dirpath, command, cut, year, *extra), (
+                        dirpath.name, year, command, extra)
+    row = next(csv.DictReader(table(hare_dir, "report", hare_dir / "citations.csv", 1990)
+                              .splitlines()))
     assert row["coverage"] == "0.4215686274509804"
     assert row["scaling_factor"] == "1.186046511627907"
     assert row["adjusted_jif"] == "0.2372093023255814"
+
+
+def test_report_on_folded_ledger_is_unchanged(tmp_path, capsys, hare_dir, tortoise_dir):
+    # Folding a ledger to one row per cell, self counts kept, changes no
+    # report.  The fixtures are written folded, so each ledger L here spreads
+    # a fixture: after its first row, the rows come in reverse order and each
+    # count of 2 or more is split over two rows, the second one with padded,
+    # case-changed names.
+    ledger, folded = tmp_path / "ledger.csv", tmp_path / "folded.csv"
+    for dirpath in (hare_dir, tortoise_dir):
+        header, first, *rows = (dirpath / "citations.csv").read_text().splitlines()
+        spread = [header, first]
+        for row in reversed(rows):
+            citing, citing_year, cited, cited_year, count = row.split(",")
+            half = int(count) // 2
+            spread.append(f"{citing},{citing_year},{cited},{cited_year},{int(count) - half}")
+            if half:
+                spread.append(f" {citing.upper()} ,{citing_year}, {cited.lower()} ,"
+                              f"{cited_year},{half}")
+        ledger.write_text("\n".join(spread) + "\n", encoding="utf-8")
+        with open(ledger, encoding="utf-8") as handle:
+            profiles, count = ledger_mod.read_citation_profiles(handle)
+        folded.write_text(ledger_mod.profiles_to_citation_csv(profiles), encoding="utf-8")
+        assert len(folded.read_text().splitlines()) < count
+        for extra in ([], ["--strip-self"], ["--window", "0,1,2", "--horizon", "10"]):
+            outs = []
+            for citations in (ledger, folded):
+                code = main(["report", "--citations", str(citations), "--publications",
+                             str(dirpath / "publications.csv"), "--year", "2004", *extra])
+                assert code == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], (dirpath.name, extra)
 
 
 def test_report_csv_cells_match_json(tmp_path, capsys, tortoise_dir):
@@ -996,19 +1035,19 @@ def test_streamed_texts_keep_the_memo_edge_cases():
     # keeps its -0.0, equal y values of any type share one text, and an
     # empty chart or series raises before any line.
     tiny = curves_mod.AccrualCurve("J", 1990, "raw", (0, -1), scale=10**400)
-    chunks = list(curves_mod._csv_chunks([tiny]))
+    chunks = list(curves_mod.csv_chunks([tiny]))
     assert chunks == ["journal,pub_year,kind,age,value,observations\n",
                       "J,1990,raw,0,0.0,\nJ,1990,raw,1,-0.0,\n"]
     assert "".join(chunks) == curves_mod.curves_to_csv([tiny])
     ys = [2, 2.0, Fraction(2), 0]
-    lines = list(_chart_lines([("a", range(4), ys)], "x", "y", ""))
+    lines = list(chart_lines([("a", range(4), ys)], "x", "y", ""))
     assert "".join(lines) == emit_svg_chart([("a", list(enumerate(ys)))], "x", "y")
     (polyline,) = [line for line in lines if line.startswith("<polyline")]
     points = polyline.split('points="')[1].split('"')[0].split()
     assert len({point.split(",")[1] for point in points[:3]}) == 1
     for columns in ([], [("a", range(0), [])]):
         with pytest.raises(ValueError):
-            next(_chart_lines(columns, "x", "y", ""))
+            next(chart_lines(columns, "x", "y", ""))
 
 
 def test_svg_escapes_labels():

@@ -27,8 +27,9 @@ from citemetrics.curves import (
 )
 from citemetrics.errors import ConfigError, MissingDenominatorError, ZeroWindowError
 from citemetrics.ledger import (
-    PUBLICATIONS_HEADER, YEAR_MAX, CellCount, CitationProfile, PublicationCounts,
-    profiles_to_citation_csv, strip_self_references,
+    ALIASES_HEADER, PUBLICATIONS_HEADER, YEAR_MAX, CellCount, CitationProfile,
+    PublicationCounts, parse_alias_csv, parse_publication_csv, profiles_to_citation_csv,
+    strip_self_references,
 )
 from citemetrics.cli import REPORT_COLUMNS, _render_rows, main
 from citemetrics.metrics import (
@@ -45,6 +46,7 @@ from citemetrics.metrics import (
     half_away_units,
     impact_factor,
     journal_mean_curve,
+    report_rows,
     round_half_away,
     scaling_factor,
     window_coverage,
@@ -818,9 +820,10 @@ def test_observe_matches_reference_scans(cells, through):
 
 
 # --- the CLI's rows against the reference report ------------------------------
-# report and adjust print each row from metrics._ratios: int pairs, one int
-# division per printed value, and the class cross-multiplied against the
-# thresholds.  They must print what the reference report serializes.
+# report and adjust print the rows of metrics.report_rows, each from int
+# pairs: one int division per printed value, and the class cross-multiplied
+# against the thresholds.  They must print what the reference report
+# serializes.
 
 
 @st.composite
@@ -889,6 +892,38 @@ def test_cli_rows_match_reference_report(cells, strip, items, eval_year, policy,
             report.coverage, ClassificationThresholds(hare, tortoise))
         expected.append({key: row[key] for key in REPORT_COLUMNS})
     assert rows == expected
+    # The same rows by the library route: a report, its JSON dict and its class.
+    for row in rows:
+        report = build_indicator_report(profile, pubs_for("J", items), eval_year, policy)
+        assert row == {**report.to_json_dict(), "class": "" if report.coverage is None else
+                       classify_journal(report.coverage, ClassificationThresholds(hare, tortoise))}
+
+
+def test_report_rows_add_publication_only_journals_as_spelled():
+    # A journal with items but no citations gets a row under its publications
+    # spelling after alias resolution: trimmed, or the canonical name.  The
+    # caller's profiles are left as they were.
+    aliases = parse_alias_csv([ALIASES_HEADER, "PR,Physical Review"])
+    pubs = parse_publication_csv([PUBLICATIONS_HEADER, " pr ,2003,4", "physical review,2002,3",
+                                  " Only Pubs ,2003,9", "only pubs,2002,1"], aliases)
+    cited = make_profile("Cited", {(2003, 2004): (5, 0)})
+    profiles = {"Cited": cited}
+    rows = report_rows(profiles, pubs, 2004, WindowPolicy(), ClassificationThresholds())
+    assert [row["journal"] for row in rows] == ["Cited", "Only Pubs", "Physical Review"]
+    assert list(profiles.items()) == [("Cited", cited)]
+    report = build_indicator_report(CitationProfile("Physical Review"), pubs, 2004)
+    assert rows[2] == {**report.to_json_dict(), "class": ""}
+    assert rows[2]["jif"] == 0.0
+
+
+@pytest.mark.parametrize("spelling", [" Hare ", "hare", "Hare"])
+def test_report_rows_in_journal_identity_order(spelling):
+    # Trimmed and casefolded names sort; each row keeps its profile's name.
+    cells = {(2003, 2004): (2, 0)}
+    profiles = {name: make_profile(name, cells) for name in ("Zeta", spelling, "alpha", "Gamma")}
+    pubs = parse_publication_csv([PUBLICATIONS_HEADER, "beta,2003,1"])
+    rows = report_rows(profiles, pubs, 2004, WindowPolicy(), ClassificationThresholds())
+    assert [row["journal"] for row in rows] == ["alpha", "beta", "Gamma", spelling, "Zeta"]
 
 
 near_2_53 = st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 3, 3 * 2**52 + 1])

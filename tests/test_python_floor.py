@@ -38,3 +38,36 @@ def test_casefold_only_in_journal_identity():
                   if isinstance(node, ast.Attribute) and node.attr == "casefold"
                   and id(node) not in allowed]
     assert not stray, stray
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each `module._name` read, and each `_name` imported, from a citemetrics
+    module in source, in line order.  Dunders such as `int.__repr__` are not
+    private."""
+    def private(attr: str) -> bool:
+        return attr.startswith("_") and not attr.endswith("__")
+
+    tree = ast.parse(source, "cli.py")
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "citemetrics"):
+            if node.module in (None, "citemetrics"):  # `from . import metrics`
+                modules.update(alias.asname or alias.name for alias in node.names)
+            reads += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and private(node.attr)):
+            reads.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return [f"cli.py:{line} {what}" for line, what in sorted(reads)]
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """The CLI runs each module's public functions, so a private name stays
+    free to change inside its module."""
+    assert _private_reads("from . import metrics, ledger\nfrom .svg import _lines, chart\n"
+                          "metrics._ratios(ledger.__doc__, int.__repr__, _lines)\n"
+                          "from citemetrics import curves as c\nc._chunks\n") == [
+        "cli.py:2 _lines", "cli.py:3 metrics._ratios", "cli.py:5 c._chunks"]
+    path = ROOT / "src" / "citemetrics" / "cli.py"
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
