@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import add
 from typing import Iterable
 
@@ -257,12 +258,14 @@ def cmd_curves(args) -> int:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
     journal = profile.journal
     volumes = curves.volume_curves(profile)
-    # The stripped profile has no self-citations to rate.  Nothing after this
-    # reads the ledger, so it is freed before the curves are built.
-    rates = {} if args.strip_self else ledger.volume_self_rates(profile)
+    # Held: the raw curves (table, mean row) and the standardized ones (each
+    # age's anomaly median reads all).  Only cells with a self share are
+    # rated: any other cell (each one, when stripped) rates zero, which never
+    # reaches the threshold (> 0).  The ledger is freed here.
+    rates = ledger.volume_self_rates(profile._replace(
+        cells={key: cell for key, cell in profile.cells.items() if cell.self_count}))
     del profiles, profile
-    cumulatives = {year: curves.cumulative(raw) for year, raw in volumes.items()}
-    standardized, skipped = curves.standardized_volume_curves(cumulatives)
+    standardized, skipped = curves.standardized_volume_curves(volumes)
     for error in skipped:
         print(f"warning: volume {error.pub_year} {error.reason}; skipped from standardized output",
               file=sys.stderr)
@@ -272,23 +275,22 @@ def cmd_curves(args) -> int:
         from .svg import chart_lines  # only here, so other runs never compile it
 
         _emit(args.svg, chart_lines(
-            [(str(year), range(len(curve.numerators)), curve.floats())
+            [(str(year), range(len(curve.numerators)), curves.FloatColumn(curve))
              for year, curve in sorted(standardized.items())],
             x_label="age (years since publication)",
             y_label="cumulative citations (% of age-2 count)",
             title=f"{journal}: standardized citation accrual",
         ))
 
-    out: list[curves.AccrualCurve] = []
-    for year in sorted(volumes):
-        out += [volumes[year], cumulatives[year]]
-        if year in standardized:
-            out.append(standardized[year])
     oldest = max(curve.max_age() for curve in volumes.values())
-    out.append(curves.mean_accrual_curve(
-        list(volumes.values()), curves.clamp_horizon(args.horizon, oldest)
-    ))
-    _emit(args.output, curves.csv_chunks(out))
+    mean = curves.mean_accrual_curve(  # before the table, so an error leaves none
+        list(volumes.values()), curves.clamp_horizon(args.horizon, oldest))
+    # Each cumulative curve is made when its chunk of the table is due.
+    table = (curve for year in sorted(volumes)
+             for curve in (volumes[year], curves.cumulative(volumes[year]),
+                           standardized.get(year))
+             if curve is not None)
+    _emit(args.output, curves.csv_chunks(chain(table, [mean])))
 
     if len(standardized) < 3:
         print(f"warning: {journal!r} has {len(standardized)} standardized "

@@ -69,6 +69,16 @@ class AccrualCurve(NamedTuple):
         return len(self.numerators) - 1
 
 
+class FloatColumn:
+    """A curve's values as floats, made anew on each pass: a chart column holding no float."""
+
+    def __init__(self, curve: AccrualCurve):
+        self.curve = curve
+
+    def __iter__(self) -> Iterator[float]:
+        return map(truediv, self.curve.numerators, repeat(self.curve.scale))
+
+
 class AnomalyFinding(NamedTuple):
     journal: str
     pub_year: int
@@ -355,6 +365,10 @@ def csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
     """Curve table: journal,pub_year,kind,age,value,observations, as the header
     line and then one chunk per curve, which `curves` writes as they come.
 
+    The curves are read once, in order, so they may come from a one-shot
+    generator that makes each (as `curves` makes each cumulative curve) only
+    when its chunk is due; the age texts grow as longer curves arrive.
+
     pub_year is blank for averaged curves; observations is blank everywhere
     else.  Each value prints as repr(numerator / scale), which is
     repr(float(value)) because int / int is correctly rounded.  Each
@@ -364,10 +378,10 @@ def csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
     values skip the shared texts and are each formatted by repr.
     """
     text = _Memo(repr)
-    curves = list(curves)
-    ages = [f"{age}," for age in range(max((len(c.numerators) for c in curves), default=0))]
+    ages: list[str] = []
     yield "journal,pub_year,kind,age,value,observations\n"
     for curve in curves:
+        ages += [f"{age}," for age in range(len(ages), len(curve.numerators))]
         year = "" if curve.pub_year is None else curve.pub_year
         format_value = text.__getitem__ if curve.scale <= _NO_NEGATIVE_ZERO else repr
         texts = map(format_value, map(truediv, curve.numerators, repeat(curve.scale)))

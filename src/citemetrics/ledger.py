@@ -399,11 +399,13 @@ def _freeze_profiles(
     totals first, so every cell is (total - self, 0): the profiles equal
     strip_self_references mapped over the unstripped ones, which are never
     built.  Each record is popped from `journals` as it is frozen.  Profiles
-    share one (cited_year, citing_year) key per distinct int key, one
-    self-free CellCount per distinct total and one CellCount per distinct
-    (total, self) pair with a self share; all are immutable.
+    share one (cited_year, citing_year) key per distinct int key, one int
+    object per distinct year across those keys (divmod makes two new ints
+    per key), one self-free CellCount per distinct total and one CellCount
+    per distinct (total, self) pair with a self share; all are immutable.
     """
-    pairs = _Memo(lambda key: divmod(key, YEAR_BASE))
+    year = _Memo(lambda value: value)  # the first int object seen for each year
+    pairs = _Memo(lambda key: (year[key // YEAR_BASE], year[key % YEAR_BASE]))
     clean = _Memo(lambda total: CellCount(total, 0))
     with_self = _Memo(CellCount._make)
     profiles: dict[str, CitationProfile] = {}

@@ -7,7 +7,9 @@ cached like any other build artifact.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+from .ledger import _Memo
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 65, 150, 30, 55
@@ -32,7 +34,7 @@ def emit_svg_chart(
 
 
 def chart_lines(
-    columns: Sequence[tuple[str, Sequence[float], Sequence[float]]],
+    columns: Sequence[tuple[str, Sequence[float], Iterable[float]]],
     x_label: str,
     y_label: str,
     title: str,
@@ -40,16 +42,21 @@ def chart_lines(
     """Named (name, xs, ys) columns as a standalone SVG 1.1 document, line by line.
 
     `curves --svg` writes the lines as they come instead of holding the chart.
-    Series are drawn (and listed in the legend) in the order given, so pass a
-    stably ordered sequence for stable output.  Each distinct x and y is
-    formatted once per call; equal values of any type share the text, as
+    Each ys is iterated three times (min, max, polyline): an iterator raises
+    TypeError, and a re-iterable such as the curves.FloatColumn `curves`
+    passes may make its floats anew on each pass.  Series are drawn (and
+    listed in the legend) in the order given, so pass a stably ordered
+    sequence for stable output.  Each distinct x and y is formatted once per
+    call, on its first use; equal values of any type share the text, as
     subtracting a float minimum makes them one float.
     """
     if not columns:
         raise ValueError("chart needs at least one series")
-    for name, column, _ in columns:
-        if not column:
+    for name, xs, ys in columns:
+        if not xs:
             raise ValueError(f"series {name!r} is empty")
+        if iter(ys) is ys:  # read three times, an iterator would draw no points
+            raise TypeError(f"series {name!r}: ys must be re-iterable, not an iterator")
 
     def every(at: int) -> Iterator[float]:  # each series' xs (at 1) or ys (at 2), in order
         return chain.from_iterable(column[at] for column in columns)
@@ -67,8 +74,8 @@ def chart_lines(
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x_min) / x_span * plot_w
 
-    x_text = {x: f"{sx(x):.2f}" for x in set(every(1))}
-    y_text = {y: f"{y0 - (y - y_min) / y_span * plot_h:.2f}" for y in set(every(2))}
+    x_text = _Memo(lambda x: f"{sx(x):.2f}")
+    y_text = _Memo(lambda y: f"{y0 - (y - y_min) / y_span * plot_h:.2f}")
 
     yield '<?xml version="1.0" encoding="UTF-8"?>\n'
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -308,6 +308,39 @@ def test_report_on_folded_ledger_is_unchanged(tmp_path, capsys, hare_dir, tortoi
             assert outs[0] == outs[1], (dirpath.name, extra)
 
 
+def test_report_scales_with_every_count(tmp_path, capsys, hare_dir, tortoise_dir):
+    # Multiplying every count by k leaves the shares unchanged (coverage,
+    # scaling factor, class, half-lives, flags) and multiplies the per-item
+    # rates (jif, immediacy, adjusted_jif) by exactly k.
+    k, scaled = 3, tmp_path / "scaled.csv"
+    same = ("coverage", "scaling_factor", "class", "half_life_exact", "half_life_jcr", "flags")
+    times_k = ("jif", "immediacy", "adjusted_jif")
+    for dirpath in (hare_dir, tortoise_dir):
+        header, *rows = (dirpath / "citations.csv").read_text().splitlines()
+        scaled.write_text("\n".join([header, *(
+            f"{head},{int(count) * k}" for head, count in (row.rsplit(",", 1) for row in rows)
+        )]) + "\n")
+        publications = dirpath / "publications.csv"
+        with open(publications, encoding="utf-8") as handle:
+            pubs = ledger_mod.parse_publication_csv(handle)
+        for year in (1990, 2004):
+            json_rows, reports = [], []
+            for citations in (dirpath / "citations.csv", scaled):
+                assert main(["report", "--citations", str(citations), "--publications",
+                             str(publications), "--year", str(year), "--format", "json"]) == 0
+                (row,) = json.loads(capsys.readouterr().out)
+                json_rows.append(row)
+                with open(citations, encoding="utf-8") as handle:
+                    (profile,) = ledger_mod.read_citation_profiles(handle)[0].values()
+                reports.append(metrics_mod.build_indicator_report(profile, pubs, year))
+            base, big = json_rows
+            assert [base[key] for key in same] == [big[key] for key in same], (dirpath, year)
+            assert base["coverage"] is not None
+            for key in times_k:
+                assert getattr(reports[1], key) == k * getattr(reports[0], key), key
+                assert getattr(reports[0], key) > 0
+
+
 def test_report_csv_cells_match_json(tmp_path, capsys, tortoise_dir):
     # Tortoise has ">10" and one flag; J has blank cells and three flags.
     citations = tmp_path / "c.csv"
@@ -952,6 +985,15 @@ observation_end = 2004
 """
 
 
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_curves_never_holds_its_table(tmp_path, capfd):
     # capfd sends stdout to a file, so the printed table is not traced.  A
     # run that built the table (or a list of its parts) before writing it
@@ -962,15 +1004,35 @@ def test_curves_never_holds_its_table(tmp_path, capfd):
     argv = ["curves", "journal of the american chemical society",
             "--citations", str(tmp_path / "citations.csv"), "--svg", str(tmp_path / "chart.svg")]
     capfd.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = _traced_peak(lambda: main(argv))
     table = capfd.readouterr().out.encode("utf-8")
     assert code == 0
     assert peak < len(table)
+
+
+def test_curves_peak_stays_near_the_read(tmp_path, capsys):
+    # curves holds the raw and standardized curves, a lazy table and a lazy
+    # chart: its whole run must peak below 1.5 times the read of its ledger
+    # alone.  Holding the cumulative curves too, every chart value as a
+    # float and every zero self rate took it to about 1.9 times.
+    spec = tmp_path / "deep.synth"
+    spec.write_text(DEEP_SPEC)
+    assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
+    citations = tmp_path / "citations.csv"
+
+    def read():
+        with open(citations, encoding="utf-8", errors="surrogateescape") as handle:
+            return ledger_mod.read_citation_file(handle, source=str(citations))
+
+    (profiles, rows), read_peak = _traced_peak(read)
+    assert (len(profiles), rows) == (1, 18634)
+    del profiles
+    argv = ["curves", "deep", "--citations", str(citations),
+            "-o", str(tmp_path / "table.csv"), "--svg", str(tmp_path / "deep.svg")]
+    code, curves_peak = _traced_peak(lambda: main(argv))
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert curves_peak < 1.5 * read_peak, (curves_peak, read_peak)
 
 
 # --- validate ----------------------------------------------------------------------
@@ -1032,22 +1094,49 @@ def test_svg_rejects_empty_input():
 
 def test_streamed_texts_keep_the_memo_edge_cases():
     # The generators curves writes from: a curve over a scale above 2**1074
-    # keeps its -0.0, equal y values of any type share one text, and an
-    # empty chart or series raises before any line.
+    # keeps its -0.0, a one-shot table whose curves grow and then shrink
+    # prints as the list does, equal y values of any type share one text,
+    # lazy float columns chart as the exact points do, and an empty chart or
+    # series, or a one-shot ys, raises before any line.
     tiny = curves_mod.AccrualCurve("J", 1990, "raw", (0, -1), scale=10**400)
     chunks = list(curves_mod.csv_chunks([tiny]))
     assert chunks == ["journal,pub_year,kind,age,value,observations\n",
                       "J,1990,raw,0,0.0,\nJ,1990,raw,1,-0.0,\n"]
     assert "".join(chunks) == curves_mod.curves_to_csv([tiny])
+    table = [
+        curves_mod.AccrualCurve("J", 1990, "raw", (3,)),
+        curves_mod.AccrualCurve("J", 1991, "standardized", (50, 75, 100, 130), scale=3),
+        tiny,
+        curves_mod.AccrualCurve("J", 1992, "raw", tuple(range(12))),
+        curves_mod.AccrualCurve("J", None, "raw", (7, 5, 3), (3, 2, 1), scale=6),
+        curves_mod.AccrualCurve("J", 1993, "cumulative", (1, 1)),
+    ]
+    streamed = "".join(curves_mod.csv_chunks(curve for curve in table))
+    assert streamed == curves_mod.curves_to_csv(table)
+    assert streamed.count("\n") == 1 + 1 + 4 + 2 + 12 + 3 + 2
     ys = [2, 2.0, Fraction(2), 0]
     lines = list(chart_lines([("a", range(4), ys)], "x", "y", ""))
     assert "".join(lines) == emit_svg_chart([("a", list(enumerate(ys)))], "x", "y")
     (polyline,) = [line for line in lines if line.startswith("<polyline")]
     points = polyline.split('points="')[1].split('"')[0].split()
     assert len({point.split(",")[1] for point in points[:3]}) == 1
+    # What curves --svg passes: each ys a FloatColumn, made anew on each pass.
+    # All positive values still put y_min at 0.0; a negative one moves it.
+    for numerators, scale, bottom in [((2, 6, 4, 6), 3, "0"), ((100, -7, 250, 100), 100, "-0.07"),
+                                      ((-3, -1), 1, "-3")]:
+        curve = curves_mod.AccrualCurve("J", 1990, "standardized", numerators, scale=scale)
+        lazy = [("a", range(len(numerators)), curves_mod.FloatColumn(curve)),
+                ("b", range(2), curves_mod.FloatColumn(curve._replace(numerators=(0, scale))))]
+        points = [("a", list(enumerate(curve.values))), ("b", [(0, 0), (1, 1)])]
+        chart = "".join(chart_lines(lazy, "x", "y", "t"))
+        assert chart == emit_svg_chart(points, "x", "y", "t")
+        y_ticks = re.findall(r'text-anchor="end"[^>]*>([^<]*)</text>', chart)
+        assert y_ticks[0] == bottom
     for columns in ([], [("a", range(0), [])]):
         with pytest.raises(ValueError):
             next(chart_lines(columns, "x", "y", ""))
+    with pytest.raises(TypeError, match="re-iterable"):
+        next(chart_lines([("a", range(1), iter([1.0])), ("b", range(1), [2.0])], "x", "y", ""))
 
 
 def test_svg_escapes_labels():

@@ -238,6 +238,23 @@ def test_volume_self_rates_skips_empty_cells():
     assert type(rates[1993][1995]) is Fraction
 
 
+@pytest.mark.parametrize("strip_self", [False, True], ids=["plain", "strip-self"])
+def test_read_profiles_share_one_int_per_year(tmp_path, strip_self):
+    # Each cell key is a (cited_year, citing_year) pair; the read keeps one
+    # int object per distinct year across all keys of all its profiles.
+    path = tmp_path / "citations.csv"
+    path.write_text("\n".join(lines(*[
+        f"{citing},{cited_year + age},{cited},{cited_year},{age + 1}"
+        for citing, cited in (("A", "A"), ("B", "A"), ("A", "B"))
+        for cited_year in range(1990, 2000) for age in range(0, 2000 - cited_year)
+    ])) + "\n")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        profiles, _ = ledger.read_citation_file(handle, strip_self=strip_self)
+    assert sorted(profiles) == ["A", "B"]
+    years = [year for profile in profiles.values() for key in profile.cells for year in key]
+    assert len({id(year) for year in years}) == len(set(years)) == 10
+
+
 # --- strip --------------------------------------------------------------
 
 
