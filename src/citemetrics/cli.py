@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_inputs(p, publications=True):
-        p.add_argument("--citations", required=True, help="citation ledger CSV")
+    def add_inputs(p, publications=True, required=True):
+        p.add_argument("--citations", required=required, help="citation ledger CSV")
         if publications:
             p.add_argument("--publications", help="citeable-item counts CSV")
         p.add_argument("--aliases", help="journal alias CSV")
@@ -71,19 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     # Every default is the settings class's own; the help texts print it.
     policy, classification, anomaly = (
         WindowPolicy(), ClassificationThresholds(), AnomalyThresholds())
+    horizon = dict(type=int, default=policy.horizon,
+                   help=f"age horizon of mean curves and coverage (default {policy.horizon})")
+    strip_self = dict(action="store_true", help="remove self-references before computing")
 
     def add_policy(p):
         p.add_argument("--year", type=int, required=True, help="evaluation year")
         p.add_argument("--window", type=_ages, default=policy.window_ages,
                        help="item ages in the citation window "
                             f"(default {','.join(map(str, policy.window_ages))})")
-        p.add_argument("--horizon", type=int, default=policy.horizon,
-                       help=f"age horizon for coverage (default {policy.horizon})")
+        p.add_argument("--horizon", **horizon)
         p.add_argument("--quantile", type=_fraction, default=policy.target_quantile,
                        help="target quantile for scaling "
                             f"(default {float(policy.target_quantile):g})")
-        p.add_argument("--strip-self", action="store_true",
-                       help="remove self-references before computing")
+        p.add_argument("--strip-self", **strip_self)
         p.add_argument("--hare", type=_fraction, default=classification.hare,
                        help="coverage at or above which a journal is a Hare")
         p.add_argument("--tortoise", type=_fraction, default=classification.tortoise,
@@ -94,15 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
         p_table = sub.add_parser(name, help=summary)
         add_inputs(p_table)
         add_policy(p_table)
-        p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_table.add_argument("--format", choices=("csv", "json"), default="csv",
+                             help="output format, csv unless json is given")
         p_table.add_argument("-o", "--output", help="write here instead of stdout")
         p_table.set_defaults(run=cmd_table, columns=columns)
 
     p_curves = sub.add_parser("curves", help="accrual curves for one journal")
     p_curves.add_argument("journal", help="journal name (case-insensitive)")
     add_inputs(p_curves, publications=False)
-    p_curves.add_argument("--horizon", type=int, default=policy.horizon)
-    p_curves.add_argument("--strip-self", action="store_true")
+    p_curves.add_argument("--horizon", **horizon)
+    p_curves.add_argument("--strip-self", **strip_self)
     p_curves.add_argument("--self-threshold", type=_fraction, default=anomaly.self_rate,
                           help="self-rate flagged as a spike "
                                f"(default {float(anomaly.self_rate):g})")
@@ -121,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(run=cmd_synth)
 
     p_validate = sub.add_parser("validate", help="parse inputs, report problems")
-    p_validate.add_argument("--citations")
-    p_validate.add_argument("--publications")
-    p_validate.add_argument("--aliases")
+    add_inputs(p_validate, required=False)
     p_validate.set_defaults(run=cmd_validate)
 
     return parser
@@ -259,11 +259,8 @@ def cmd_curves(args) -> int:
     journal = profile.journal
     volumes = curves.volume_curves(profile)
     # Held: the raw curves (table, mean row) and the standardized ones (each
-    # age's anomaly median reads all).  Only cells with a self share are
-    # rated: any other cell (each one, when stripped) rates zero, which never
-    # reaches the threshold (> 0).  The ledger is freed here.
-    rates = ledger.volume_self_rates(profile._replace(
-        cells={key: cell for key, cell in profile.cells.items() if cell.self_count}))
+    # age's anomaly median reads all).  The ledger is freed here.
+    rates = ledger.volume_self_rates(profile)
     del profiles, profile
     standardized, skipped = curves.standardized_volume_curves(volumes)
     for error in skipped:

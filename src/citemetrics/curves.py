@@ -61,16 +61,13 @@ class AccrualCurve(NamedTuple):
             return self.numerators
         return tuple(Fraction(n, self.scale) for n in self.numerators)
 
-    def floats(self) -> list[float]:
-        """Each value as float(value); int / int is correctly rounded, so equal."""
-        return [n / self.scale for n in self.numerators]
-
     def max_age(self) -> int:
         return len(self.numerators) - 1
 
 
 class FloatColumn:
-    """A curve's values as floats, made anew on each pass: a chart column holding no float."""
+    """The one float view of a curve: each numerator / scale, which is float(value)
+    as int / int is correctly rounded, made anew on each pass and held nowhere."""
 
     def __init__(self, curve: AccrualCurve):
         self.curve = curve
@@ -209,7 +206,7 @@ def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
 def standardized_volume_curves(
     volumes: Mapping[int, AccrualCurve]
 ) -> tuple[dict[int, AccrualCurve], list[DegenerateVolumeError]]:
-    """Standardize each raw or cumulative volume curve; returns (curves, skip errors).
+    """Standardize each raw volume curve; returns (curves, skip errors).
 
     Volumes too young to reach age 2 or with a zero anchor are skipped, not
     fatal: one empty volume should not sink the whole journal.
@@ -218,9 +215,7 @@ def standardized_volume_curves(
     skipped: list[DegenerateVolumeError] = []
     for year, curve in volumes.items():
         try:
-            result[year] = standardize_to_age2(
-                cumulative(curve) if curve.kind == KIND_RAW else curve
-            )
+            result[year] = standardize_to_age2(cumulative(curve))
         except DegenerateVolumeError as error:
             skipped.append(error)
     return result, skipped
@@ -265,7 +260,7 @@ def detect_anomalous_volumes(
 
     for pub_year in sorted(self_rates):
         for citing_year, rate in self_rates[pub_year].items():
-            if rate and rate >= thresholds.self_rate:  # the threshold is > 0
+            if rate >= thresholds.self_rate:
                 findings.append(
                     AnomalyFinding(
                         journal,
@@ -370,8 +365,7 @@ def csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
     when its chunk is due; the age texts grow as longer curves arrive.
 
     pub_year is blank for averaged curves; observations is blank everywhere
-    else.  Each value prints as repr(numerator / scale), which is
-    repr(float(value)) because int / int is correctly rounded.  Each
+    else.  Each value prints as the repr of its FloatColumn float.  Each
     distinct float is formatted once per call.  Of equal floats only 0.0 and
     -0.0 print apart, and n / scale is -0.0 only for a negative n over a
     scale above 2**1074, which no curve of ledger counts has; such a curve's
@@ -384,7 +378,7 @@ def csv_chunks(curves: Iterable[AccrualCurve]) -> Iterator[str]:
         ages += [f"{age}," for age in range(len(ages), len(curve.numerators))]
         year = "" if curve.pub_year is None else curve.pub_year
         format_value = text.__getitem__ if curve.scale <= _NO_NEGATIVE_ZERO else repr
-        texts = map(format_value, map(truediv, curve.numerators, repeat(curve.scale)))
+        texts = map(format_value, FloatColumn(curve))
         ends = repeat(",\n") if curve.observations is None else [
             f",{obs}\n" for obs, _ in zip(curve.observations, curve.numerators, strict=True)]
         prefix = repeat(f"{curve.journal},{year},{curve.kind},")

@@ -23,7 +23,8 @@ from typing import Iterable, Mapping
 from .errors import OracleError, ParseError
 from .fixtures import FIXTURE_NAMES
 from .ledger import (
-    EXTERNAL_SOURCE, CellCount, CitationProfile, PublicationCounts, check_utf8, journal_identity,
+    EXTERNAL_SOURCE, YEAR_MAX, YEAR_MIN, CellCount, CitationProfile, PublicationCounts, check_utf8,
+    journal_identity,
 )
 from .metrics import WindowPolicy, half_away_units
 
@@ -68,7 +69,8 @@ class SynthSpec:
 
     volume_scale entries default to 1 for unlisted years; self_fraction is
     keyed by (pub_year, age) and defaults to 0.  observation_end truncates
-    generated citing years.
+    generated citing years.  Every year lies in YEAR_MIN..YEAR_MAX, the years
+    the ledger readers take.
     """
 
     journal: str
@@ -97,6 +99,8 @@ class SynthSpec:
             raise ValueError("items_per_year must be >= 1")
         if self.observation_end < self.last_year:
             raise ValueError("observation_end must cover the last pub year")
+        if self.first_year < YEAR_MIN or self.observation_end > YEAR_MAX:
+            raise ValueError(f"pub_years and observation_end must be in {YEAR_MIN}..{YEAR_MAX}")
         weights = self.kernel.weights()
         if not weights or all(w == 0 for w in weights):
             raise ValueError("kernel must have at least one positive weight")

@@ -9,6 +9,7 @@ import pytest
 
 import citemetrics
 from citemetrics import synth
+from citemetrics.curves import FloatColumn
 from citemetrics.ledger import CellCount, CitationProfile
 
 
@@ -38,7 +39,7 @@ def assert_one_form(curve, exact):
     and that its values are the exact per-age values `exact`."""
     assert all(type(n) is int for n in curve.numerators)
     assert type(curve.scale) is int and curve.scale > 0
-    assert curve.floats() == [float(v) for v in curve.values]
+    assert list(FloatColumn(curve)) == [float(v) for v in curve.values]
     assert curve.values == tuple(exact)
 
 

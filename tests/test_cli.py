@@ -150,6 +150,33 @@ def test_synth_rejects_reserved_journal_name(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _years_spec(path, pub_years, end):
+    path.write_text(f"journal = J\npub_years = {pub_years}\nkernel = flat:5\n"
+                    f"base_citations = 10\nitems_per_year = 2\nobservation_end = {end}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("pub_years, end", [("9995-9999", 10010), ("995-1000", 1004)],
+                         ids=["past-9999", "before-1000"])
+def test_synth_refuses_years_its_readers_reject(tmp_path, capsys, pub_years, end):
+    # The ledger readers take years 1000..9999 only, so synth refuses a spec
+    # whose volumes or citing years would leave that range, and writes nothing.
+    spec = _years_spec(tmp_path / "years.synth", pub_years, end)
+    out = tmp_path / "out"
+    assert main(["synth", spec, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {spec}:0: pub_years and observation_end must be in 1000..9999\n")
+    assert not out.exists()
+
+
+def test_synth_takes_years_at_the_bounds(tmp_path):
+    out = tmp_path / "out"
+    spec = _years_spec(tmp_path / "years.synth", "1000-1004", 9999)
+    assert main(["synth", spec, "--outdir", str(out)]) == 0
+    assert main(["validate", "--citations", str(out / "citations.csv"),
+                 "--publications", str(out / "publications.csv")]) == 0
+
+
 # --- report -------------------------------------------------------------------
 
 
@@ -940,9 +967,9 @@ def test_curves_streams_what_the_formatters_return(request, tmp_path, capsys, fi
     profile = ledger_mod.find_profile(profiles, fixture)
     volumes = curves_mod.volume_curves(profile)
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
-    standardized, _ = curves_mod.standardized_volume_curves(cumulatives)
+    standardized, _ = curves_mod.standardized_volume_curves(volumes)
     chart = emit_svg_chart(
-        [(str(year), list(enumerate(standardized[year].floats())))
+        [(str(year), list(enumerate(curves_mod.FloatColumn(standardized[year]))))
          for year in sorted(standardized)],
         x_label="age (years since publication)",
         y_label="cumulative citations (% of age-2 count)",
@@ -1622,4 +1649,14 @@ def test_parser_defaults_are_the_settings_defaults():
             if match:
                 stated.append(match[1])
                 assert action.type(match[1]) == defaults[action.dest]
-    assert stated == ["1,2", "20", "0.5", "1,2", "20", "0.5", "0.5", "25"]
+    assert stated == ["1,2", "20", "0.5", "1,2", "20", "0.5", "20", "0.5", "25"]
+
+
+def test_every_option_has_help():
+    """Each subcommand's --help says what each of its arguments is for."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    silent = [f"{command} {'/'.join(action.option_strings) or action.dest}"
+              for command, parser in commands.choices.items() for action in parser._actions
+              if not isinstance(action, argparse._HelpAction) and not action.help]
+    assert silent == []

@@ -18,6 +18,7 @@ from citemetrics.curves import (
     KIND_RAW,
     SELF_CITATION_SPIKE,
     AccrualCurve,
+    FloatColumn,
     AnomalyFinding,
     AnomalyThresholds,
     ClassificationThresholds,
@@ -129,8 +130,8 @@ def test_standardize_matches_fraction_per_value(counts):
     assume(anchor != 0)
     curve = standardize_to_age2(cum)
     assert curve.values == tuple(Fraction(c * 100, anchor) for c in cum.values)
-    assert curve.floats() == [float(v) for v in curve.values]
-    assert all(type(f) is float for f in curve.floats())
+    assert list(FloatColumn(curve)) == [float(v) for v in curve.values]
+    assert all(type(f) is float for f in FloatColumn(curve))
     assert curve.scale == abs(anchor)
     assert all(type(n) is int for n in curve.numerators)
 

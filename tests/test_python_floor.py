@@ -71,3 +71,12 @@ def test_cli_reads_no_private_name_of_another_module():
         "cli.py:2 _lines", "cli.py:3 metrics._ratios", "cli.py:5 c._chunks"]
     path = ROOT / "src" / "citemetrics" / "cli.py"
     assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_reads_no_cells():
+    """Which cells count (for a curve, a rate or a report) is decided in ledger
+    and curves; the CLI hands them whole profiles and reads no `.cells`."""
+    path = ROOT / "src" / "citemetrics" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "cells"] == []
