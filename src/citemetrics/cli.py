@@ -86,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {float(policy.target_quantile):g})")
         p.add_argument("--strip-self", **strip_self)
         p.add_argument("--hare", type=_fraction, default=classification.hare,
-                       help="coverage at or above which a journal is a Hare")
+                       help="coverage at or above which a journal is a Hare "
+                            f"(default {float(classification.hare):g})")
         p.add_argument("--tortoise", type=_fraction, default=classification.tortoise,
-                       help="coverage at or below which a journal is a Tortoise")
+                       help="coverage at or below which a journal is a Tortoise "
+                            f"(default {float(classification.tortoise):g})")
 
     for name, columns, summary in (("report", REPORT_COLUMNS, "full indicator table"),
                                    ("adjust", ADJUST_COLUMNS, "scaling columns only")):
@@ -129,16 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str, parse, *args, **options):
-    """`parse(lines, *args, source=path, **options)` over the input file at path.
-
-    Every input is opened here, as UTF-8 text read line by line, so all of
-    them split lines alike (a large ledger is read from the same file in
-    byte ranges, split the same way).  A byte that is not UTF-8 is kept as
-    a lone surrogate, and the reader rejects its line with a ParseError.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        return parse(handle, *args, source=path, **options)
+def _read(path: str, parse, *args):
+    """`parse(lines, *args, source=path)` over the input file at path, opened
+    by ledger.open_input, as ledger.read_citation_file opens the ledger."""
+    with ledger.open_input(path) as handle:
+        return parse(handle, *args, source=path)
 
 
 def _load_aliases(path: str | None) -> ledger.AliasMap:
@@ -146,9 +143,7 @@ def _load_aliases(path: str | None) -> ledger.AliasMap:
 
 
 def _load_profiles(args, aliases) -> dict[str, ledger.CitationProfile]:
-    profiles, _ = _read(args.citations, ledger.read_citation_file, aliases,
-                        strip_self=args.strip_self)
-    return profiles
+    return ledger.read_citation_file(args.citations, aliases, strip_self=args.strip_self)[0]
 
 
 def _load_publications(path: str | None, aliases) -> ledger.PublicationCounts:
@@ -336,7 +331,7 @@ def cmd_validate(args) -> int:
         raise ConfigError("validate needs at least one input file")
     aliases = _load_aliases(args.aliases)
     if args.citations:
-        _, count = _read(args.citations, ledger.read_citation_file, aliases)
+        _, count = ledger.read_citation_file(args.citations, aliases)
         _emit(None, [f"{args.citations}: {count} records\n"])
     if args.publications:
         pubs = _load_publications(args.publications, aliases)

@@ -12,6 +12,8 @@ returns a new value.
 """
 from __future__ import annotations
 
+import codecs
+import io
 import os
 from fractions import Fraction
 from types import MappingProxyType
@@ -22,6 +24,7 @@ from .errors import CitemetricsError, ParseError, UndefinedRateError
 CITATIONS_HEADER = "citing_journal,citing_year,cited_journal,cited_year,count"
 PUBLICATIONS_HEADER = "journal,year,citeable_items"
 ALIASES_HEADER = "alias,canonical"
+ENCODING, DECODE_ERRORS = "utf-8", "surrogateescape"  # the rule open_input reads inputs by
 
 # Citing-journal label for the non-self share of a cell, which has no recorded
 # origin, when a profile is written back to ledger CSV.  No journal identity may
@@ -100,6 +103,19 @@ class CitationProfile(NamedTuple):
         return sum(c.total for c in self.cells.values())
 
 
+def open_input(path) -> TextIO:
+    """The input file at path as text, by the one rule for every input: UTF-8, a
+    byte that is not UTF-8 kept as a lone surrogate for check_utf8 to reject,
+    and universal newlines."""
+    return open(path, encoding=ENCODING, errors=DECODE_ERRORS)
+
+
+def text_decoder() -> io.IncrementalNewlineDecoder:
+    """Makes of bytes the text open_input reads from them, each line end an LF."""
+    decoder = codecs.getincrementaldecoder(ENCODING)(DECODE_ERRORS)
+    return io.IncrementalNewlineDecoder(decoder, True)
+
+
 def journal_identity(name: str) -> str:
     """Trim, then casefold: the one rule for when two journal names are one journal."""
     return name.strip().casefold()
@@ -125,12 +141,12 @@ def _data_lines(
 def check_utf8(number: int, line: str, source: str | None) -> None:
     """Raise line `number`'s ParseError if it holds a byte that is not UTF-8.
 
-    Inputs are read with errors="surrogateescape", which keeps such a byte
-    as a lone surrogate; the line, without its end, is encoded back to find it.
+    Inputs are read by open_input, which keeps such a byte as a lone
+    surrogate; the line, without its end, is encoded back to find it.
     """
     if not line.isascii():
         try:
-            line.rstrip("\r\n").encode("utf-8", "surrogateescape").decode("utf-8")
+            line.rstrip("\r\n").encode(ENCODING, DECODE_ERRORS).decode(ENCODING)
         except UnicodeError as exc:
             raise ParseError(number, f"not UTF-8 text ({exc.reason})", source) from None
 
@@ -545,34 +561,34 @@ MIN_SPLIT_BYTES = 2 << 20
 
 
 def read_citation_file(
-    handle: TextIO,
+    path,
     alias_map: AliasMap = EMPTY_ALIASES,
-    source: str | None = None,
     *,
     strip_self: bool = False,
 ) -> tuple[dict[str, CitationProfile], int]:
-    """read_citation_profiles (strip_self included) over a ledger file opened
-    as UTF-8 text with errors="surrogateescape", as the CLI opens it.
+    """read_citation_profiles (strip_self included) over the ledger file at
+    path, opened by open_input; a ParseError names the file by path.
 
     A file of at least 2 * MIN_SPLIT_BYTES, on a host with os.fork and two or
     more usable CPUs, is cut into up to one byte range per CPU, each at
-    least MIN_SPLIT_BYTES long, and the ranges are read by as many processes
-    (parallel.read_ranges); any other file is streamed from `handle`.
-    Profiles, their order, display names and row count are the same either
-    way, and so is the ParseError and its line.  Forking a process that
-    runs other threads is unsafe, so a threaded caller should use
+    least MIN_SPLIT_BYTES long, and the ranges are folded by as many
+    processes (parallel.read_ranges); any other file is folded in one
+    stream.  Profiles, their order, display names and row count are the same
+    either way, and so is the ParseError and its line.  Forking a process
+    that runs other threads is unsafe, so a threaded caller should use
     read_citation_profiles.
     """
-    fd = handle.fileno()
-    size = os.fstat(fd).st_size
-    parts = min(_usable_cpus(), size // MIN_SPLIT_BYTES) if hasattr(os, "fork") else 1
-    if parts < 2:  # a pipe or other unseekable ledger has size 0 and cannot be pread
-        return read_citation_profiles(handle, alias_map, source, strip_self=strip_self)
-    # Imported here, so a run that streams never compiles the process code.
-    from .parallel import read_ranges
+    with open_input(path) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        parts = min(_usable_cpus(), size // MIN_SPLIT_BYTES) if hasattr(os, "fork") else 1
+        if parts < 2:  # a pipe or other unseekable ledger has size 0 and cannot be pread
+            journals, rows, _ = _fold(_data_lines(handle, CITATIONS_HEADER, path), alias_map, path)
+        else:
+            from .parallel import read_ranges  # only here, so a stream never compiles it
 
-    offsets = [k * size // parts for k in range(1, parts)]
-    return read_ranges(fd, offsets, alias_map, source, strip_self=strip_self)
+            offsets = [k * size // parts for k in range(1, parts)]
+            journals, rows = read_ranges(handle.fileno(), offsets, alias_map, path)
+    return _freeze_profiles(journals, strip_self=strip_self), rows
 
 
 def _usable_cpus() -> int:

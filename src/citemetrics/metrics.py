@@ -91,10 +91,14 @@ def impact_factor(
     (0,) give the immediacy index.  Self-references are included, matching
     published practice; pass a stripped profile to exclude them.  Every
     volume's denominator must be present: a guessed item count would
-    silently skew the ratio.
+    silently skew the ratio.  No ages, or one below 0 (its cells would cite
+    before their volume, which no report number counts), raise ValueError.
     """
     ages = sorted(set(ages))
-    impact = _impact(profile, pubs, eval_year, ages)
+    if not ages or ages[0] < 0:
+        raise ValueError("ages must be one or more ints >= 0")
+    impact = _impact(profile.journal, pubs, eval_year, ages,
+                     curves_mod.observe(profile, eval_year)[3])
     if impact is None:
         years = (eval_year - age for age in ages)
         missing = (year for year in years if pubs.get(profile.journal, year) is None)
@@ -102,21 +106,14 @@ def impact_factor(
     return Fraction(*impact)
 
 
-def _impact(
-    profile: CitationProfile, pubs: PublicationCounts, eval_year: int, ages: Iterable[int]
-) -> tuple[int, int] | None:
-    """impact_factor over sorted distinct ages, as (cited cells' total, items);
-    None when an item count is missing."""
-    years = [eval_year - age for age in ages]
-    items = [pubs.get(profile.journal, year) for year in years]
+def _impact(journal: str, pubs: PublicationCounts, eval_year: int, ages: Iterable[int],
+            pairs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """impact_factor over sorted distinct ages >= 0 from observe's pairs for eval_year,
+    as (citations at those ages, items); None when an item count is missing."""
+    items = [pubs.get(journal, eval_year - age) for age in ages]
     if None in items:
         return None
-    numerator = 0
-    for year in years:
-        cell = profile.cells.get((year, eval_year))
-        if cell is not None:
-            numerator += cell.total
-    return numerator, sum(items)
+    return sum(count for age, count in pairs if age in ages), sum(items)
 
 
 def cited_half_life(
@@ -208,15 +205,15 @@ def adjusted_impact(jif, scaling) -> Fraction:
 def _mean_as_of(journal: str, observation: tuple, horizon: int) -> AccrualCurve | None:
     """The journal's ragged mean curve over ages 0..h, from a curves.observe result.
 
-    h is `horizon` clamped to the oldest volume.  None when no volume is
-    observed: no cells, or none a volume's own life observes.
+    h is `horizon` clamped to the oldest volume, where the totals end.  None
+    when no volume is observed: no cells, or none a volume's own life observes.
     """
     end, years, totals, _ = observation
     if not years:
         return None
-    width = max(curves_mod.clamp_horizon(horizon, end - years[0]) + 1, 0)
     # A volume published in year y observes ages 0..end - y.
-    return curves_mod.ragged_mean(journal, totals[:width], [end - y + 1 for y in years])
+    return curves_mod.ragged_mean(journal, totals[:max(horizon + 1, 0)],
+                                  [end - y + 1 for y in years])
 
 
 def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
@@ -247,22 +244,21 @@ def _ratios(
     the coverage pair, so a row builds no Fraction.
     """
     flags: set[str] = set()
+    observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
 
-    jif = _impact(profile, pubs, eval_year, policy.window_ages)
-    immediacy = _impact(profile, pubs, eval_year, (0,))
+    jif = _impact(profile.journal, pubs, eval_year, policy.window_ages, pairs)
+    immediacy = _impact(profile.journal, pubs, eval_year, (0,), pairs)
     if jif is None or immediacy is None:
         flags.add(FLAG_MISSING_DENOMINATOR)
-
-    observation = _, years, _, pairs = curves_mod.observe(profile, eval_year)
     half_life = _half_life(pairs, 1, 2)
 
     if mean_curve is None:
         mean_curve = _mean_as_of(profile.journal, observation, policy.horizon)
     coverage = scaling = adjusted = None
     if mean_curve is not None:
-        horizon = curves_mod.clamp_horizon(policy.horizon, mean_curve.max_age())
-        if horizon >= policy.window_ages[-1]:
-            coverage = _coverage(mean_curve.numerators[: horizon + 1], policy.window_ages)
+        head = mean_curve.numerators[:policy.horizon + 1]
+        if len(head) > policy.window_ages[-1]:
+            coverage = _coverage(head, policy.window_ages)
     if coverage is not None and coverage[0] > 0:
         q = policy.target_quantile
         scaling = _scaling(*coverage, q.numerator, q.denominator)

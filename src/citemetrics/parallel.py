@@ -1,15 +1,13 @@
-"""Read a ledger file in byte ranges on several processes.
+"""Fold a ledger file in byte ranges on several processes.
 
-ledger.read_citation_file reads a large ledger here.  The file is cut just
-after a line end near each given offset; this process folds the first
-part, one child made with os.fork folds each other part through the same
-row loop (ledger._fold), and each journal's fold record comes back through
-a pipe with marshal.
+ledger.read_citation_file folds a large ledger here and makes the profiles.
+The file is cut just after a line end near each given offset; this process
+folds the first part, one child made with os.fork folds each other part
+through the same row loop (ledger._fold) and decoder (ledger.text_decoder),
+and each journal's fold record comes back through a pipe with marshal.
 """
 from __future__ import annotations
 
-import codecs
-import io
 import marshal
 import os
 from signal import SIGKILL
@@ -24,18 +22,16 @@ def read_ranges(
     offsets: list[int],
     alias_map: ledger.AliasMap,
     source: str | None,
-    *,
-    strip_self: bool = False,
-) -> tuple[dict[str, ledger.CitationProfile], int]:
-    """Read the ledger at `fd` in parts split at the end of the line holding
+) -> tuple[dict[str, ledger._Journal], int]:
+    """Fold the ledger at `fd` in parts split at the end of the line holding
     each offset; parts after the first are folded by child processes.
 
-    This process folds the first part, which holds the header, then merges
-    each child's journal records in file order (ledger._merge_journal), so
-    first-seen journal and cell order and display names are those of one
-    stream.  The earliest part with an error raises it, with its line
-    number counted from the top of the file.
-    strip_self strips the merged records as ledger.read_citation_profiles does.
+    Returns (fold records by journal identity, data rows), as ledger._fold
+    returns them for one stream.  This process folds the first part, which
+    holds the header, then merges each child's journal records in file
+    order (ledger._merge_journal), so first-seen journal and cell order and
+    display names are those of one stream.  The earliest part with an error
+    raises it, with its line number counted from the top of the file.
     """
     size = os.fstat(fd).st_size
     ends = sorted({_line_end(fd, offset, size) for offset in offsets} | {size})
@@ -74,7 +70,7 @@ def read_ranges(
             pipe.close()
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-    return ledger._freeze_profiles(journals, strip_self=strip_self), rows
+    return journals, rows
 
 
 def _fork_range(
@@ -129,14 +125,13 @@ def _line_end(fd: int, offset: int, size: int) -> int:
 
 def _range_lines(fd: int, start: int, end: int) -> Iterator[str]:
     """The lines of bytes [start, end), without their line ends, as
-    open(path, encoding="utf-8", errors="surrogateescape") would split them.
+    ledger.open_input would split them.
 
     Blocks are read with os.pread, so the processes sharing the file never
-    move each other's offset, decoded with a text file's newline translation,
-    which turns every line end into an LF, and split at the LFs.
+    move each other's offset, decoded by ledger.text_decoder, which turns
+    every line end into an LF, and split at the LFs.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")("surrogateescape")
-    decoder = io.IncrementalNewlineDecoder(decoder, True)
+    decoder = ledger.text_decoder()
     carry = ""
     while True:
         block = os.pread(fd, min(1 << 16, end - start), start)

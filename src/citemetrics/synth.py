@@ -63,6 +63,17 @@ class Spike:
     extra: int
 
 
+class SpecValueError(ValueError):
+    """A value the SynthSpec checks refuse.  key is the spec-file key that
+    gives it; entry, for a repeatable key, is which of its entries: a
+    volume_scale year, a self_fraction (year, age) or an index into spikes."""
+
+    def __init__(self, message: str, key: str, entry=None):
+        super().__init__(message)
+        self.key = key
+        self.entry = entry
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Complete description of one synthetic journal.
@@ -70,7 +81,8 @@ class SynthSpec:
     volume_scale entries default to 1 for unlisted years; self_fraction is
     keyed by (pub_year, age) and defaults to 0.  observation_end truncates
     generated citing years.  Every year lies in YEAR_MIN..YEAR_MAX, the years
-    the ledger readers take.
+    the ledger readers take.  A value the checks refuse raises SpecValueError,
+    which names the spec-file key that gives it.
     """
 
     journal: str
@@ -86,42 +98,48 @@ class SynthSpec:
 
     def __post_init__(self):
         if not self.journal.strip():
-            raise ValueError("journal name must be non-empty")
+            raise SpecValueError("journal name must be non-empty", "journal")
         if "," in self.journal:
-            raise ValueError("journal name must not contain commas")
+            raise SpecValueError("journal name must not contain commas", "journal")
         if journal_identity(self.journal) == EXTERNAL_SOURCE:
-            raise ValueError(f"journal name {EXTERNAL_SOURCE!r} is reserved")
+            raise SpecValueError(f"journal name {EXTERNAL_SOURCE!r} is reserved", "journal")
         if self.first_year > self.last_year:
-            raise ValueError("pub_years range is empty")
+            raise SpecValueError("pub_years range is empty", "pub_years")
         if self.base_citations <= 0:
-            raise ValueError("base_citations must be positive")
+            raise SpecValueError("base_citations must be positive", "base_citations")
         if self.items_per_year < 1:
-            raise ValueError("items_per_year must be >= 1")
+            raise SpecValueError("items_per_year must be >= 1", "items_per_year")
         if self.observation_end < self.last_year:
-            raise ValueError("observation_end must cover the last pub year")
+            raise SpecValueError("observation_end must cover the last pub year",
+                                 "observation_end")
         if self.first_year < YEAR_MIN or self.observation_end > YEAR_MAX:
-            raise ValueError(f"pub_years and observation_end must be in {YEAR_MIN}..{YEAR_MAX}")
+            raise SpecValueError(
+                f"pub_years and observation_end must be in {YEAR_MIN}..{YEAR_MAX}",
+                "pub_years" if self.first_year < YEAR_MIN else "observation_end")
         weights = self.kernel.weights()
         if not weights or all(w == 0 for w in weights):
-            raise ValueError("kernel must have at least one positive weight")
+            raise SpecValueError("kernel must have at least one positive weight", "kernel")
         if any(w < 0 for w in weights):
-            raise ValueError("kernel weights must be non-negative")
+            raise SpecValueError("kernel weights must be non-negative", "kernel")
         spiked = {(spike.pub_year, spike.age) for spike in self.spikes}
         for (year, age), frac in self.self_fraction.items():
             if (not 0 <= frac <= 1 or age < 0 or year not in self.pub_years()
                     or year + age > self.observation_end
                     or age >= len(weights) and (year, age) not in spiked):
-                raise ValueError(f"self_fraction {year},{age},{frac} needs a year in pub_years, "
-                                 "an age >= 0, a fraction in [0, 1] and a cell the spec writes: "
-                                 "by observation_end, and in the kernel or on a spike")
+                raise SpecValueError(
+                    f"self_fraction {year},{age},{frac} needs a year in pub_years, an age "
+                    ">= 0, a fraction in [0, 1] and a cell the spec writes: by "
+                    "observation_end, and in the kernel or on a spike",
+                    "self_fraction", (year, age))
         for year, scale in self.volume_scale.items():
             if scale <= 0 or year not in self.pub_years():
-                raise ValueError(f"volume_scale {year},{scale} needs a year in pub_years "
-                                 "and a scale > 0")
-        for spike in self.spikes:
+                raise SpecValueError(f"volume_scale {year},{scale} needs a year in pub_years "
+                                     "and a scale > 0", "volume_scale", year)
+        for index, spike in enumerate(self.spikes):
             if spike.extra < 0 or spike.age < 0 or spike.pub_year not in self.pub_years():
-                raise ValueError(f"spike {spike.pub_year},{spike.age},{spike.extra} needs "
-                                 "a year in pub_years, an age >= 0 and a count >= 0")
+                raise SpecValueError(f"spike {spike.pub_year},{spike.age},{spike.extra} needs "
+                                     "a year in pub_years, an age >= 0 and a count >= 0",
+                                     "spike", index)
 
     def pub_years(self) -> range:
         return range(self.first_year, self.last_year + 1)
@@ -257,7 +275,10 @@ def rounding_bounds(spec: SynthSpec, policy: WindowPolicy = WindowPolicy()) -> d
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def _parse_kernel(text: str) -> RiseDecay:
@@ -274,9 +295,15 @@ def _parse_kernel(text: str) -> RiseDecay:
     raise ValueError(f"unrecognized kernel {text!r}")
 
 
-# Keys given once per spec, all of them required.
-_SCALAR_KEYS = ("journal", "pub_years", "kernel", "base_citations",
-                "items_per_year", "observation_end")
+def _parse_years(text: str) -> tuple[int, int]:
+    first, _, last = text.partition("-")
+    return int(first), int(last or first)
+
+
+# Keys given once per spec, all of them required, each with its value's parser.
+_SCALAR_KEYS = {"journal": str, "pub_years": _parse_years, "kernel": _parse_kernel,
+                "base_citations": _parse_fraction, "items_per_year": int,
+                "observation_end": int}
 
 
 def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSpec:
@@ -287,8 +314,11 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
     given once.  Fractions accept both "0.12" and "38/44" (both are exact).
     Lines starting with "#" and blank lines are ignored.  As in the CSV inputs,
     a byte order mark may open the first line and a non-UTF-8 byte is an error.
+    A value that does not parse, or that SynthSpec refuses, is an error at the
+    line that gives it; a missing key is an error at line 0.
     """
-    fields: dict[str, str] = {}
+    fields: dict[str, object] = {}
+    where: dict[tuple[str, object], int] = {}  # (key, entry) -> the line that gives it
     volume_scale: dict[int, Fraction] = {}
     self_fraction: dict[tuple[int, int], Fraction] = {}
     spikes: list[Spike] = []
@@ -310,21 +340,25 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
                 if int(year) in volume_scale:
                     raise ParseError(number, f"duplicate volume_scale year {int(year)}", source)
                 volume_scale[int(year)] = _parse_fraction(scale)
+                where[key, int(year)] = number
             elif key == "self_fraction":
                 year, age, frac = value.split(",")
                 if (int(year), int(age)) in self_fraction:
                     raise ParseError(number, f"duplicate self_fraction year and age "
                                      f"{int(year)},{int(age)}", source)
                 self_fraction[(int(year), int(age))] = _parse_fraction(frac)
+                where[key, (int(year), int(age))] = number
             elif key == "spike":
                 year, age, extra = value.split(",")
+                where[key, len(spikes)] = number
                 spikes.append(Spike(int(year), int(age), int(extra)))
             elif key not in _SCALAR_KEYS:
                 raise ParseError(number, f"unknown key {key!r}", source)
             elif key in fields:
                 raise ParseError(number, f"duplicate key {key!r}", source)
             else:
-                fields[key] = value
+                fields[key] = _SCALAR_KEYS[key](value)
+                where[key, None] = number
         except ParseError:
             raise
         except ValueError as exc:
@@ -332,23 +366,13 @@ def parse_synth_spec(lines: Iterable[str], source: str | None = None) -> SynthSp
     for name in _SCALAR_KEYS:
         if name not in fields:
             raise ParseError(0, f"missing required key {name!r}", source)
+    first_year, last_year = fields.pop("pub_years")
     try:
-        first, _, last = fields["pub_years"].partition("-")
-        spec = SynthSpec(
-            journal=fields["journal"],
-            first_year=int(first),
-            last_year=int(last or first),
-            kernel=_parse_kernel(fields["kernel"]),
-            base_citations=_parse_fraction(fields["base_citations"]),
-            items_per_year=int(fields["items_per_year"]),
-            observation_end=int(fields["observation_end"]),
-            volume_scale=volume_scale,
-            self_fraction=self_fraction,
-            spikes=tuple(spikes),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ParseError(0, str(exc), source)
-    return spec
+        return SynthSpec(first_year=first_year, last_year=last_year, **fields,
+                         volume_scale=volume_scale, self_fraction=self_fraction,
+                         spikes=tuple(spikes))
+    except SpecValueError as exc:
+        raise ParseError(where[exc.key, exc.entry], str(exc), source) from None
 
 
 def fixture_spec(name: str) -> SynthSpec:

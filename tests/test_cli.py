@@ -156,17 +156,36 @@ def _years_spec(path, pub_years, end):
     return str(path)
 
 
-@pytest.mark.parametrize("pub_years, end", [("9995-9999", 10010), ("995-1000", 1004)],
+@pytest.mark.parametrize("pub_years, end, line", [("9995-9999", 10010, 6),
+                                                  ("995-1000", 1004, 2)],
                          ids=["past-9999", "before-1000"])
-def test_synth_refuses_years_its_readers_reject(tmp_path, capsys, pub_years, end):
+def test_synth_refuses_years_its_readers_reject(tmp_path, capsys, pub_years, end, line):
     # The ledger readers take years 1000..9999 only, so synth refuses a spec
     # whose volumes or citing years would leave that range, and writes nothing.
     spec = _years_spec(tmp_path / "years.synth", pub_years, end)
     out = tmp_path / "out"
     assert main(["synth", spec, "--outdir", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {spec}:0: pub_years and observation_end must be in 1000..9999\n")
+        f"error: {spec}:{line}: pub_years and observation_end must be in 1000..9999\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("= 10\n", "= 0\n", "4: base_citations must be positive"),
+    ("= 2000\n", "= 2000\nspike = 1999,1,3\n", "7: spike 1999,1,3 needs a year in pub_years"),
+    ("= 2000\n", "= 2000\n# a note\nvolume_scale = 1990,1\nvolume_scale = 1991,0\n",
+     "9: volume_scale 1991,0 needs a year in pub_years"),
+    ("flat:5", "wavelet:3", "3: bad value for 'kernel': unrecognized kernel"),
+    ("= 10\n", "= 1/0\n", "4: bad value for 'base_citations': zero denominator in '1/0'"),
+], ids=["scalar", "spike", "volume-scale", "kernel-text", "zero-denominator"])
+def test_synth_error_names_the_line_of_the_value(tmp_path, capsys, old, new, error):
+    # A value that does not parse, or that the spec's checks refuse, is an
+    # error at the line that gives it; only a missing key has no line (line 0).
+    path = tmp_path / "spec.synth"
+    spec = _years_spec(path, "1990-1995", 2000)
+    path.write_text(path.read_text().replace(old, new))
+    assert main(["synth", spec, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {spec}:{error}")
 
 
 def test_synth_takes_years_at_the_bounds(tmp_path):
@@ -832,8 +851,7 @@ def test_curves_mean_row_is_journal_mean_curve(request, capsys, fixture, horizon
                  "--horizon", str(horizon), *flags]) == 0
     mean_rows = [line for line in capsys.readouterr().out.splitlines()
                  if line.split(",")[1] == ""]
-    with open(citations, encoding="utf-8") as handle:
-        profiles, _ = ledger_mod.read_citation_file(handle)
+    profiles, _ = ledger_mod.read_citation_file(citations)
     (profile,) = profiles.values()
     if strip:
         profile = ledger_mod.strip_self_references(profile)
@@ -961,9 +979,7 @@ def test_curves_streams_what_the_formatters_return(request, tmp_path, capsys, fi
     # those curves_to_csv and emit_svg_chart return on the same curves and
     # (age, value) pairs, on stdout, with -o and on a text-only stdout.
     citations = request.getfixturevalue(f"{fixture}_dir") / "citations.csv"
-    with open(citations, encoding="utf-8") as handle:
-        profiles, _ = ledger_mod.read_citation_file(
-            handle, ledger_mod.EMPTY_ALIASES, source=str(citations), strip_self=strip)
+    profiles, _ = ledger_mod.read_citation_file(citations, strip_self=strip)
     profile = ledger_mod.find_profile(profiles, fixture)
     volumes = curves_mod.volume_curves(profile)
     cumulatives = {year: curves_mod.cumulative(raw) for year, raw in volumes.items()}
@@ -1047,11 +1063,8 @@ def test_curves_peak_stays_near_the_read(tmp_path, capsys):
     assert main(["synth", str(spec), "--outdir", str(tmp_path)]) == 0
     citations = tmp_path / "citations.csv"
 
-    def read():
-        with open(citations, encoding="utf-8", errors="surrogateescape") as handle:
-            return ledger_mod.read_citation_file(handle, source=str(citations))
-
-    (profiles, rows), read_peak = _traced_peak(read)
+    (profiles, rows), read_peak = _traced_peak(
+        lambda: ledger_mod.read_citation_file(citations))
     assert (len(profiles), rows) == (1, 18634)
     del profiles
     argv = ["curves", "deep", "--citations", str(citations),
@@ -1466,8 +1479,7 @@ def test_split_read_strips_self_citations(tmp_path, capfd, request):
     assert [outcome[0] for outcome in stream] == [0, 0]
     pids, exited = request.getfixturevalue("split_in_two")
     assert _run_all(capfd, commands) == stream
-    with open(citations, encoding="utf-8", errors="surrogateescape") as handle:
-        split = ledger_mod.read_citation_file(handle, strip_self=True)
+    split = ledger_mod.read_citation_file(citations, strip_self=True)
     assert len(pids) == 3
     assert exited() == [f"{pid} 0" for pid in pids]
     _assert_reaped(pids)
@@ -1649,7 +1661,8 @@ def test_parser_defaults_are_the_settings_defaults():
             if match:
                 stated.append(match[1])
                 assert action.type(match[1]) == defaults[action.dest]
-    assert stated == ["1,2", "20", "0.5", "1,2", "20", "0.5", "20", "0.5", "25"]
+    assert stated == ["1,2", "20", "0.5", "0.25", "0.15", "1,2", "20", "0.5", "0.25", "0.15",
+                      "20", "0.5", "25"]
 
 
 def test_every_option_has_help():

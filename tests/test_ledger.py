@@ -248,8 +248,7 @@ def test_read_profiles_share_one_int_per_year(tmp_path, strip_self):
         for citing, cited in (("A", "A"), ("B", "A"), ("A", "B"))
         for cited_year in range(1990, 2000) for age in range(0, 2000 - cited_year)
     ])) + "\n")
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        profiles, _ = ledger.read_citation_file(handle, strip_self=strip_self)
+    profiles, _ = ledger.read_citation_file(path, strip_self=strip_self)
     assert sorted(profiles) == ["A", "B"]
     years = [year for profile in profiles.values() for key in profile.cells for year in key]
     assert len({id(year) for year in years}) == len(set(years)) == 10
@@ -709,16 +708,17 @@ def split_offsets(raw, error_line):
 
 
 def split_load(path, aliases, parts=None, offsets=None, strip_self=False):
-    """read_citation_file forced into `parts` parts, or read_ranges at `offsets`."""
+    """read_citation_file forced into `parts` parts, or read_ranges at
+    `offsets` with its fold records frozen here."""
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            if offsets is not None:
-                return parallel.read_ranges(handle.fileno(), offsets, aliases, None,
-                                            strip_self=strip_self), None
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ledger, "MIN_SPLIT_BYTES", 1)
-                patch.setattr(ledger, "_usable_cpus", lambda: parts)
-                return ledger.read_citation_file(handle, aliases, strip_self=strip_self), None
+        if offsets is not None:
+            with open(path, "rb") as handle:
+                journals, rows = parallel.read_ranges(handle.fileno(), offsets, aliases, None)
+            return (ledger._freeze_profiles(journals, strip_self=strip_self), rows), None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ledger, "MIN_SPLIT_BYTES", 1)
+            patch.setattr(ledger, "_usable_cpus", lambda: parts)
+            return ledger.read_citation_file(path, aliases, strip_self=strip_self), None
     except ParseError as exc:
         return None, (exc.line, exc.reason)
 

@@ -127,6 +127,17 @@ def test_impact_factor_window_ages():
     assert err.value.years == (2001, 2000)
 
 
+@pytest.mark.parametrize("ages", [(-1, 1), ()], ids=["negative", "none"])
+def test_impact_factor_rejects_a_negative_age(ages):
+    # A cell at age -1 cites before its volume: no report number counts it.
+    # No ages at all would divide by zero items.
+    profile = make_profile("J", {(2005, 2004): (30, 0), (2003, 2004): (10, 0)})
+    pubs = pubs_for("J", {2003: 5, 2005: 5})
+    with pytest.raises(ValueError, match="ages must be one or more ints >= 0"):
+        impact_factor(profile, pubs, 2004, ages)
+    assert impact_factor(profile, pubs, 2004, (1,)) == 2
+
+
 def test_immediacy_hand_case():
     profile = make_profile("J", {(2004, 2004): (8, 0)})
     assert impact_factor(profile, pubs_for("J", {2004: 40}), 2004, (0,)) == Fraction(1, 5)
@@ -535,18 +546,22 @@ def as_of(profile, year):
     })
 
 
+def reference_impact(profile, pubs, eval_year, ages, flags):
+    """The cells citing in eval_year at `ages` over those volumes' items, or
+    None with the MissingDenominator flag when an item count is missing."""
+    items = [pubs.get(profile.journal, eval_year - age) for age in ages]
+    if None in items:
+        flags.add(FLAG_MISSING_DENOMINATOR)
+        return None
+    cited = [profile.cells.get((eval_year - age, eval_year)) for age in ages]
+    return Fraction(sum(cell.total for cell in cited if cell is not None), sum(items))
+
+
 def reference_build_indicator_report(profile, pubs, eval_year, policy, mean_curve=None):
     profile = as_of(profile, eval_year)
     flags = set()
-    jif = immediacy = None
-    try:
-        jif = impact_factor(profile, pubs, eval_year, policy.window_ages)
-    except MissingDenominatorError:
-        flags.add(FLAG_MISSING_DENOMINATOR)
-    try:
-        immediacy = impact_factor(profile, pubs, eval_year, (0,))
-    except MissingDenominatorError:
-        flags.add(FLAG_MISSING_DENOMINATOR)
+    jif = reference_impact(profile, pubs, eval_year, policy.window_ages, flags)
+    immediacy = reference_impact(profile, pubs, eval_year, (0,), flags)
     half_life = cited_half_life(profile, eval_year)
     half_life_jcr = half_life if half_life is None or half_life <= 10 else ">10"
     coverage = scaling = adjusted = None

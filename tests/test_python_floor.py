@@ -5,6 +5,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -73,10 +75,23 @@ def test_cli_reads_no_private_name_of_another_module():
     assert _private_reads(path.read_text(encoding="utf-8")) == []
 
 
-def test_cli_reads_no_cells():
+@pytest.mark.parametrize("module", ["cli.py", "metrics.py"])
+def test_cli_reads_no_cells(module):
     """Which cells count (for a curve, a rate or a report) is decided in ledger
-    and curves; the CLI hands them whole profiles and reads no `.cells`."""
-    path = ROOT / "src" / "citemetrics" / "cli.py"
+    and curves: the CLI hands them whole profiles, and every report number
+    reads its cells through curves.observe, so neither reads a `.cells`."""
+    path = ROOT / "src" / "citemetrics" / module
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "cells"] == []
+
+
+def test_decoding_rule_written_once():
+    """How input bytes become text is ledger's rule: every other reader takes
+    it from there, so the error handler is named once under src/citemetrics."""
+    named = []
+    for path in sorted((ROOT / "src" / "citemetrics").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == "surrogateescape"]
+    assert len(named) == 1, named

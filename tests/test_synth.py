@@ -99,7 +99,7 @@ def test_spec_rejects_keyed_entry_it_cannot_apply(line, error):
     text = fixture_text("hare") + line + "\n"
     with pytest.raises(ParseError, match=error) as err:
         parse_synth_spec(io.StringIO(text), source="hare.synth")
-    assert err.value.line == 0
+    assert err.value.line == len(text.splitlines())
 
 
 @pytest.mark.parametrize("year, age", [(1993, 25), (2004, 1)],
@@ -114,7 +114,7 @@ def test_spec_rejects_self_fraction_on_a_cell_it_never_writes(year, age):
     text = fixture_text("hare") + f"self_fraction = {year},{age},1/2\n"
     with pytest.raises(ParseError, match=error) as err:
         parse_synth_spec(io.StringIO(text), source="hare.synth")
-    assert err.value.line == 0
+    assert err.value.line == len(text.splitlines())
 
 
 def test_self_fraction_past_the_kernel_needs_a_spike():
@@ -323,8 +323,9 @@ def test_parse_spec_flat_and_geometric_keywords_are_risedecay():
 
 
 def test_parse_spec_missing_key():
-    with pytest.raises(ParseError, match="kernel"):
+    with pytest.raises(ParseError, match="kernel") as err:
         parse_synth_spec(io.StringIO("journal = X\npub_years = 2000-2001\n"))
+    assert err.value.line == 0  # no line gives the key
 
 
 def test_parse_spec_bad_kernel():
