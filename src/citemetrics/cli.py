@@ -252,11 +252,13 @@ def cmd_curves(args) -> int:
     if profile is None:
         raise CitemetricsError(f"unknown journal {args.journal!r}")
     journal = profile.journal
-    volumes = curves.volume_curves(profile)
-    # Held: the raw curves (table, mean row) and the standardized ones (each
-    # age's anomaly median reads all).  The ledger is freed here.
+    # One observation gives the volume curves and the mean row.  Held: the raw
+    # curves and the standardized ones (each age's anomaly median reads all).
+    observation = curves.observe(profile)
+    volumes = curves.as_of_volume_curves(profile, observation)
+    mean = curves.as_of_mean(journal, observation, args.horizon)
     rates = ledger.volume_self_rates(profile)
-    del profiles, profile
+    del profiles, profile  # the ledger is freed here
     standardized, skipped = curves.standardized_volume_curves(volumes)
     for error in skipped:
         print(f"warning: volume {error.pub_year} {error.reason}; skipped from standardized output",
@@ -274,9 +276,6 @@ def cmd_curves(args) -> int:
             title=f"{journal}: standardized citation accrual",
         ))
 
-    oldest = max(curve.max_age() for curve in volumes.values())
-    mean = curves.mean_accrual_curve(  # before the table, so an error leaves none
-        list(volumes.values()), curves.clamp_horizon(args.horizon, oldest))
     # Each cumulative curve is made when its chunk of the table is due.
     table = (curve for year in sorted(volumes)
              for curve in (volumes[year], curves.cumulative(volumes[year]),

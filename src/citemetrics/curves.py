@@ -188,19 +188,35 @@ def observe(
 
 
 def volume_curves(profile: CitationProfile) -> dict[int, AccrualCurve]:
-    """Raw curve per volume of observe(profile), ages 0..end - pub_year.
+    """as_of_volume_curves of observe(profile): every cell the ledger holds."""
+    return as_of_volume_curves(profile, observe(profile))
 
-    A cell citing before its volume counts in no curve.
+
+def as_of_volume_curves(profile: CitationProfile, observation: tuple) -> dict[int, AccrualCurve]:
+    """Raw curve per volume of observation, an observe(profile, ...) result,
+    over ages 0..end - pub_year.  A cell citing before its volume or after
+    end counts in no curve.
     """
-    end, years, _, _ = observe(profile)
+    end, years, _, _ = observation
     rows = {year: [0] * (end - year + 1) for year in years}
-    for (cited, citing), cell in profile.cells.items():
+    for (cited, citing), cell in profile.cells.items() if years else ():
         if cited <= citing <= end:  # so cited is a volume
             rows[cited][citing - cited] = cell.total
-    return {
-        year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
-        for year, row in rows.items()
-    }
+    return {year: AccrualCurve(profile.journal, year, KIND_RAW, tuple(row))
+            for year, row in rows.items()}
+
+
+def as_of_mean(journal: str, observation: tuple, horizon: int) -> AccrualCurve | None:
+    """The journal's ragged mean as of an observe result, over ages 0 to `horizon`
+    clamped to the oldest volume's age: the one mean of report coverage and of
+    the `curves` mean row.  None when no volume is observed.
+    """
+    end, years, totals, _ = observation
+    if not years:
+        return None
+    horizon = clamp_horizon(horizon, end - years[0])
+    # A volume published in year y observes ages 0..end - y.
+    return ragged_mean(journal, totals[:max(horizon + 1, 0)], [end - y + 1 for y in years])
 
 
 def standardized_volume_curves(
@@ -233,8 +249,7 @@ def clamp_horizon(horizon: int, oldest_age: int) -> int:
 
     The one place a requested horizon gives way to what the ledger can
     observe: mean curves and coverage for young journals use the shorter
-    span instead of failing.  For a journal's volume curves, the oldest age
-    is end minus the first volume year, both from observe.
+    span instead of failing.  as_of_mean clamps with it.
     """
     return min(horizon, oldest_age)
 

@@ -582,12 +582,11 @@ def read_citation_file(
         size = os.fstat(handle.fileno()).st_size
         parts = min(_usable_cpus(), size // MIN_SPLIT_BYTES) if hasattr(os, "fork") else 1
         if parts < 2:  # a pipe or other unseekable ledger has size 0 and cannot be pread
-            journals, rows, _ = _fold(_data_lines(handle, CITATIONS_HEADER, path), alias_map, path)
-        else:
-            from .parallel import read_ranges  # only here, so a stream never compiles it
+            return read_citation_profiles(handle, alias_map, path, strip_self=strip_self)
+        from .parallel import read_ranges  # only here, so a stream never compiles it
 
-            offsets = [k * size // parts for k in range(1, parts)]
-            journals, rows = read_ranges(handle.fileno(), offsets, alias_map, path)
+        offsets = [k * size // parts for k in range(1, parts)]
+        journals, rows = read_ranges(handle.fileno(), offsets, alias_map, path)
     return _freeze_profiles(journals, strip_self=strip_self), rows
 
 

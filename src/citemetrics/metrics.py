@@ -202,28 +202,13 @@ def adjusted_impact(jif, scaling) -> Fraction:
     return Fraction(jif) * factor
 
 
-def _mean_as_of(journal: str, observation: tuple, horizon: int) -> AccrualCurve | None:
-    """The journal's ragged mean curve over ages 0..h, from a curves.observe result.
-
-    h is `horizon` clamped to the oldest volume, where the totals end.  None
-    when no volume is observed: no cells, or none a volume's own life observes.
-    """
-    end, years, totals, _ = observation
-    if not years:
-        return None
-    # A volume published in year y observes ages 0..end - y.
-    return curves_mod.ragged_mean(journal, totals[:max(horizon + 1, 0)],
-                                  [end - y + 1 for y in years])
-
-
 def journal_mean_curve(profile: CitationProfile, horizon: int) -> AccrualCurve:
     """Ragged-mean accrual curve for a whole journal, clamped to the ledger span.
 
-    Equal to mean_accrual_curve over the journal's volume curves; here the
-    horizon is capped at the oldest observed age so that reports for young
-    journals still produce a (shorter) curve rather than failing.
+    curves.as_of_mean of every cell the ledger holds: the horizon is capped at
+    the oldest observed age, so a young journal gets a shorter curve.
     """
-    mean = _mean_as_of(profile.journal, curves_mod.observe(profile), horizon)
+    mean = curves_mod.as_of_mean(profile.journal, curves_mod.observe(profile), horizon)
     if mean is None:
         raise ZeroWindowError(f"{profile.journal!r}: profile has no citations")
     return mean
@@ -253,7 +238,7 @@ def _ratios(
     half_life = _half_life(pairs, 1, 2)
 
     if mean_curve is None:
-        mean_curve = _mean_as_of(profile.journal, observation, policy.horizon)
+        mean_curve = curves_mod.as_of_mean(profile.journal, observation, policy.horizon)
     coverage = scaling = adjusted = None
     if mean_curve is not None:
         head = mean_curve.numerators[:policy.horizon + 1]

@@ -842,8 +842,8 @@ def test_curves_horizon_needs_no_window(capsys, hare_dir):
 @pytest.mark.parametrize("horizon", [0, 5, 20, 40])
 @pytest.mark.parametrize("fixture", ["hare", "tortoise"])
 def test_curves_mean_row_is_journal_mean_curve(request, capsys, fixture, horizon, strip):
-    # The mean row is mean_accrual_curve over the volume curves at the clamped
-    # horizon; it must equal the report layer's journal_mean_curve.  Both
+    # The mean row is curves.as_of_mean of the observation the volume curves
+    # come from; it must equal the report layer's journal_mean_curve.  Both
     # fixtures' oldest age is 20, so horizon 40 is clamped.
     citations = request.getfixturevalue(f"{fixture}_dir") / "citations.csv"
     flags = ["--strip-self"] if strip else []

@@ -16,6 +16,8 @@ from citemetrics.curves import (
     AccrualCurve,
     ClassificationThresholds,
     KIND_RAW,
+    as_of_mean,
+    as_of_volume_curves,
     clamp_horizon,
     classify_journal,
     classify_ratio,
@@ -610,8 +612,8 @@ def kernel_profile(cells):
     })
 
 
-@given(kernel_cells, st.integers(-2, 14))
-def test_journal_mean_curve_matches_volume_mean(cells, horizon):
+@given(kernel_cells, st.integers(-2, 14), st.integers(1985, 2010))
+def test_journal_mean_curve_matches_volume_mean(cells, horizon, year):
     profile = kernel_profile(cells)
     expected = kernel_outcome(reference_journal_mean_curve, profile, horizon)
     result = kernel_outcome(journal_mean_curve, profile, horizon)
@@ -620,6 +622,15 @@ def test_journal_mean_curve_matches_volume_mean(cells, horizon):
         assert result.observations == expected.observations
         volumes = list(volume_curves(profile).values())
         assert_one_form(result, exact_ragged_mean(volumes, len(result.numerators)))
+    # As of `year`, the mean and the volume curves are those of the profile cut there.
+    observation = observe(profile, year)
+    assert as_of_volume_curves(profile, observation) == volume_curves(as_of(profile, year))
+    expected = kernel_outcome(reference_journal_mean_curve, as_of(profile, year), horizon)
+    result = as_of_mean("J", observation, horizon)
+    if result is None:
+        assert expected[0] is ZeroWindowError
+    else:
+        assert (result, result.observations) == (expected, expected.observations)
 
 
 def exact_ragged_mean(volumes, width):

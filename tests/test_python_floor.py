@@ -95,3 +95,19 @@ def test_decoding_rule_written_once():
         named += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and node.value == "surrogateescape"]
     assert len(named) == 1, named
+
+
+def test_one_as_of_mean():
+    """curves.as_of_mean builds every journal mean, with the one horizon clamp:
+    only curves builds a ragged mean, and the CLI neither clamps a horizon nor
+    averages or measures volume curves itself."""
+    stray = []
+    for path in sorted((ROOT / "src" / "citemetrics").rglob("*.py")):
+        banned = set() if path.name == "curves.py" else {"ragged_mean"}
+        if path.name == "cli.py":
+            banned |= {"clamp_horizon", "mean_accrual_curve", "max_age"}
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(
+                      node.func, "attr", getattr(node.func, "id", None)) in banned]
+    assert not stray, stray
