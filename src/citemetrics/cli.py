@@ -172,52 +172,40 @@ def _emit(output: str | None, chunks: Iterable[str]) -> None:
     stream.flush()
 
 
-def _cell(value) -> str:
-    # None, a str, the int eval_year or a float, as metrics.report_rows gives.
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else repr(value)
-
-
 def _render_rows(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     """Each row's `columns`, in that order, as CSV or JSON: `columns` picks which
-    of the REPORT_COLUMNS keys that metrics.report_rows gives to print."""
-    if fmt == "json":
-        return _json_rows(rows, columns)
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for column in columns:
-            value = row[column]
-            cells.append("|".join(value) if column == "flags" else _cell(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    of the REPORT_COLUMNS keys that metrics.report_rows gives to print.
 
-
-def _json_rows(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """The text json.dumps writes for the rows at indent 2, plus a line end, byte for byte.
-
-    Each value is encoded by the entry for its type in `text`, with the
-    C-level functions json's own encoder uses, and the indent-2 layout is
-    written here, so json's pure-Python indent encoder never runs.
+    Both formats walk the rows once, encoding each value by the entry for
+    its type in the format's `text` table; only the layout differs.  The JSON
+    is the text json.dumps writes for the rows at indent 2, plus a line end,
+    byte for byte: its table holds the C-level functions json's own encoder
+    uses, and the layout is written here, so json's pure-Python indent
+    encoder never runs.
     """
-    from json.encoder import encode_basestring_ascii as string  # only JSON output loads json
-
-    def string_list(items: list[str]) -> str:  # the flags, at the depth of a row's values
-        if not items:
-            return "[]"
-        return "[\n      " + ",\n      ".join(map(string, items)) + "\n    ]"
-
     # Each type a row's values have in metrics.report_rows, the class included.
-    text = {str: string, int: int.__repr__, float: float.__repr__,
-            type(None): lambda _: "null", list: string_list}
+    if fmt == "json":
+        from json.encoder import encode_basestring_ascii as string  # only JSON output loads json
+
+        def string_list(items: list[str]) -> str:  # the flags, at the depth of a row's values
+            if not items:
+                return "[]"
+            return "[\n      " + ",\n      ".join(map(string, items)) + "\n    ]"
+
+        text = {str: string, int: int.__repr__, float: float.__repr__,
+                type(None): lambda _: "null", list: string_list}
+    else:
+        text = {str: str, int: int.__repr__, float: float.__repr__,
+                type(None): lambda _: "", list: "|".join}
+    cells = ([text[type(value)](value) for value in map(row.__getitem__, columns)]
+             for row in rows)
+    if fmt != "json":
+        return "\n".join(map(",".join, chain([columns], cells))) + "\n"
     if not rows:
         return "[]\n"
     heads = [f"{string(column)}: " for column in columns]
-    objects = [",\n    ".join(map(add, heads, [text[type(value)](value)
-                                                for value in map(row.__getitem__, columns)]))
-               for row in rows]
-    return "[\n  {\n    " + "\n  },\n  {\n    ".join(objects) + "\n  }\n]\n"
+    return "[\n  {\n    " + "\n  },\n  {\n    ".join(
+        ",\n    ".join(map(add, heads, line)) for line in cells) + "\n  }\n]\n"
 
 
 def cmd_table(args) -> int:

@@ -663,9 +663,11 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
 
     The self share is attributed to the journal itself, the remainder to the
     reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row so
-    re-parsing reproduces the profiles exactly.  A row whose count the
-    ledger readers would reject (below 0 or above MAX_COUNT), or a profile
-    whose identity is EXTERNAL_SOURCE, raises CitemetricsError.
+    re-parsing reproduces the profiles exactly.  Whatever the ledger readers
+    would reject raises CitemetricsError instead: a count below 0 or above
+    MAX_COUNT, a year outside YEAR_MIN..YEAR_MAX, a citing year before its
+    cited year, and a journal name that is blank, is EXTERNAL_SOURCE, or
+    holds a comma or a line end.
     """
     lines = [CITATIONS_HEADER]
     for journal in sorted(profiles, key=journal_identity):
@@ -673,7 +675,21 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
         name = profile.journal
         if journal_identity(name) == EXTERNAL_SOURCE:
             raise CitemetricsError(f"{name!r}: the journal name {EXTERNAL_SOURCE!r} is reserved")
+        if not name.strip():
+            raise CitemetricsError(f"{name!r}: the journal name is blank")
+        if any(mark in name for mark in ",\n\r"):
+            raise CitemetricsError(f"{name!r}: the journal name holds a comma or a line end")
         for (cited_year, citing_year) in sorted(profile.cells):
+            if not (YEAR_MIN <= cited_year <= YEAR_MAX and YEAR_MIN <= citing_year <= YEAR_MAX):
+                raise CitemetricsError(
+                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
+                    f"ledger row with a year outside {YEAR_MIN}..{YEAR_MAX}"
+                )
+            if citing_year < cited_year:
+                raise CitemetricsError(
+                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
+                    "ledger row whose citing year precedes its cited year"
+                )
             cell = profile.cells[(cited_year, citing_year)]
             other = cell.total - cell.self_count
             if min(cell.self_count, other) < 0 or max(cell.self_count, other) > MAX_COUNT:

@@ -471,12 +471,30 @@ json_rows = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("columns", [REPORT_COLUMNS, ADJUST_COLUMNS], ids=["report", "adjust"])
+def csv_reference(rows, columns):
+    """The header line, then each row's values: the flags joined by "|", and
+    every other value as "" for None, the str itself or its repr."""
+    def cell(column, value):
+        if column == "flags":
+            return "|".join(value)
+        return "" if value is None else value if isinstance(value, str) else repr(value)
+
+    lines = [",".join(columns)]
+    lines += [",".join(cell(column, row[column]) for column in columns) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("columns, fmt", [
+    (REPORT_COLUMNS, "json"), (ADJUST_COLUMNS, "json"),
+    (REPORT_COLUMNS, "csv"), (ADJUST_COLUMNS, "csv"),
+], ids=["report", "adjust", "report-csv", "adjust-csv"])
 @example(rows=[])
 @given(rows=st.lists(json_rows, max_size=4))
-def test_json_rows_match_json_dumps(columns, rows):
+def test_json_rows_match_json_dumps(columns, fmt, rows):
     rows = [{column: row[column] for column in columns} for row in rows]
-    assert _render_rows(rows, columns, "json") == json.dumps(rows, indent=2) + "\n"
+    expected = (json.dumps(rows, indent=2) + "\n" if fmt == "json"
+                else csv_reference(rows, columns))
+    assert _render_rows(rows, columns, fmt) == expected
 
 
 def test_report_csv_json_field_equality(capsys, hare_dir):

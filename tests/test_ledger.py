@@ -804,22 +804,36 @@ def test_citation_csv_rows_stay_within_count_bound():
         profiles_to_citation_csv({"J": over})
 
 
-@pytest.mark.parametrize("cell", [(-40, 0), (3, 5), (2, -1)], ids=["total", "external", "self"])
-def test_citation_csv_refuses_negative_share(cell):
-    # A negative share has no ledger row; dropping the cell would change the profile.
-    profile = make_profile("J", {(1990, 1990): (1, 0), (1990, 1991): cell})
-    with pytest.raises(CitemetricsError, match="citations of 1991 to 1990 .* count below 0"):
+@pytest.mark.parametrize("key, cell, message", [
+    ((1990, 1991), (-40, 0), "citations of 1991 to 1990 .* count below 0"),
+    ((1990, 1991), (3, 5), "citations of 1991 to 1990 .* count below 0"),
+    ((1990, 1991), (2, -1), "citations of 1991 to 1990 .* count below 0"),
+    # Written as `(external),1993,J,1995,2`: the citing year precedes the cited year.
+    ((1995, 1993), (2, 0), "citations of 1993 to 1995 .* citing year precedes its cited year"),
+    ((999, 1000), (2, 0), "citations of 1000 to 999 .* year outside 1000..9999"),
+], ids=["total", "external", "self", "citing-first", "3-digit-year"])
+def test_citation_csv_refuses_negative_share(key, cell, message):
+    # A cell no ledger row can hold; dropping the cell would change the profile.
+    profile = make_profile("J", {(1990, 1990): (1, 0), key: cell})
+    with pytest.raises(CitemetricsError, match=f"^'J': the {message}"):
         profiles_to_citation_csv({"J": profile})
 
 
-def test_citation_csv_refuses_the_reserved_name():
+@pytest.mark.parametrize("name, message", [
+    ("(External)", "the journal name '(external)' is reserved"),
+    ("A,B", "the journal name holds a comma or a line end"),
+    ("A\nB", "the journal name holds a comma or a line end"),
+    ("A\rB", "the journal name holds a comma or a line end"),
+    ("  ", "the journal name is blank"),
+], ids=["reserved", "comma", "newline", "carriage-return", "blank"])
+def test_citation_csv_refuses_the_reserved_name(name, message):
     # Written back under the reserved citing name, A's five citations would
-    # read as the journal's own.
-    profiles, _ = read_citation_profiles(
-        lines("A,2004,(External),2003,5", "(External),2004,(External),2003,2"))
-    assert profiles == {"(External)": make_profile("(External)", {(2003, 2004): (7, 2)})}
-    with pytest.raises(CitemetricsError,
-                       match=re.escape("'(External)': the journal name '(external)' is reserved")):
+    # read as the journal's own; the other names would split or empty a field.
+    profiles = {name: make_profile(name, {(2003, 2004): (7, 2)})}
+    if name == "(External)":  # a ledger the readers accept gives this profile
+        assert read_citation_profiles(
+            lines("A,2004,(External),2003,5", "(External),2004,(External),2003,2"))[0] == profiles
+    with pytest.raises(CitemetricsError, match=re.escape(f"{name!r}: {message}")):
         profiles_to_citation_csv(profiles)
 
 

@@ -1,18 +1,21 @@
-"""An end-to-end oracle for `report` and `adjust` over the flags they accept.
+"""End-to-end oracles for `report`, `adjust` and `curves` over the flags they accept.
 
-Every REPORT_COLUMNS cell is restated here from the raw CSV text, with
-Fractions, and nothing is imported from citemetrics: the CLI runs in process
-as `python -m citemetrics` runs it, and the file it writes must equal, byte
-for byte, the table printed from the restated cells, each value as
-float(Fraction).
+Every REPORT_COLUMNS cell, and every row of the `curves` table, is restated
+here from the raw CSV text, with Fractions, and nothing is imported from
+citemetrics: the CLI runs in process as `python -m citemetrics` runs it, and
+what it prints must equal, byte for byte, the table printed from the
+restated values, each value as float(Fraction).
 """
 from __future__ import annotations
 
+import io
 import json
 import runpy
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -192,3 +195,106 @@ def test_cli_matches_oracle(ledger, runs, aliased, strip, back, window, extra, q
     rows = expected_rows(ledger, pubs, aliases, strip, year, window, horizon,
                          Fraction(quantile or "1/2"), Fraction(hare), Fraction(tortoise))
     assert output == printed(rows, COLUMNS[command], fmt)
+
+
+def expected_curves(ledger, aliases, strip, journal, horizon):
+    """(stdout, stderr skip lines) of `curves journal`, or None for a journal
+    the ledger never cites.
+
+    Each volume, a year some row cites, count-0 rows included, prints its raw,
+    cumulative and standardized (cumulative * 100 / the count through age 2)
+    curve over ages 0..(last citing year - volume); a volume observed only
+    through age 0 or 1, or with no citations through age 2, is skipped from
+    standardized output.  Then the ragged mean row: age a over the volumes
+    old enough to have reached it, through min(horizon, oldest age), with
+    those volume counts.
+    """
+    wanted = identity(resolve(journal, aliases))
+    name, cells = None, {}  # the first cited spelling; (volume, age) -> count
+    for citing, cited, cited_year, age, count in ledger:
+        citing, cited = resolve(citing, aliases), resolve(cited, aliases)
+        if identity(cited) == wanted:
+            name = name or cited
+            self_cite = strip and identity(citing) == wanted
+            cells[cited_year, age] = cells.get((cited_year, age), 0) + (0 if self_cite else count)
+    if name is None:
+        return None
+    end = max(year + age for year, age in cells)
+    volumes = sorted({year for year, _ in cells})
+    lines, skips, standardized = [], [], 0
+
+    def table(year, kind, values, observations=None):
+        lines.extend(f"{name},{year},{kind},{age},{float(value)!r},"
+                     f"{'' if observations is None else observations[age]}\n"
+                     for age, value in enumerate(values))
+
+    for year in volumes:
+        raw = [cells.get((year, age), 0) for age in range(end - year + 1)]
+        cumulative = list(accumulate(raw))
+        table(year, "raw", raw)
+        table(year, "cumulative", cumulative)
+        if len(cumulative) < 3:
+            reason = f"is observed only through age {end - year}"
+        elif cumulative[2] == 0:
+            reason = "has no citations through age 2"
+        else:
+            standardized += 1
+            table(year, "standardized", [Fraction(100 * n, cumulative[2]) for n in cumulative])
+            continue
+        skips.append(f"warning: volume {year} {reason}; skipped from standardized output")
+    ages = range(min(horizon, end - volumes[0]) + 1)
+    counts = [sum(end - year >= age for year in volumes) for age in ages]
+    table("", "raw", [Fraction(sum(cells.get((year, age), 0) for year in volumes), counts[age])
+                      for age in ages], counts)
+    if standardized < 3:
+        skips.append(f"warning: {name!r} has {standardized} standardized volumes, fewer than 3; "
+                     "AccrualDeviation and SelfCitationSpike tests skipped")
+    return "journal,pub_year,kind,age,value,observations\n" + "".join(lines), skips
+
+
+# Rows cite one of Alpha's spellings more often than another journal, so
+# Alpha often has three or more standardizable volumes and the anomaly tests run.
+curve_ledgers = st.lists(st.tuples(st.sampled_from(NAMES),
+                                   st.sampled_from(NAMES[:3]) | st.sampled_from(NAMES),
+                                   st.integers(1998, 2004), st.integers(0, 2) | st.integers(0, 13),
+                                   st.integers(0, 4)),
+                         min_size=1, max_size=40)  # citing, cited, cited year, age, count
+
+
+@settings(max_examples=120, deadline=None)
+# Three standardizable volumes beside one observed through age 1 (2003) and
+# one with no citations through age 2 (1999); a stripped self row; horizon 25
+# clamped to the oldest age, 5.
+@example([("Beta", "Alpha", 2000, 0, 1), ("Beta", "Alpha", 2000, 4, 3),
+          ("Beta", "Alpha", 2001, 1, 2), (" alpha", "Alpha", 2001, 2, 4),
+          ("Beta", "ALPHA ", 2002, 0, 5), ("Beta", "Alpha", 2002, 2, 1),
+          ("Beta", "Alpha", 2003, 1, 2), ("Alpha", "Alpha", 1999, 1, 0),
+          ("Beta", "Alpha", 1999, 3, 2)], False, True, 25, " alpha")
+@given(curve_ledgers, st.booleans(), st.booleans(), st.none() | st.integers(0, 25),
+       st.sampled_from(NAMES[:3]) | st.sampled_from([*NAMES, " old beta ", "EPSILON"]))
+def test_curves_matches_oracle(ledger, aliased, strip, horizon, journal):
+    aliases = {"old beta": "beta"} if aliased else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: Path(tmp, f"{name}.csv") for name in ("c", "a")}
+        files["c"].write_text(CITATIONS_HEADER + "".join(
+            f"{citing},{cited_year + age},{cited},{cited_year},{count}\n"
+            for citing, cited, cited_year, age, count in ledger), encoding="utf-8")
+        files["a"].write_text(ALIASES, encoding="utf-8")
+        argv = ["curves", journal, "--citations", str(files["c"])]
+        argv += ["--aliases", str(files["a"])] if aliased else []
+        argv += ["--strip-self"] if strip else []
+        argv += ["--horizon", str(horizon)] if horizon is not None else []
+        stdout, stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run_cli(argv)
+    expected = expected_curves(ledger, aliases, strip, journal, 20 if horizon is None else horizon)
+    stdout.flush()
+    if expected is None:
+        assert (code, stdout.buffer.getvalue(), stderr.getvalue()) == (
+            2, b"", f"error: unknown journal {journal!r}\n")
+        return
+    table, skips = expected
+    assert code == 0
+    assert stdout.buffer.getvalue() == table.encode("utf-8")
+    assert [line for line in stderr.getvalue().splitlines()
+            if line.startswith("warning: volume ") or "fewer than 3" in line] == skips

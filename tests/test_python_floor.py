@@ -111,3 +111,20 @@ def test_one_as_of_mean():
                   if isinstance(node, ast.Call) and getattr(
                       node.func, "attr", getattr(node.func, "id", None)) in banned]
     assert not stray, stray
+
+
+def test_report_values_become_text_only_through_the_type_tables():
+    """cli._render_rows encodes each report value by its type, through the
+    format's per-type table: no code in cli.py tests a type with isinstance
+    or compares with a REPORT_COLUMNS name."""
+    from citemetrics.cli import REPORT_COLUMNS
+
+    path = ROOT / "src" / "citemetrics" / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    stray = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
+    stray += [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Compare) and any(
+                  isinstance(side, ast.Constant) and side.value in REPORT_COLUMNS
+                  for side in [node.left, *node.comparators])]
+    assert not stray, stray
