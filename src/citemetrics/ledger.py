@@ -27,8 +27,8 @@ ALIASES_HEADER = "alias,canonical"
 ENCODING, DECODE_ERRORS = "utf-8", "surrogateescape"  # the rule open_input reads inputs by
 
 # Citing-journal label for the non-self share of a cell, which has no recorded
-# origin, when a profile is written back to ledger CSV.  No journal identity may
-# equal it: SynthSpec and profiles_to_citation_csv refuse a journal that does.
+# origin, when a profile is written back to ledger CSV.  A journal of this
+# identity would read those rows as its own, so SynthSpec refuses the name.
 EXTERNAL_SOURCE = "(external)"
 
 YEAR_MIN, YEAR_MAX = 1000, 9999
@@ -662,44 +662,35 @@ def profiles_to_citation_csv(profiles: dict[str, CitationProfile]) -> str:
     """Serialize profiles back to ledger CSV, one row per cell per self split.
 
     The self share is attributed to the journal itself, the remainder to the
-    reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row so
-    re-parsing reproduces the profiles exactly.  Whatever the ledger readers
-    would reject raises CitemetricsError instead: a count below 0 or above
-    MAX_COUNT, a year outside YEAR_MIN..YEAR_MAX, a citing year before its
-    cited year, and a journal name that is blank, is EXTERNAL_SOURCE, or
-    holds a comma or a line end.
+    reserved EXTERNAL_SOURCE name; cells with zero total keep a count-0 row.
+    The text is read back as open_input would read its file, so every
+    profile with cells reads back exactly or raises CitemetricsError: a row
+    the readers refuse, with their reason, or a journal that reads back as
+    another profile (a padded name, two profiles of one journal identity).
     """
     lines = [CITATIONS_HEADER]
     for journal in sorted(profiles, key=journal_identity):
         profile = profiles[journal]
         name = profile.journal
-        if journal_identity(name) == EXTERNAL_SOURCE:
-            raise CitemetricsError(f"{name!r}: the journal name {EXTERNAL_SOURCE!r} is reserved")
-        if not name.strip():
-            raise CitemetricsError(f"{name!r}: the journal name is blank")
-        if any(mark in name for mark in ",\n\r"):
-            raise CitemetricsError(f"{name!r}: the journal name holds a comma or a line end")
         for (cited_year, citing_year) in sorted(profile.cells):
-            if not (YEAR_MIN <= cited_year <= YEAR_MAX and YEAR_MIN <= citing_year <= YEAR_MAX):
-                raise CitemetricsError(
-                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
-                    f"ledger row with a year outside {YEAR_MIN}..{YEAR_MAX}"
-                )
-            if citing_year < cited_year:
-                raise CitemetricsError(
-                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
-                    "ledger row whose citing year precedes its cited year"
-                )
             cell = profile.cells[(cited_year, citing_year)]
             other = cell.total - cell.self_count
-            if min(cell.self_count, other) < 0 or max(cell.self_count, other) > MAX_COUNT:
-                bound = "below 0" if min(cell.self_count, other) < 0 else f"above {MAX_COUNT}"
-                raise CitemetricsError(
-                    f"{name!r}: the citations of {citing_year} to {cited_year} need a "
-                    f"ledger row with a count {bound}"
-                )
-            if cell.self_count > 0:
+            if cell.self_count:
                 lines.append(f"{name},{citing_year},{name},{cited_year},{cell.self_count}")
-            if other > 0 or cell.total == 0:
+            if other or not cell.total:
                 lines.append(f"{EXTERNAL_SOURCE},{citing_year},{name},{cited_year},{other}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        read, _ = read_citation_profiles(io.StringIO(text, newline=None))
+    except ParseError as exc:  # a row with a line end in its name spans several lines
+        rows = [row for row in lines for _ in io.StringIO(row, newline=None)]
+        raise CitemetricsError(
+            f"the ledger row {rows[exc.line - 1]!r} would not read back: {exc.reason}"
+        ) from None
+    by_identity = {journal_identity(name): profile for name, profile in read.items()}
+    for profile in profiles.values():
+        if profile.cells and by_identity[journal_identity(profile.journal)] != profile:
+            raise CitemetricsError(
+                f"{profile.journal!r}: its ledger rows would not read back as its profile"
+            )
+    return text

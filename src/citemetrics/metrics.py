@@ -83,16 +83,17 @@ def impact_factor(
     profile: CitationProfile,
     pubs: PublicationCounts,
     eval_year: int,
-    ages: Iterable[int] = (1, 2),
+    ages: Iterable[int] = WindowPolicy().window_ages,
 ) -> Fraction:
     """Citations in eval_year to the volumes `ages` years old, per citeable item.
 
-    The default ages (1, 2) give the classical two-year impact factor; ages
-    (0,) give the immediacy index.  Self-references are included, matching
-    published practice; pass a stripped profile to exclude them.  Every
-    volume's denominator must be present: a guessed item count would
-    silently skew the ratio.  No ages, or one below 0 (its cells would cite
-    before their volume, which no report number counts), raise ValueError.
+    The default, WindowPolicy's window ages (1, 2), gives the classical
+    two-year impact factor; ages (0,) give the immediacy index.
+    Self-references are included, matching published practice; pass a
+    stripped profile to exclude them.  Every volume's denominator must be
+    present: a guessed item count would silently skew the ratio.  No ages,
+    or one below 0 (its cells would cite before their volume, which no
+    report number counts), raise ValueError.
     """
     ages = sorted(set(ages))
     if not ages or ages[0] < 0:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from citemetrics import curves as curves_mod
 from citemetrics import ledger as ledger_mod
 from citemetrics import metrics as metrics_mod
+from citemetrics import synth
 from citemetrics.cli import ADJUST_COLUMNS, REPORT_COLUMNS, _render_rows, build_parser, main
 from citemetrics.ledger import MAX_COUNT
 from citemetrics.settings import AnomalyThresholds, ClassificationThresholds, WindowPolicy
@@ -64,11 +65,16 @@ def run_report(capsys, dirpath, *extra):
 # --- synth ------------------------------------------------------------------
 
 
-def test_synth_writes_ledger_files(hare_dir):
-    assert (hare_dir / "citations.csv").exists()
-    assert (hare_dir / "publications.csv").exists()
-    first = (hare_dir / "citations.csv").read_text().splitlines()[0]
-    assert first == HEADER
+def test_synth_writes_ledger_files(hare_dir, tortoise_dir):
+    for name, outdir in (("hare", hare_dir), ("tortoise", tortoise_dir)):
+        first = (outdir / "citations.csv").read_text().splitlines()[0]
+        assert first == HEADER
+        # Both files read back as the profile and counts the spec generates.
+        profile, pubs = synth.generate_profile(synth.fixture_spec(name))
+        profiles, _ = ledger_mod.read_citation_file(outdir / "citations.csv")
+        assert profiles == {profile.journal: profile}
+        with ledger_mod.open_input(outdir / "publications.csv") as handle:
+            assert ledger_mod.parse_publication_csv(handle) == pubs
 
 
 def test_synth_accepts_spec_path(tmp_path):
@@ -591,7 +597,7 @@ def test_synth_refuses_counts_above_bound(tmp_path, capsys):
                     "observation_end = 1999\n")
     out = tmp_path / "out"
     assert main(["synth", str(spec), "--outdir", str(out)]) == 2
-    assert f"count above {MAX_COUNT}" in capsys.readouterr().err
+    assert f"would not read back: count must be at most {MAX_COUNT}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -800,41 +800,101 @@ def test_citation_csv_rows_stay_within_count_bound():
     text = profiles_to_citation_csv({"J": split})
     assert read_citation_profiles(text.splitlines()) == ({"J": split}, 2)
     over = make_profile("J", {(2003, 2004): (MAX_COUNT + 1, 0)})
-    with pytest.raises(CitemetricsError, match=f"count above {MAX_COUNT}"):
+    with pytest.raises(CitemetricsError, match=re.escape(
+            f"row '(external),2004,J,2003,{MAX_COUNT + 1}' would not read back: "
+            f"count must be at most {MAX_COUNT}")):
         profiles_to_citation_csv({"J": over})
 
 
-@pytest.mark.parametrize("key, cell, message", [
-    ((1990, 1991), (-40, 0), "citations of 1991 to 1990 .* count below 0"),
-    ((1990, 1991), (3, 5), "citations of 1991 to 1990 .* count below 0"),
-    ((1990, 1991), (2, -1), "citations of 1991 to 1990 .* count below 0"),
-    # Written as `(external),1993,J,1995,2`: the citing year precedes the cited year.
-    ((1995, 1993), (2, 0), "citations of 1993 to 1995 .* citing year precedes its cited year"),
-    ((999, 1000), (2, 0), "citations of 1000 to 999 .* year outside 1000..9999"),
+@pytest.mark.parametrize("key, cell, row, reason", [
+    ((1990, 1991), (-40, 0), "(external),1991,J,1990,-40", "count must be non-negative"),
+    ((1990, 1991), (3, 5), "(external),1991,J,1990,-2", "count must be non-negative"),
+    ((1990, 1991), (2, -1), "J,1991,J,1990,-1", "count must be non-negative"),
+    ((1995, 1993), (2, 0), "(external),1993,J,1995,2", "citing year precedes cited year"),
+    ((999, 1000), (2, 0), "(external),1000,J,999,2", "years must be 4-digit integers"),
 ], ids=["total", "external", "self", "citing-first", "3-digit-year"])
-def test_citation_csv_refuses_negative_share(key, cell, message):
+def test_citation_csv_refuses_negative_share(key, cell, row, reason):
     # A cell no ledger row can hold; dropping the cell would change the profile.
     profile = make_profile("J", {(1990, 1990): (1, 0), key: cell})
-    with pytest.raises(CitemetricsError, match=f"^'J': the {message}"):
+    with pytest.raises(CitemetricsError, match=re.escape(
+            f"the ledger row {row!r} would not read back: {reason}")):
         profiles_to_citation_csv({"J": profile})
 
 
-@pytest.mark.parametrize("name, message", [
-    ("(External)", "the journal name '(external)' is reserved"),
-    ("A,B", "the journal name holds a comma or a line end"),
-    ("A\nB", "the journal name holds a comma or a line end"),
-    ("A\rB", "the journal name holds a comma or a line end"),
-    ("  ", "the journal name is blank"),
-], ids=["reserved", "comma", "newline", "carriage-return", "blank"])
-def test_citation_csv_refuses_the_reserved_name(name, message):
+@pytest.mark.parametrize("names, message", [
+    ([("(External)", "(External)")], "'(External)': its ledger rows would not read back"),
+    ([("A,B", "A,B")], "row 'A,B,2004,A,B,2003,2' would not read back: expected 5 fields, got 7"),
+    ([("A\nB", "A\nB")], "row 'A\\nB,2004,A\\nB,2003,2' would not read back: expected 5 fields"),
+    ([("A\rB", "A\rB")], "row 'A\\rB,2004,A\\rB,2003,2' would not read back: expected 5 fields"),
+    ([("  ", "  ")], "row '  ,2004,  ,2003,2' would not read back: journal identifiers must be"),
+    ([(" J", " J")], "' J': its ledger rows would not read back"),
+    ([("J", "J"), ("j", "j")], "'J': its ledger rows would not read back"),
+    ([("J", "J"), ("K", "J")], "'J': its ledger rows would not read back"),
+], ids=["reserved", "comma", "newline", "carriage-return", "blank", "padded", "case-twins",
+        "key-of-another"])
+def test_citation_csv_refuses_the_reserved_name(names, message):
     # Written back under the reserved citing name, A's five citations would
-    # read as the journal's own; the other names would split or empty a field.
-    profiles = {name: make_profile(name, {(2003, 2004): (7, 2)})}
-    if name == "(External)":  # a ledger the readers accept gives this profile
+    # read as the journal's own; the other names would split, empty, trim or
+    # merge a journal.
+    profiles = {key: make_profile(name, {(2003, 2004): (7, 2)}) for key, name in names}
+    if names[0][0] == "(External)":  # a ledger the readers accept gives this profile
         assert read_citation_profiles(
             lines("A,2004,(External),2003,5", "(External),2004,(External),2003,2"))[0] == profiles
-    with pytest.raises(CitemetricsError, match=re.escape(f"{name!r}: {message}")):
+    with pytest.raises(CitemetricsError, match=re.escape(message)):
         profiles_to_citation_csv(profiles)
+
+
+def test_citation_csv_writes_an_all_self_reserved_name():
+    # Its rows are all self rows, so the reserved citing name never meets it.
+    profiles = {"(External)": make_profile("(External)", {(2003, 2004): (7, 7)})}
+    text = profiles_to_citation_csv(profiles)
+    assert text == f"{HEADER}\n(External),2004,(External),2003,7\n"
+    assert read_citation_profiles(text.splitlines())[0] == profiles
+
+
+WRITER_NAMES = ["J", " J", "j", "K", "A,B", "A\nB", "A\rB", "  ", "(External)"]
+# Years and shares the readers accept, then the ones they refuse, drawn
+# four times less often so that some profiles write cleanly.
+WRITER_YEARS = ([1000, 2003, 2004, 9999], [999, 10000])
+WRITER_SHARES = ([0, 1, MAX_COUNT], [-1, MAX_COUNT + 1])
+
+
+def mostly(accepted, refused):
+    return st.sampled_from(accepted * 4 + refused)
+
+
+@st.composite
+def written_profiles(draw):
+    profiles = {}
+    pairs = st.tuples(mostly(*WRITER_YEARS), mostly(*WRITER_YEARS))
+    for name in draw(st.lists(st.sampled_from(WRITER_NAMES), min_size=1, max_size=2)):
+        key = draw(st.sampled_from([name, *WRITER_NAMES]))
+        cells = draw(st.dictionaries(
+            pairs | pairs.map(sorted).map(tuple),  # half of them sorted into year order
+            st.tuples(mostly(*WRITER_SHARES), mostly(*WRITER_SHARES)),
+            max_size=2))
+        profiles[key] = CitationProfile(name, {
+            years: CellCount(self_count + other, self_count)
+            for years, (self_count, other) in cells.items()})
+    return profiles
+
+
+@given(written_profiles())
+@settings(max_examples=150)
+@example({" J": make_profile(" J", {(2003, 2004): (7, 2)})})
+@example({"J": make_profile("J", {(2003, 2004): (7, 2)}),
+          "j": make_profile("j", {(2003, 2004): (7, 2)})})
+@example({"J": make_profile("J", {(2003, 2004): (7, 2)}),
+          "K": make_profile("J", {(2003, 2004): (7, 2)})})
+def test_citation_csv_reads_back_or_raises(profiles):
+    # The writer's promise: its text reads back as exactly the profiles with
+    # cells, or it raises.
+    try:
+        text = profiles_to_citation_csv(profiles)
+    except CitemetricsError:
+        return
+    read, _ = read_citation_profiles(io.StringIO(text, newline=None))
+    assert read == {p.journal: p for p in profiles.values() if p.cells}
 
 
 # --- publications against the uncached parse ---------------------------------

@@ -42,6 +42,19 @@ def test_casefold_only_in_journal_identity():
     assert not stray, stray
 
 
+def test_citation_writer_restates_no_row_rule():
+    """ledger.profiles_to_citation_csv keeps its promise by reading its text
+    back, so which years and counts a row may hold stays the readers' rule:
+    the writer names none of the bounds."""
+    path = ROOT / "src" / "citemetrics" / "ledger.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    writer = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "profiles_to_citation_csv")
+    stray = [f"ledger.py:{node.lineno} {node.id}" for node in ast.walk(writer)
+             if isinstance(node, ast.Name) and node.id in {"YEAR_MIN", "YEAR_MAX", "MAX_COUNT"}]
+    assert not stray, stray
+
+
 def _private_reads(source: str) -> list[str]:
     """Each `module._name` read, and each `_name` imported, from a citemetrics
     module in source, in line order.  Dunders such as `int.__repr__` are not
