@@ -298,14 +298,13 @@ def cmd_synth(args) -> int:
         spec = synth.fixture_spec(args.spec)
     else:
         spec = _read(args.spec, synth.parse_synth_spec)
-    profile, _ = synth.generate_profile(spec)
+    profile, pubs = synth.generate_profile(spec)
     citations = ledger.profiles_to_citation_csv({profile.journal: profile})
     target = Path(args.outdir)
     target.mkdir(parents=True, exist_ok=True)
     publications = [ledger.PUBLICATIONS_HEADER]
-    publications += [
-        f"{spec.journal},{year},{spec.items_per_year}" for year in spec.pub_years()
-    ]
+    publications += [f"{pubs.journals[identity]},{year},{items}"
+                     for (identity, year), items in pubs.entries.items()]
     (target / "citations.csv").write_text(citations, encoding="utf-8")
     (target / "publications.csv").write_text(
         "\n".join(publications) + "\n", encoding="utf-8"

@@ -151,18 +151,18 @@ def check_utf8(number: int, line: str, source: str | None) -> None:
             raise ParseError(number, f"not UTF-8 text ({exc.reason})", source) from None
 
 
-def _rows(
-    numbered: Iterable[tuple[int, str]], width: int, source: str | None
-) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) for each non-blank line: UTF-8, with `width` fields."""
-    for number, line in numbered:
-        line = line.rstrip("\r\n")
-        if line:
-            check_utf8(number, line, source)
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ParseError(number, f"expected {width} fields, got {len(parts)}", source)
-            yield number, parts
+def _fields(number: int, line: str, width: int, source: str | None) -> list[str] | None:
+    """The fields of data line `number`, without its end; None for a blank
+    line.  Raises the line's ParseError if it is not UTF-8 or has other than
+    `width` fields."""
+    line = line.rstrip("\r\n")
+    if not line:
+        return None
+    check_utf8(number, line, source)
+    parts = line.split(",")
+    if len(parts) != width:
+        raise ParseError(number, f"expected {width} fields, got {len(parts)}", source)
+    return parts
 
 
 def _check_row(
@@ -183,10 +183,10 @@ def _check_row(
     result is (citing, citing_id, citing_year, cited, cited_id, cited_year,
     count).
     """
-    checked = next(_rows([(number, line)], 5, source), None)
-    if checked is None:
+    fields = _fields(number, line, 5, source)
+    if fields is None:
         return None
-    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = checked[1]
+    citing_raw, citing_year_s, cited_raw, cited_year_s, count_s = fields
     try:
         citing_year = int(citing_year_s)
         cited_year = int(cited_year_s)
@@ -258,8 +258,11 @@ def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap
     """
     entries: dict[str, str] = {}
     canonical_keys: set[str] = set()
-    numbered = _data_lines(lines, ALIASES_HEADER, source)
-    for number, (alias, canonical) in _rows(numbered, 2, source):
+    for number, line in _data_lines(lines, ALIASES_HEADER, source):
+        fields = _fields(number, line, 2, source)
+        if fields is None:  # a blank line
+            continue
+        alias, canonical = fields
         alias = alias.strip()
         canonical = canonical.strip()
         if not alias or not canonical:
@@ -296,10 +299,8 @@ def parse_publication_csv(
     _fold: a name text maps to its non-empty canonical name and identity,
     a year text to its in-range year and an items text (with any line end)
     to its positive count.  A row whose three texts are all known and whose
-    key is new costs three dict reads; every other row goes through one
-    full row check (_check_publication), which raises its ParseError or
-    admits its texts.  Every key of one journal holds the same identity
-    string.
+    key is new costs three dict reads; every other row gets the full row
+    check, which raises its ParseError or admits its texts.
     """
     entries: dict[tuple[str, int], int] = {}
     journals: dict[str, str] = {}
@@ -314,61 +315,32 @@ def parse_publication_csv(
             if key in entries:
                 raise ValueError  # the full row check below raises the error
         except (ValueError, KeyError):
-            row = _check_publication(number, line, entries, names, years, counts,
-                                     alias_map, source)
-            if row is None:  # a blank line
+            fields = _fields(number, line, 3, source)
+            if fields is None:  # a blank line
                 continue
-            journal, key, items = row
+            name, year_s, items_s = fields
+            journal = alias_map.resolve(name)
+            if not journal:
+                raise ParseError(number, "journal identifier must be non-empty", source)
+            try:
+                year = int(year_s)
+                items = int(items_s)
+            except ValueError:
+                raise ParseError(number, "year and citeable_items must be integers", source)
+            if not YEAR_MIN <= year <= YEAR_MAX:
+                raise ParseError(number, "years must be 4-digit integers", source)
+            if items < 1:
+                raise ParseError(number, "citeable_items must be positive", source)
+            key = (journal_identity(journal), year)
+            if key in entries:
+                raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
+            names[name] = (journal, key[0])
+            years[year_s] = year
+            counts[line[line.rindex(",") + 1:]] = items
             # A known name text was admitted by a row that set its journal.
             journals.setdefault(key[0], journal)
         entries[key] = items
     return PublicationCounts(entries, journals)
-
-
-def _check_publication(
-    number: int,
-    line: str,
-    entries: dict[tuple[str, int], int],
-    names: dict[str, tuple[str, str]],
-    years: dict[str, int],
-    counts: dict[str, int],
-    alias_map: AliasMap,
-    source: str | None,
-) -> tuple[str, tuple[str, int], int] | None:
-    """The full check of one publication line, for lines that missed the
-    field caches or repeat a key.
-
-    Returns None for a blank line and raises the line's ParseError.  A
-    valid row's texts are admitted to the caches of parse_publication_csv;
-    the result is (canonical name, (identity, year), citeable items).
-    """
-    checked = next(_rows([(number, line)], 3, source), None)
-    if checked is None:
-        return None
-    name, year_s, items_s = checked[1]
-    resolved = names.get(name)
-    if resolved is None:
-        journal = alias_map.resolve(name)
-        if not journal:
-            raise ParseError(number, "journal identifier must be non-empty", source)
-        resolved = (journal, journal_identity(journal))
-    journal, identity = resolved
-    try:
-        year = int(year_s)
-        items = int(items_s)
-    except ValueError:
-        raise ParseError(number, "year and citeable_items must be integers", source)
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        raise ParseError(number, "years must be 4-digit integers", source)
-    if items < 1:
-        raise ParseError(number, "citeable_items must be positive", source)
-    key = (identity, year)
-    if key in entries:
-        raise ParseError(number, f"duplicate entry for {journal!r}, {year}", source)
-    names[name] = resolved
-    years[year_s] = year
-    counts[line[line.rindex(",") + 1:]] = items
-    return journal, key, items
 
 
 def build_profiles(records: Iterable[CitationRecord]) -> dict[str, CitationProfile]:

@@ -296,8 +296,8 @@ def _parse_kernel(text: str) -> RiseDecay:
 
 
 def _parse_years(text: str) -> tuple[int, int]:
-    first, _, last = text.partition("-")
-    return int(first), int(last or first)
+    first, dash, last = text.partition("-")
+    return int(first), int(last if dash else first)
 
 
 # Keys given once per spec, all of them required, each with its value's parser.

@@ -183,7 +183,8 @@ def test_synth_refuses_years_its_readers_reject(tmp_path, capsys, pub_years, end
      "9: volume_scale 1991,0 needs a year in pub_years"),
     ("flat:5", "wavelet:3", "3: bad value for 'kernel': unrecognized kernel"),
     ("= 10\n", "= 1/0\n", "4: bad value for 'base_citations': zero denominator in '1/0'"),
-], ids=["scalar", "spike", "volume-scale", "kernel-text", "zero-denominator"])
+    ("1990-1995", "1990-", "2: bad value for 'pub_years'"),
+], ids=["scalar", "spike", "volume-scale", "kernel-text", "zero-denominator", "open-years"])
 def test_synth_error_names_the_line_of_the_value(tmp_path, capsys, old, new, error):
     # A value that does not parse, or that the spec's checks refuse, is an
     # error at the line that gives it; only a missing key has no line (line 0).

@@ -18,7 +18,7 @@ from citemetrics.ledger import (
     CitationRecord,
     MAX_COUNT,
     _data_lines,
-    _rows,
+    _fields,
     build_profiles,
     iter_citation_records,
     parse_alias_csv,
@@ -558,7 +558,9 @@ def reference_records(lines, alias_map=AliasMap(), source=None):
     # through the full row check.
     resolved = {}
     numbered = _data_lines(reference_utf8(lines, source), CITATIONS_HEADER, source)
-    for number, parts in _rows(numbered, 5, source):
+    rows = ((number, parts) for number, line in numbered
+            if (parts := _fields(number, line, 5, source)) is not None)
+    for number, parts in rows:
         yield reference_parse_row(number, parts, resolved, alias_map, source)
 
 
@@ -912,7 +914,9 @@ def reference_publications(lines, alias_map, source=None):
     entries = {}
     journals = {}
     numbered = _data_lines(reference_utf8(lines, source), PUBLICATIONS_HEADER, source)
-    for number, (name, year_s, items_s) in _rows(numbered, 3, source):
+    rows = ((number, parts) for number, line in numbered
+            if (parts := _fields(number, line, 3, source)) is not None)
+    for number, (name, year_s, items_s) in rows:
         journal = alias_map.resolve(name)
         if not journal:
             raise ParseError(number, "journal identifier must be non-empty", source)
@@ -1025,6 +1029,87 @@ def test_parse_publication_csv_matches_reference(bad_kind, data, use_aliases):
     entries, journals = expected
     assert list(pubs.entries.items()) == list(entries.items())
     assert list(pubs.journals.items()) == list(journals.items())
+
+
+# --- aliases against a reference written out rule by rule ---------------------
+
+# Padded and case-variant spellings of two former names and two current ones.
+# Most rows map a former name to a current one; a row that takes its alias
+# from the current names, or its canonical from the former ones, may map a
+# name to itself or make a chain, in either order.
+OLD_NAMES = ["Old A", " old a", "OLD A ", "Old B", "old b "]
+NEW_NAMES = ["New A", "new a ", " NEW A", "New B", "new b"]
+
+
+def reference_aliases(lines, source=None):
+    # parse_alias_csv with its line layout spelled out: every line is checked
+    # for UTF-8 as it is read, then the header, then each non-blank row.
+    entries, canonical_keys = {}, set()
+    numbered = enumerate(reference_utf8(lines, source), start=1)
+    _, header = next(numbered, (1, None))
+    if header is None:
+        raise ParseError(1, "missing header", source)
+    if header.removeprefix("\ufeff").strip() != "alias,canonical":
+        raise ParseError(1, "expected header 'alias,canonical'", source)
+    for number, line in numbered:
+        fields = line.rstrip("\r\n").split(",")
+        if fields == [""]:
+            continue
+        if len(fields) != 2:
+            raise ParseError(number, f"expected 2 fields, got {len(fields)}", source)
+        alias, canonical = (field.strip() for field in fields)
+        if not alias or not canonical:
+            raise ParseError(number, "alias and canonical must be non-empty", source)
+        alias_key, canonical_key = alias.casefold(), canonical.casefold()
+        if alias_key == canonical_key:
+            raise ParseError(number, f"alias {alias!r} maps to itself", source)
+        existing = entries.get(alias_key)
+        if existing is not None and existing.casefold() != canonical_key:
+            raise ParseError(
+                number, f"alias {alias!r} maps to both {existing!r} and {canonical!r}", source
+            )
+        if alias_key in canonical_keys:
+            raise ParseError(number, f"{alias!r} is already a canonical name", source)
+        if canonical_key in entries:
+            raise ParseError(number, f"{canonical!r} is already an alias", source)
+        entries[alias_key] = canonical
+        canonical_keys.add(canonical_key)
+    return entries
+
+
+@st.composite
+def alias_texts(draw, bad_kind):
+    """Alias text with repeated, self-mapping and chained aliases, blank lines,
+    LF or CRLF ends and maybe a BOM; the "fields" kind adds a row with one or
+    three fields, the "utf-8" kind bytes that are not UTF-8."""
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(OLD_NAMES * 4 + NEW_NAMES + [" "]),
+        st.sampled_from(NEW_NAMES * 4 + OLD_NAMES + [""]),
+    ), max_size=12))
+    lines = [",".join(row) for row in rows]
+    if bad_kind == "fields":
+        bad = ",".join(draw(st.sampled_from([[], ["x", "y"]])) + ["Old A"])
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), bad)
+    return lay_out(draw, ["alias,canonical", *lines], bad_kind)
+
+
+def alias_outcome(parse, text):
+    try:
+        return parse(io.StringIO(text)), None
+    except ParseError as exc:
+        return None, (exc.line, exc.reason)
+
+
+@pytest.mark.parametrize("bad_kind", [None, "fields", "utf-8"])
+@given(data=st.data())
+@settings(max_examples=100)
+def test_parse_alias_csv_matches_reference(bad_kind, data):
+    text = data.draw(alias_texts(bad_kind))
+    expected, expected_error = alias_outcome(reference_aliases, text)
+    aliases, error = alias_outcome(parse_alias_csv, text)
+    assert error == expected_error
+    if expected is not None:
+        assert list(aliases.entries.items()) == list(expected.items())
 
 
 # --- line layout, shared by every reader ----------------------------------------

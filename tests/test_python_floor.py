@@ -55,6 +55,24 @@ def test_citation_writer_restates_no_row_rule():
     assert not stray, stray
 
 
+def test_utf8_checked_once_per_format():
+    """Each line's UTF-8 check has one owner per format: ledger._data_lines
+    for a CSV header, ledger._fields for a CSV data line and
+    synth.parse_synth_spec for a spec line."""
+    calls = []
+    for path in sorted((ROOT / "src" / "citemetrics").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        owner = {}  # node -> its innermost function, as ast.walk visits outer ones first
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), function.name) for node in ast.walk(function))
+        calls += [f"{path.name}:{owner.get(id(node), '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and getattr(
+                      node.func, "attr", getattr(node.func, "id", None)) == "check_utf8"]
+    assert sorted(calls) == [
+        "ledger.py:_data_lines", "ledger.py:_fields", "synth.py:parse_synth_spec"], calls
+
+
 def _private_reads(source: str) -> list[str]:
     """Each `module._name` read, and each `_name` imported, from a citemetrics
     module in source, in line order.  Dunders such as `int.__repr__` are not
