@@ -68,9 +68,9 @@ _EMPTY = MappingProxyType({})
 class AliasMap(NamedTuple):
     """Single-step journal name resolution (old name / merged name -> canonical).
 
-    Keys are alias identities; values keep the canonical spelling as written.
-    Unmapped names resolve to themselves (trimmed).  Chains are rejected at
-    parse time, so resolution order can never matter.
+    Keys are alias identities; values keep the canonical spelling as first
+    written.  Unmapped names resolve to themselves (trimmed).  Chains are
+    rejected at parse time, so resolution order can never matter.
     """
 
     entries: Mapping[str, str] = _EMPTY
@@ -280,7 +280,7 @@ def parse_alias_csv(lines: Iterable[str], source: str | None = None) -> AliasMap
             raise ParseError(number, f"{alias!r} is already a canonical name", source)
         if canonical_key in entries:
             raise ParseError(number, f"{canonical!r} is already an alias", source)
-        entries[alias_key] = canonical
+        entries.setdefault(alias_key, canonical)
         canonical_keys.add(canonical_key)
     return AliasMap(entries)
 

@@ -2,13 +2,15 @@
 
 Each class is an immutable NamedTuple whose constructor checks every value
 and holds the ratios as Fractions, so every comparison stays exact and the
-integer kernels get a numerator and denominator to cross-multiply.  Its
-defaults are the CLI's defaults.  The module is small and imports little,
-so the CLI can build its parser without loading `curves` or `metrics`,
-which re-export these classes.
+integer kernels get a numerator and denominator to cross-multiply.  The
+`checked` decorator, which `synth.SynthSpec` also uses, sends every way of
+building one through its _check.  Its defaults are the CLI's defaults.  The
+module is small and imports little, so the CLI can build its parser without
+loading `curves` or `metrics`, which re-export these classes.
 """
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -16,31 +18,22 @@ from typing import NamedTuple
 from .errors import ConfigError
 
 
-class _Checked:
-    """Base for a NamedTuple whose _check(*values) checks and converts them.
-
-    Every construction path goes through _check: the constructor, _make,
-    and _replace (which calls _make).
-    """
-
-    __slots__ = ()
+def checked(cls):
+    """Send every construction of the NamedTuple class cls through
+    cls._check(record), which returns the checked values: the constructor,
+    _make, and _replace (which calls _make)."""
+    fill = cls.__new__  # the fields, their defaults filled in
 
     def __new__(cls, *args, **kwargs):
-        given = super().__new__(cls, *args, **kwargs)  # the fields, their defaults filled in
-        return tuple.__new__(cls, cls._check(*given))
+        return tuple.__new__(cls, cls._check(fill(cls, *args, **kwargs)))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
-class _WindowFields(NamedTuple):
-    window_ages: tuple[int, ...] = (1, 2)
-    horizon: int = 20
-    target_quantile: Fraction = Fraction(1, 2)
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
 
 
-class WindowPolicy(_Checked, _WindowFields):
+@checked
+class WindowPolicy(NamedTuple):
     """Which ages count toward the indicator, and how far coverage looks.
 
     window_ages: item ages whose citations feed the impact factor, held
@@ -52,18 +45,23 @@ class WindowPolicy(_Checked, _WindowFields):
     print as 0.0.
     """
 
-    __slots__ = ()
+    window_ages: tuple[int, ...] = (1, 2)
+    horizon: int = 20
+    target_quantile: Fraction = Fraction(1, 2)
 
-    @staticmethod
-    def _check(window_ages, horizon, target_quantile):
-        ages = tuple(sorted(set(window_ages)))
+    def _check(self):
+        try:
+            ages = tuple(sorted({operator.index(age) for age in self.window_ages}))
+            horizon = operator.index(self.horizon)
+        except TypeError:
+            raise ConfigError("window ages and horizon must be integers") from None
         if not ages:
             raise ConfigError("window_ages must be non-empty")
         if any(a < 0 for a in ages):
             raise ConfigError("window ages must be >= 0")
         if horizon < max(ages):
             raise ConfigError("horizon must cover every window age")
-        q = Fraction(target_quantile)
+        q = Fraction(self.target_quantile)
         if not 0 < q <= 1:
             raise ConfigError("target_quantile must be in (0, 1]")
         if q < sys.float_info.min:
@@ -71,19 +69,15 @@ class WindowPolicy(_Checked, _WindowFields):
         return ages, horizon, q
 
 
-class _AnomalyFields(NamedTuple):
+@checked
+class AnomalyThresholds(NamedTuple):
+    """Detection thresholds: self-rate as a fraction, deviation in percentage points."""
+
     self_rate: Fraction = Fraction(1, 2)
     deviation_pp: Fraction = Fraction(25)
 
-
-class AnomalyThresholds(_Checked, _AnomalyFields):
-    """Detection thresholds: self-rate as a fraction, deviation in percentage points."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check(self_rate, deviation_pp):
-        self_rate, deviation_pp = Fraction(self_rate), Fraction(deviation_pp)
+    def _check(self):
+        self_rate, deviation_pp = map(Fraction, self)
         if not 0 < self_rate <= 1:
             raise ConfigError("self-rate threshold must be in (0, 1]")
         if deviation_pp <= 0:
@@ -91,22 +85,18 @@ class AnomalyThresholds(_Checked, _AnomalyFields):
         return self_rate, deviation_pp
 
 
-class _ClassificationFields(NamedTuple):
-    hare: Fraction = Fraction(1, 4)
-    tortoise: Fraction = Fraction(3, 20)
-
-
-class ClassificationThresholds(_Checked, _ClassificationFields):
+@checked
+class ClassificationThresholds(NamedTuple):
     """Coverage cutoffs separating fast-accruing from slow-accruing journals.
 
     Coverage lies in [0, 1], so the cutoffs must satisfy 0 <= tortoise < hare <= 1.
     """
 
-    __slots__ = ()
+    hare: Fraction = Fraction(1, 4)
+    tortoise: Fraction = Fraction(3, 20)
 
-    @staticmethod
-    def _check(hare, tortoise):
-        hare, tortoise = Fraction(hare), Fraction(tortoise)
+    def _check(self):
+        hare, tortoise = map(Fraction, self)
         if hare <= tortoise:
             raise ConfigError("hare threshold must exceed tortoise threshold")
         if tortoise < 0 or hare > 1:

@@ -15,22 +15,21 @@ per cell) is the only lossy step.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import OracleError, ParseError
 from .fixtures import FIXTURE_NAMES
 from .ledger import (
-    EXTERNAL_SOURCE, YEAR_MAX, YEAR_MIN, CellCount, CitationProfile, PublicationCounts, check_utf8,
-    journal_identity,
+    _EMPTY, EXTERNAL_SOURCE, YEAR_MAX, YEAR_MIN, CellCount, CitationProfile, PublicationCounts,
+    check_utf8, journal_identity,
 )
 from .metrics import WindowPolicy, half_away_units
+from .settings import checked
 
 
-@dataclass(frozen=True)
-class RiseDecay:
+class RiseDecay(NamedTuple):
     """Weight 1 at peak_age, rise**(peak-age) before it, decay**(age-peak) after.
 
     rise in (0, 1] makes early ages climb toward the peak; decay in (0, 1]
@@ -54,8 +53,7 @@ class RiseDecay:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Spike:
+class Spike(NamedTuple):
     """Extra citations dumped on one (volume, age) cell."""
 
     pub_year: int
@@ -74,15 +72,15 @@ class SpecValueError(ValueError):
         self.entry = entry
 
 
-@dataclass(frozen=True)
-class SynthSpec:
+@checked
+class SynthSpec(NamedTuple):
     """Complete description of one synthetic journal.
 
     volume_scale entries default to 1 for unlisted years; self_fraction is
     keyed by (pub_year, age) and defaults to 0.  observation_end truncates
     generated citing years.  Every year lies in YEAR_MIN..YEAR_MAX, the years
-    the ledger readers take.  A value the checks refuse raises SpecValueError,
-    which names the spec-file key that gives it.
+    the ledger readers take.  A value the checks refuse, however the spec is
+    built, raises SpecValueError, which names the spec-file key that gives it.
     """
 
     journal: str
@@ -92,11 +90,11 @@ class SynthSpec:
     base_citations: Fraction
     items_per_year: int
     observation_end: int
-    volume_scale: Mapping[int, Fraction] = field(default_factory=dict)
-    self_fraction: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    volume_scale: Mapping[int, Fraction] = _EMPTY
+    self_fraction: Mapping[tuple[int, int], Fraction] = _EMPTY
     spikes: tuple[Spike, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.journal.strip():
             raise SpecValueError("journal name must be non-empty", "journal")
         if "," in self.journal:
@@ -140,6 +138,7 @@ class SynthSpec:
                 raise SpecValueError(f"spike {spike.pub_year},{spike.age},{spike.extra} needs "
                                      "a year in pub_years, an age >= 0 and a count >= 0",
                                      "spike", index)
+        return self
 
     def pub_years(self) -> range:
         return range(self.first_year, self.last_year + 1)

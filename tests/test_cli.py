@@ -1621,11 +1621,14 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
       "citemetrics.svg", "citemetrics.synth", "citemetrics.parallel"}),
     ("curves", "citemetrics.svg", {"citemetrics.metrics", "json", "dataclasses"}),
     ("report-csv", "citemetrics.metrics", {"json", "dataclasses"}),
-], ids=["validate", "curves", "report-csv"])
+    ("synth", "citemetrics.synth",
+     {"dataclasses", "inspect", "json", "citemetrics.svg", "citemetrics.parallel"}),
+], ids=["validate", "curves", "report-csv", "synth"])
 def test_command_loads_only_what_it_runs(tmp_path, hare_dir, command, loads, never):
     """Each command loads only what it runs: a header-only `validate` no
     records, curves or JSON, `curves --svg` no report, a CSV report no JSON,
-    and none of them dataclasses (with inspect)."""
+    `synth` no chart or split read, and none of them dataclasses (with
+    inspect)."""
     citations = str(hare_dir / "citations.csv")
     if command == "validate":
         header = tmp_path / "c.csv"
@@ -1633,6 +1636,8 @@ def test_command_loads_only_what_it_runs(tmp_path, hare_dir, command, loads, nev
         argv = ["validate", "--citations", str(header)]
     elif command == "curves":
         argv = ["curves", "Hare", "--citations", citations, "--svg", str(tmp_path / "c.svg")]
+    elif command == "synth":
+        argv = ["synth", "hare", "--outdir", str(tmp_path / "hare")]
     else:
         argv = ["report", "--citations", citations, "--year", "2004", "--format", "csv"]
     done = run_python("-c", _LOADED_BY_COMMAND, *argv)

@@ -115,6 +115,13 @@ def test_alias_duplicate_identical_ok():
     assert len(aliases.entries) == 1
 
 
+def test_alias_repeated_keeps_the_first_spelling_of_its_canonical():
+    """As the publications reader keeps a journal's first spelling."""
+    aliases = parse_alias_csv(["alias,canonical", "Old,New", "old,NEW"])
+    assert aliases.entries == {"old": "New"}
+    assert aliases.resolve("Old") == "New"
+
+
 def test_alias_conflict():
     with pytest.raises(ParseError) as err:
         parse_alias_csv(["alias,canonical", "Old J,New J", "Old J,Other J"])
@@ -1072,7 +1079,7 @@ def reference_aliases(lines, source=None):
             raise ParseError(number, f"{alias!r} is already a canonical name", source)
         if canonical_key in entries:
             raise ParseError(number, f"{canonical!r} is already an alias", source)
-        entries[alias_key] = canonical
+        entries.setdefault(alias_key, canonical)
         canonical_keys.add(canonical_key)
     return entries
 

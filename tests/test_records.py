@@ -1,6 +1,6 @@
-"""The records of ledger, curves and metrics, and the settings classes, are
-NamedTuples: immutable, compared and hashed by field, and the settings check
-every value on every construction path."""
+"""The records of ledger, curves, metrics and synth, and the settings classes,
+are NamedTuples: immutable, compared and hashed by field, and the settings and
+SynthSpec check every value on every construction path."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -12,6 +12,7 @@ from citemetrics.errors import ConfigError
 from citemetrics.ledger import AliasMap, CellCount, CitationProfile, PublicationCounts
 from citemetrics.metrics import IndicatorReport
 from citemetrics.settings import AnomalyThresholds, ClassificationThresholds, WindowPolicy
+from citemetrics.synth import RiseDecay, SpecValueError, Spike, SynthSpec, fixture_spec
 
 # Each record class, built from fresh arguments on every call.
 RECORDS = {
@@ -26,6 +27,9 @@ RECORDS = {
     "WindowPolicy": lambda: WindowPolicy((2, 1), 10, Fraction(1, 4)),
     "AnomalyThresholds": lambda: AnomalyThresholds(Fraction(1, 3), 10),
     "ClassificationThresholds": lambda: ClassificationThresholds(Fraction(1, 2), Fraction(1, 5)),
+    "RiseDecay": lambda: RiseDecay(1, Fraction(1), Fraction(18, 25), 21),
+    "Spike": lambda: Spike(1993, 0, 38),
+    "SynthSpec": lambda: fixture_spec("hare"),
 }
 records = pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
 
@@ -77,6 +81,8 @@ INVALID = [
     (WindowPolicy, {"window_ages": (-1, 2)}, "window ages must be >= 0"),
     (WindowPolicy, {"horizon": 1}, "horizon must cover every window age"),
     (WindowPolicy, {"window_ages": (30,)}, "horizon must cover every window age"),
+    (WindowPolicy, {"window_ages": (1.5,)}, "window ages and horizon must be integers"),
+    (WindowPolicy, {"horizon": 20.5}, "window ages and horizon must be integers"),
     (WindowPolicy, {"target_quantile": 0}, r"target_quantile must be in \(0, 1\]"),
     (WindowPolicy, {"target_quantile": Fraction(3, 2)}, r"target_quantile must be in \(0, 1\]"),
     (WindowPolicy, {"target_quantile": Fraction(1, 2**1030)}, "target_quantile must be at least"),
@@ -98,6 +104,16 @@ def test_settings_reject_invalid_values_on_every_path(cls, changes, message):
                   lambda: cls()._replace(**changes), lambda: cls._make(values.values())):
         with pytest.raises(ConfigError, match=message):
             build()
+
+
+def test_synth_spec_rejects_invalid_values_on_every_path():
+    hare = fixture_spec("hare")
+    values = {**hare._asdict(), "items_per_year": 0}
+    for build in (lambda: SynthSpec(**values), lambda: hare._replace(items_per_year=0),
+                  lambda: SynthSpec._make(values.values())):
+        with pytest.raises(SpecValueError, match="items_per_year must be >= 1") as err:
+            build()
+        assert err.value.key == "items_per_year"
 
 
 def test_settings_convert_values_on_every_path():

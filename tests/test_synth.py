@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
@@ -110,7 +109,7 @@ def test_spec_rejects_self_fraction_on_a_cell_it_never_writes(year, age):
     error = f"self_fraction {year},{age},1/2 needs .* a cell the spec writes"
     hare = fixture_spec("hare")
     with pytest.raises(ValueError, match=error):
-        replace(hare, self_fraction={**hare.self_fraction, (year, age): Fraction(1, 2)})
+        hare._replace(self_fraction={**hare.self_fraction, (year, age): Fraction(1, 2)})
     text = fixture_text("hare") + f"self_fraction = {year},{age},1/2\n"
     with pytest.raises(ParseError, match=error) as err:
         parse_synth_spec(io.StringIO(text), source="hare.synth")
@@ -412,7 +411,7 @@ def test_report_before_observation_end_matches_oracle_exactly(policy):
     assert rounding_bounds(spec, policy)["coverage"] == 0
     profile, pubs = generate_profile(spec)
     report = build_indicator_report(profile, pubs, 1990, policy)
-    expected = expected_metrics(replace(spec, last_year=1990, observation_end=1990), policy)
+    expected = expected_metrics(spec._replace(last_year=1990, observation_end=1990), policy)
     assert report.coverage == expected["coverage"]
     assert report.half_life_exact == expected["half_life_exact"]
     assert report.scaling_factor == expected["scaling_factor"]
