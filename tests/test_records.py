@@ -81,8 +81,6 @@ INVALID = [
     (WindowPolicy, {"window_ages": (-1, 2)}, "window ages must be >= 0"),
     (WindowPolicy, {"horizon": 1}, "horizon must cover every window age"),
     (WindowPolicy, {"window_ages": (30,)}, "horizon must cover every window age"),
-    (WindowPolicy, {"window_ages": (1.5,)}, "window ages and horizon must be integers"),
-    (WindowPolicy, {"horizon": 20.5}, "window ages and horizon must be integers"),
     (WindowPolicy, {"target_quantile": 0}, r"target_quantile must be in \(0, 1\]"),
     (WindowPolicy, {"target_quantile": Fraction(3, 2)}, r"target_quantile must be in \(0, 1\]"),
     (WindowPolicy, {"target_quantile": Fraction(1, 2**1030)}, "target_quantile must be at least"),
@@ -94,6 +92,8 @@ INVALID = [
     (ClassificationThresholds, {"tortoise": 0.5}, "hare threshold must exceed tortoise"),
     (ClassificationThresholds, {"tortoise": -0.1}, r"must lie in \[0, 1\]"),
     (ClassificationThresholds, {"hare": 2}, r"must lie in \[0, 1\]"),
+    (WindowPolicy, {"window_ages": (1.5,)}, "window ages and horizon must be integers"),
+    (WindowPolicy, {"horizon": 20.5}, "window ages and horizon must be integers"),
 ]
 
 
